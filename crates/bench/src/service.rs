@@ -553,7 +553,6 @@ fn serve_registered(
         };
         let assign = match message {
             Message::Shutdown => return Ok(RegisteredEnd::Finished),
-            Message::Pong => continue,
             Message::JobOpen(open) => {
                 // Re-expand the payload ourselves and prove we agree via
                 // the fingerprint — same trust model as the Hello

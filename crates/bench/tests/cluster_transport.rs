@@ -15,14 +15,18 @@
 
 use proptest::prelude::*;
 use qismet_bench::{
-    run_campaign_distributed, serve_campaign, Campaign, CampaignGrid, CampaignReport,
-    DistributedOptions, Scheme, SweepExecutor, WorkerOptions,
+    run_campaign_distributed, serve_campaign, serve_session, Campaign, CampaignGrid,
+    CampaignReport, DistributedOptions, Scheme, SessionOutcome, SweepExecutor, WorkerOptions,
 };
 use qismet_cluster::{
-    ClusterError, Fault, FaultKind, FaultPlan, TcpTransportListener, WorkerLaunch,
+    Assign, BuildStamp, ClusterError, Done, Fault, FaultKind, FaultPlan, Hello, Message,
+    TcpTransportListener, Transport, WorkerLaunch,
 };
+use std::collections::VecDeque;
+use std::io;
 use std::path::PathBuf;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 const WORKER_BIN: &str = env!("CARGO_BIN_EXE_campaign");
 const TOKEN: &str = "transport-suite-t0k3n";
@@ -324,6 +328,83 @@ fn mixed_local_and_remote_workers_match_sequential_bitwise() {
     assert_eq!(stats.executed, case.campaign.len());
     assert_eq!(stats.lost_workers, 0);
     assert_reports_bitwise_equal(&sequential, &report);
+}
+
+/// A coordinator played from a script: greets, assigns, answers every
+/// `Ping` with a `Pong`, and sends `Shutdown` after the last `Done`.
+struct ScriptedCoordinator {
+    incoming: VecDeque<Message>,
+    outstanding: usize,
+    pings: u64,
+    dones: Vec<Done>,
+}
+
+impl Transport for ScriptedCoordinator {
+    fn send(&mut self, msg: &Message) -> io::Result<()> {
+        match msg {
+            Message::Ping => {
+                self.pings += 1;
+                self.incoming.push_back(Message::Pong);
+            }
+            Message::Done(done) => {
+                self.dones.push(done.clone());
+                self.outstanding -= 1;
+                if self.outstanding == 0 {
+                    self.incoming.push_back(Message::Shutdown);
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    fn recv(&mut self) -> io::Result<Message> {
+        self.incoming
+            .pop_front()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "script exhausted"))
+    }
+
+    fn peer(&self) -> String {
+        "scripted".into()
+    }
+}
+
+#[test]
+fn heartbeat_round_trips_reach_the_last_done_of_a_session() {
+    // Worker sessions always run with telemetry on; without it `Done`
+    // carries no stats.
+    qismet_telemetry::set_enabled(true);
+    let case = grid_case("net-rtt", 5, &[1], 1, 20);
+    let hello = Hello {
+        worker_id: 0,
+        fingerprint: case.campaign.fingerprint(),
+        spec_count: case.campaign.len(),
+        token: TOKEN.into(),
+        threads: 0,
+        build: BuildStamp::local(false),
+    };
+    // One single-spec batch: every heartbeat of the session happens during
+    // the batch whose `Done` is the session's last frame.
+    let mut coordinator = ScriptedCoordinator {
+        incoming: VecDeque::from([
+            Message::Hello(hello),
+            Message::Assign(Assign { indices: vec![0] }),
+        ]),
+        outstanding: 1,
+        pings: 0,
+        dones: Vec::new(),
+    };
+    let opts = WorkerOptions {
+        heartbeat: Some(Duration::from_micros(50)),
+        ..worker_opts(1)
+    };
+    let specs = case.campaign.expand();
+    let end = serve_session(&case.campaign, &specs, &mut coordinator, &opts).unwrap();
+    assert_eq!(end, SessionOutcome::Shutdown);
+    assert!(coordinator.pings > 0, "the spec outlasts a 50us heartbeat");
+    let stats = coordinator.dones[0].stats.as_ref().expect("telemetry on");
+    assert_eq!(stats.rtt_count, coordinator.pings);
+    assert!(stats.rtt_ns_sum > 0);
 }
 
 proptest! {

@@ -29,8 +29,9 @@
 //!   distinguishes a *slow* worker (frames still flowing) from a *hung* one
 //!   (silence past the deadline — the session is torn down and its shard
 //!   re-dispatched). The coordinator answers each `Ping` with a `Pong`,
-//!   which the worker discards; the reply exists so heartbeat traffic
-//!   exercises both directions of the channel.
+//!   which the worker reads before doing anything else on the channel;
+//!   the reply exercises both directions of the channel and times the
+//!   control-plane round trip.
 //! * [`Shutdown`](Message::Shutdown) (coordinator -> worker): drain and
 //!   end the session.
 //!
@@ -125,9 +126,8 @@ pub struct WorkerStats {
     pub plan_hits: u64,
     /// Compiled-plan cache misses (compilations).
     pub plan_misses: u64,
-    /// Heartbeat round trips newly matched (ping send -> pong read; pong
-    /// reads are deferred to batch boundaries, so this upper-bounds wire
-    /// RTT — see the coordinator docs).
+    /// Heartbeat round trips (ping send -> pong read) since the previous
+    /// `Done`.
     pub rtt_count: u64,
     /// Sum of those round trips.
     pub rtt_ns_sum: u64,

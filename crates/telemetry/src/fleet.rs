@@ -34,9 +34,9 @@ pub struct SlotHealth {
     /// Heartbeat pings received while this slot computed batches.
     pub pings: u64,
     /// Worker-reported heartbeat round-trip tallies (nanoseconds). The
-    /// worker measures ping-send to pong-read; pong reads are deferred to
-    /// batch boundaries, so this is an upper bound on wire RTT and is best
-    /// read as "control-plane responsiveness while computing".
+    /// worker measures ping-send to pong-read, reading each pong as soon
+    /// as it sends the ping, so this is the control-plane round trip while
+    /// computing: wire time plus the coordinator's reply latency.
     pub rtt_ns_sum: u64,
     pub rtt_count: u64,
     pub rtt_ns_max: u64,

@@ -140,6 +140,12 @@ impl AppSpec {
     /// share one pooled backend (scratch state + compiled plans) across all
     /// runs on a worker thread. Results are identical to [`AppSpec::build`]
     /// by the [`Backend`] contract.
+    ///
+    /// The exact ground energy comes from [`Tfim::exact_ground_energy`],
+    /// which is memoized process-wide by `(n, j, h, boundary)`: only the
+    /// first build per Hamiltonian per process pays the dense solve, and
+    /// every build of a campaign's shared 6-qubit chain after it reuses the
+    /// same bits.
     pub fn build_with_backend(
         &self,
         job_capacity: usize,

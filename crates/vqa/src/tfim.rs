@@ -8,9 +8,11 @@
 //! `H = -J sum_i Z_i Z_{i+1} - h sum_i X_i` over an open or periodic chain.
 
 use qismet_qsim::{Pauli, PauliString, PauliSum};
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock};
 
 /// Chain boundary conditions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Boundary {
     /// Open chain: `n - 1` coupling terms.
     Open,
@@ -69,13 +71,35 @@ impl Tfim {
         sum
     }
 
-    /// Exact ground energy by dense diagonalization (fine for `n <= 10`).
+    /// Exact ground energy by dense diagonalization (fine for `n <= 10`),
+    /// memoized process-wide.
+    ///
+    /// The memo is keyed by `(n, j.to_bits(), h.to_bits(), boundary)`, so
+    /// only the first call per key per process pays the dense solve; every
+    /// later call returns the same bits. The memo lock is held across the
+    /// solve, so threads racing on one key solve it exactly once. Only
+    /// successful solves are cached. The `vqa.ground_energy.solves` and
+    /// `vqa.ground_energy.hits` telemetry counters record both outcomes.
     ///
     /// # Errors
     ///
     /// Propagates eigensolver failures.
     pub fn exact_ground_energy(&self) -> Result<f64, qismet_mathkit::EigError> {
-        self.hamiltonian().ground_energy()
+        type Key = (usize, u64, u64, Boundary);
+        static MEMO: OnceLock<Mutex<HashMap<Key, f64>>> = OnceLock::new();
+        let key = (self.n, self.j.to_bits(), self.h.to_bits(), self.boundary);
+        let mut memo = MEMO
+            .get_or_init(Default::default)
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        if let Some(&e) = memo.get(&key) {
+            qismet_telemetry::counter!("vqa.ground_energy.hits").inc();
+            return Ok(e);
+        }
+        qismet_telemetry::counter!("vqa.ground_energy.solves").inc();
+        let e = self.hamiltonian().ground_energy()?;
+        memo.insert(key, e);
+        Ok(e)
     }
 
     /// Analytic ground energy of the **periodic** chain via the
@@ -173,6 +197,68 @@ mod tests {
                 "n={n} J={j} h={h}: dense {dense} vs analytic {analytic}"
             );
         }
+    }
+
+    /// The uncached dense solve the memo must reproduce bit for bit.
+    fn dense(t: &Tfim) -> f64 {
+        t.hamiltonian().ground_energy().unwrap()
+    }
+
+    #[test]
+    fn memoized_energy_is_bit_identical_to_dense_solve() {
+        // Every boundary x regime (critical, field-, coupling-dominated) up
+        // to 6 spins, plus one 7-spin case: a debug-build dense solve takes
+        // seconds at 7 spins and ~30 s at 8.
+        let mut cases = vec![Tfim::paper_6q()];
+        for n in 2..=6 {
+            for boundary in [Boundary::Open, Boundary::Periodic] {
+                for (j, h) in [(1.0, 1.0), (0.05, 2.0), (2.0, 0.05)] {
+                    cases.push(Tfim { n, j, h, boundary });
+                }
+            }
+        }
+        cases.push(Tfim {
+            n: 7,
+            j: 0.05,
+            h: 2.0,
+            boundary: Boundary::Periodic,
+        });
+        for t in cases {
+            let want = dense(&t).to_bits();
+            // First call may solve or hit (the memo is process-wide and
+            // other tests share it); the second call always hits.
+            assert_eq!(t.exact_ground_energy().unwrap().to_bits(), want, "{t:?}");
+            assert_eq!(t.exact_ground_energy().unwrap().to_bits(), want, "{t:?}");
+        }
+    }
+
+    #[test]
+    fn memo_keys_do_not_alias() {
+        let open = Tfim {
+            n: 5,
+            j: 1.0,
+            h: 0.4,
+            boundary: Boundary::Open,
+        };
+        let periodic = Tfim {
+            boundary: Boundary::Periodic,
+            ..open
+        };
+        let swapped = Tfim {
+            j: open.h,
+            h: open.j,
+            ..open
+        };
+        let cases = [open, periodic, swapped];
+        let energies: Vec<f64> = cases
+            .iter()
+            .map(|t| t.exact_ground_energy().unwrap())
+            .collect();
+        for (t, e) in cases.iter().zip(&energies) {
+            assert_eq!(e.to_bits(), dense(t).to_bits(), "{t:?}");
+        }
+        assert_ne!(energies[0], energies[1], "open vs periodic");
+        assert_ne!(energies[0], energies[2], "swapped (j, h)");
     }
 
     #[test]

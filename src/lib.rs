@@ -11,4 +11,5 @@ pub use qismet_mathkit as mathkit;
 pub use qismet_optim as optim;
 pub use qismet_qnoise as qnoise;
 pub use qismet_qsim as qsim;
+pub use qismet_telemetry as telemetry;
 pub use qismet_vqa as vqa;

@@ -5,10 +5,8 @@
 //!
 //! The `compiled_vs_interpreted` group additionally writes `BENCH_qsim.json`
 //! (mean ns per objective evaluation at 4..20 qubits: interpreted vs the
-//! fused compiled kernels, plus a parallel column and a 20q threaded-apply
-//! measurement under the `parallel` feature) so successive PRs accumulate a
-//! perf trajectory; set `QISMET_PERF_SMOKE=1` for the short-measurement CI
-//! variant.
+//! fused compiled kernels) so successive PRs accumulate a perf trajectory;
+//! set `QISMET_PERF_SMOKE=1` for the short-measurement CI variant.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use qismet::{decide, TransientEstimate};
@@ -17,7 +15,7 @@ use qismet_mathkit::rng_from_seed;
 use qismet_optim::{GainSchedule, Proposer, Spsa};
 use qismet_qsim::{
     statevector, Backend, CachedStatevectorBackend, Circuit, CompiledCircuit, CompiledObservable,
-    DensityMatrix, KrausChannel, StateVector, MAX_LANES,
+    DensityMatrix, KrausChannel, StateVector,
 };
 use qismet_vqa::{Ansatz, AnsatzKind, Boundary, Entanglement, Tfim};
 use std::time::Instant;
@@ -135,62 +133,15 @@ fn objective_workload(n: usize) -> (Ansatz, qismet_qsim::PauliSum, Vec<f64>) {
     (ansatz, tfim.hamiltonian(), params)
 }
 
-/// In-state kernel threads for the `parallel` column: the machine's core
-/// count, floored at 2 so the threaded code path is exercised (and honestly
-/// reported) even on single-core CI runners.
-fn bench_inner_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .clamp(2, 8)
-}
-
 /// One trajectory row: objective-evaluation means at `n` qubits.
 struct PerfRow {
     n: usize,
     interpreted_ns: f64,
     compiled_ns: f64,
-    /// Compiled path with in-state kernel threads (`parallel` feature and
-    /// `n` above the threading threshold only).
-    parallel_ns: Option<f64>,
-    /// Lane-batched SoA engine, mean ns **per point** at B = 8 lanes
-    /// (steady-state `evaluate_plan_batch`: rebind + lockstep
-    /// expectation-only sweep, divided by the lane count; states small
-    /// enough for the lane-batched path only).
-    batched_ns: Option<f64>,
-}
-
-/// Single-apply threaded sweep measurement (`parallel` feature only):
-/// one `CompiledCircuit` sweep, sequential vs `run_threaded`, as a JSON
-/// object string plus a human-readable summary line.
-#[cfg(feature = "parallel")]
-fn measure_threaded_apply(n: usize, threads: usize, cores: usize) -> (String, String) {
-    let (ansatz, _h, params) = objective_workload(n);
-    let bound = ansatz.bind(&params).unwrap();
-    let plan = CompiledCircuit::compile(&bound);
-    let mut sv = StateVector::new(n);
-    let sequential_ns = mean_ns(|| {
-        plan.run(&mut sv).unwrap();
-        criterion::black_box(&sv);
-    });
-    let threaded_ns = mean_ns(|| {
-        plan.run_threaded(&mut sv, threads).unwrap();
-        criterion::black_box(&sv);
-    });
-    let speedup = sequential_ns / threaded_ns;
-    (
-        format!(
-            "{{\"n_qubits\": {n}, \"threads\": {threads}, \"sequential_ns\": {sequential_ns:.1}, \"threaded_ns\": {threaded_ns:.1}, \"speedup\": {speedup:.2}}}"
-        ),
-        format!(
-            "  threaded apply {n}q x{threads}t: sequential {sequential_ns:.0} ns, threaded {threaded_ns:.0} ns ({speedup:.2}x on {cores} core(s))"
-        ),
-    )
 }
 
 fn bench_compiled_vs_interpreted(c: &mut Criterion) {
     let smoke = perf_smoke();
-    let inner_threads = bench_inner_threads();
     let mut group = c.benchmark_group("compiled_vs_interpreted");
     let mut rows: Vec<PerfRow> = Vec::new();
     for n in [4usize, 6, 8, 12, 16, 20] {
@@ -231,16 +182,6 @@ fn bench_compiled_vs_interpreted(c: &mut Criterion) {
             b.iter(|| backend.evaluate_plan(&mut plan, &params, &obs).unwrap())
         });
 
-        // Parallel: the same compiled path with in-state kernel threads.
-        // Only meaningful once the state clears the threading threshold
-        // (smaller states run the sequential sweep regardless).
-        let mut par_backend = CachedStatevectorBackend::with_inner_threads(inner_threads);
-        if cfg!(feature = "parallel") && n >= 16 {
-            group.bench_function(format!("parallel_{n}q_t{inner_threads}"), |b| {
-                b.iter(|| par_backend.evaluate_plan(&mut plan, &params, &obs).unwrap())
-            });
-        }
-
         // Matching wall-clock means for the trajectory file.
         let interpreted_ns = mean_ns(|| {
             let bound = ansatz.bind(&params).unwrap();
@@ -250,96 +191,22 @@ fn bench_compiled_vs_interpreted(c: &mut Criterion) {
         let compiled_ns = mean_ns(|| {
             criterion::black_box(backend.evaluate_plan(&mut plan, &params, &obs).unwrap());
         });
-        let parallel_ns = (cfg!(feature = "parallel") && n >= 16).then(|| {
-            mean_ns(|| {
-                criterion::black_box(par_backend.evaluate_plan(&mut plan, &params, &obs).unwrap());
-            })
-        });
-
-        // Lane-batched SoA engine at B = 8: measure through the backend
-        // seam campaigns actually hit — `evaluate_plan_batch` rebinds the
-        // backend's cached lane snapshot at 8 fresh parameter points and
-        // evaluates them in lockstep (expectation-only, no state
-        // write-back). After the first call the batch cache is in steady
-        // state, so each iteration is one rebind + one lockstep sweep.
-        // Reported per point so it compares directly against `compiled_ns`
-        // (which also pays a rebind per evaluation). Only states the
-        // lane-batched backend path covers.
-        let batched_ns = (n <= 14).then(|| {
-            let batch_points: Vec<Vec<f64>> = (0..MAX_LANES)
-                .map(|l| params.iter().map(|p| p + 0.01 * l as f64).collect())
-                .collect();
-            mean_ns(|| {
-                criterion::black_box(
-                    backend
-                        .evaluate_plan_batch(&mut plan, &batch_points, &obs)
-                        .unwrap(),
-                );
-            }) / MAX_LANES as f64
-        });
         rows.push(PerfRow {
             n,
             interpreted_ns,
             compiled_ns,
-            parallel_ns,
-            batched_ns,
         });
     }
     group.finish();
 
-    // CI perf-smoke floor: at 8 qubits the 8-lane SoA engine must beat the
-    // scalar compiled path per point end to end. The floor is calibrated to
-    // what the seam robustly delivers on the bench host, not to the sweep
-    // speedup alone: per-point cost is rebind + sweep, the per-lane rebind
-    // (trig-dominated) is the *same* scalar work on both sides, and the
-    // scalar comparator already runs the f64 real-mode kernels near the
-    // machine's store/FMA limit — so while the batched sweep itself runs
-    // ~1.9x the scalar sweep (and 12q evaluates ~2x end to end), Amdahl
-    // caps the 8q end-to-end ratio near 1.4x, measured 1.2-1.4x across
-    // runs on the single-core CI host. 1.15x is the regression guard: a
-    // batched kernel falling back to scalar-equivalent code drops below
-    // it, noise does not.
-    if smoke {
-        let eight = rows.iter().find(|r| r.n == 8).expect("8q row present");
-        let batched = eight.batched_ns.expect("8q is lane-batchable");
-        let speedup = eight.compiled_ns / batched;
-        assert!(
-            speedup >= 1.15,
-            "batched-over-compiled floor violated at 8q/B=8: {speedup:.2}x < 1.15x \
-             (compiled {:.0} ns, batched {batched:.0} ns/point)",
-            eight.compiled_ns
-        );
-    }
-
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    // Single-apply threaded sweep at 20q (the headline in-state parallelism
-    // number; null without the `parallel` feature).
-    #[cfg(feature = "parallel")]
-    let (apply_json, apply_line) = measure_threaded_apply(20, inner_threads, cores);
-    #[cfg(not(feature = "parallel"))]
-    let (apply_json, apply_line) = ("null".to_string(), String::new());
-
     let entries: Vec<String> = rows
         .iter()
         .map(|r| {
-            let parallel = match r.parallel_ns {
-                Some(p) => format!(
-                    ", \"parallel_ns\": {p:.1}, \"parallel_speedup\": {:.2}",
-                    r.compiled_ns / p
-                ),
-                None => ", \"parallel_ns\": null, \"parallel_speedup\": null".to_string(),
-            };
-            let batched = match r.batched_ns {
-                Some(bns) => format!(
-                    ", \"batched_ns\": {bns:.1}, \"batched_speedup\": {:.2}",
-                    r.compiled_ns / bns
-                ),
-                None => ", \"batched_ns\": null, \"batched_speedup\": null".to_string(),
-            };
             format!(
-                "    {{\"n_qubits\": {}, \"interpreted_ns\": {:.1}, \"compiled_ns\": {:.1}, \"speedup\": {:.2}{parallel}{batched}}}",
+                "    {{\"n_qubits\": {}, \"interpreted_ns\": {:.1}, \"compiled_ns\": {:.1}, \"speedup\": {:.2}}}",
                 r.n,
                 r.interpreted_ns,
                 r.compiled_ns,
@@ -348,7 +215,7 @@ fn bench_compiled_vs_interpreted(c: &mut Criterion) {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"compiled_vs_interpreted\",\n  \"workload\": \"RealAmplitudes reps=4 ansatz over the open-boundary critical TFIM; mean ns per objective evaluation. speedup = interpreted/compiled; parallel_* = compiled path with in-state kernel threads (>= 16 qubits, parallel feature); batched_* = lane-batched SoA engine per-point cost at B=8 lanes vs compiled (lane-batchable states only); threaded_apply = one CompiledCircuit sweep, run vs run_threaded\",\n  \"smoke\": {},\n  \"cores\": {cores},\n  \"inner_threads\": {inner_threads},\n  \"results\": [\n{}\n  ],\n  \"threaded_apply\": {apply_json}\n}}\n",
+        "{{\n  \"bench\": \"compiled_vs_interpreted\",\n  \"workload\": \"RealAmplitudes reps=4 ansatz over the open-boundary critical TFIM; mean ns per objective evaluation. speedup = interpreted/compiled\",\n  \"smoke\": {},\n  \"cores\": {cores},\n  \"results\": [\n{}\n  ]\n}}\n",
         smoke,
         entries.join(",\n")
     );
@@ -362,30 +229,13 @@ fn bench_compiled_vs_interpreted(c: &mut Criterion) {
         Err(e) => eprintln!("\ncould not write {path}: {e}"),
     }
     for r in &rows {
-        let parallel = match r.parallel_ns {
-            Some(p) => format!(
-                ", parallel[{inner_threads}t] {p:.0} ns ({:.2}x)",
-                r.compiled_ns / p
-            ),
-            None => String::new(),
-        };
-        let batched = match r.batched_ns {
-            Some(bns) => format!(
-                ", batched[B=8] {bns:.0} ns/pt ({:.2}x)",
-                r.compiled_ns / bns
-            ),
-            None => String::new(),
-        };
         println!(
-            "  {}q: interpreted {:.0} ns, compiled {:.0} ns ({:.2}x){parallel}{batched}",
+            "  {}q: interpreted {:.0} ns, compiled {:.0} ns ({:.2}x)",
             r.n,
             r.interpreted_ns,
             r.compiled_ns,
             r.interpreted_ns / r.compiled_ns
         );
-    }
-    if !apply_line.is_empty() {
-        println!("{apply_line}");
     }
 }
 

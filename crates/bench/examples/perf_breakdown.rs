@@ -1,10 +1,6 @@
 //! Cost breakdown for the compiled objective path at 4/8/12 qubits —
-//! scalar phases (rebind/run/expectation), per-op-kind isolation, and the
-//! lane-batched twin of each phase (B = 8 lanes, reported per lane next to
-//! its scalar cost).
-use qismet_qsim::{
-    BatchStateVector, BatchedCircuit, CompiledCircuit, CompiledObservable, StateVector, MAX_LANES,
-};
+//! phases (rebind/run/expectation) and per-op-kind isolation.
+use qismet_qsim::{CompiledCircuit, CompiledObservable, StateVector};
 use qismet_vqa::{Ansatz, AnsatzKind, Boundary, Entanglement, Tfim};
 use std::time::Instant;
 
@@ -95,54 +91,6 @@ fn main() {
             plan.len(),
             rebind_ns + run_ns + exp_ns
         );
-        batched_breakdown(n, &mut plan, &obs, &params, rebind_ns, run_ns, exp_ns);
         op_isolation(n);
     }
-}
-
-/// The lane-batched twin of the scalar phase breakdown: bind (the batched
-/// analogue of rebind), run, and expectation over B = 8 lanes, each printed
-/// per lane against its scalar cost so per-op lane efficiency is visible.
-fn batched_breakdown(
-    n: usize,
-    plan: &mut CompiledCircuit,
-    obs: &CompiledObservable,
-    params: &[f64],
-    rebind_ns: f64,
-    run_ns: f64,
-    exp_ns: f64,
-) {
-    let b = MAX_LANES;
-    let points: Vec<Vec<f64>> = (0..b)
-        .map(|l| params.iter().map(|p| p + 0.01 * l as f64).collect())
-        .collect();
-    let bind_ns = mean_ns(|| {
-        std::hint::black_box(BatchedCircuit::bind(plan, &points).unwrap());
-    });
-    let mut bc = BatchedCircuit::bind(plan, &points).unwrap();
-    let brebind_ns = mean_ns(|| {
-        bc.rebind(plan, std::hint::black_box(&points)).unwrap();
-    });
-    let mut bsv = BatchStateVector::new(n, b);
-    let brun_ns = mean_ns(|| {
-        bsv.reset();
-        bc.run(&mut bsv);
-        std::hint::black_box(&bsv);
-    });
-    let mut out = vec![0.0f64; b];
-    let bexp_ns = mean_ns(|| {
-        bc.run_expectation(&mut bsv, obs, &mut out);
-        std::hint::black_box(&out);
-    });
-    let lane = |total: f64| total / b as f64;
-    println!(
-        "  [{n}q batched B={b}] bind {:.0} ns/lane, rebind {:.0} ns/lane ({:.2}x rebind), run {:.0} ns/lane ({:.2}x), run+exp {:.0} ns/lane ({:.2}x)",
-        lane(bind_ns),
-        lane(brebind_ns),
-        rebind_ns / lane(brebind_ns),
-        lane(brun_ns),
-        run_ns / lane(brun_ns),
-        lane(bexp_ns),
-        (run_ns + exp_ns) / lane(bexp_ns),
-    );
 }

@@ -83,18 +83,11 @@ GRID OPTIONS:
 
 EXECUTION OPTIONS:
     --threads <n>         Executor threads, 0 = all cores (needs --features parallel).
-                          In-process: sizes the sweep pool. With --workers/--serve:
-                          each worker runs its assigned batches on <n> threads
-                          (hybrid threads x processes/machines)
-    --inner-threads <n>   In-state kernel threads per run (needs --features
-                          parallel): each statevector apply/expectation splits
-                          its amplitude array across <n> threads, bit-identical
-                          to sequential. Composes with --threads: the budget is
-                          threads x inner-threads. Forwarded to workers
-    --batch-lanes <n>     Lockstep trial batching: group up to <n> consecutive
-                          trials of one scenario into a single lane-batched
-                          trajectory group (bitwise identical to scalar runs).
-                          Must be 1, 4, or 8; in-process execution only
+                          Each thread runs whole specs; reports are bit-identical
+                          at any count. In-process: sizes the sweep pool. With
+                          --workers/--serve: each worker runs its assigned
+                          batches on <n> threads (hybrid threads x
+                          processes/machines)
     --workers <n>         Shard across <n> local worker processes
     --connect <addrs>     Comma-separated remote worker daemons (host:port) to
                           dial; mixes freely with --workers
@@ -176,12 +169,12 @@ fn die(msg: &str) -> ! {
 }
 
 /// Flags (with a value) that configure the coordinator only and must not be
-/// forwarded to worker processes. (`--threads`, `--inner-threads`,
-/// `--token`, `--heartbeat`, and `--handshake-timeout` are *not* here:
-/// workers need them to size their executors, configure their kernels,
-/// authenticate, and pace their keepalives. `--chaos-plan`/`--chaos-seed`
-/// are stripped too — the coordinator resolves them into one concrete plan
-/// and forwards it via the hidden `--chaos-json`.)
+/// forwarded to worker processes. (`--threads`, `--token`, `--heartbeat`,
+/// and `--handshake-timeout` are *not* here: workers need them to size
+/// their executors, authenticate, and pace their keepalives.
+/// `--chaos-plan`/`--chaos-seed` are stripped too — the coordinator
+/// resolves them into one concrete plan and forwards it via the hidden
+/// `--chaos-json`.)
 const COORDINATOR_VALUE_FLAGS: &[&str] = &[
     "--workers",
     "--connect",
@@ -430,7 +423,6 @@ fn main() {
                 .unwrap_or_else(|| format!("worker-{}", std::process::id())),
             token: args.token.clone(),
             threads: args.threads.unwrap_or(1),
-            inner_threads: args.inner_threads,
             max_reconnects: args.max_respawns,
             deregister_after: args.deregister_after,
             ..RegisterOptions::default()
@@ -475,7 +467,6 @@ fn main() {
         let mut opts = WorkerOptions {
             token: args.token.clone(),
             threads: args.threads.unwrap_or(1),
-            inner_threads: args.inner_threads,
             plan,
             ..WorkerOptions::default()
         };
@@ -619,9 +610,7 @@ fn main() {
         let executor = match args.threads {
             Some(t) => SweepExecutor::with_threads(t),
             None => SweepExecutor::new(),
-        }
-        .with_inner_threads(args.inner_threads)
-        .with_batch_lanes(args.batch_lanes);
+        };
         println!(
             "campaign `{}`: {} scenarios, {} runs, {} iterations each, {} worker(s)",
             campaign.name,

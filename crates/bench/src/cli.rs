@@ -105,8 +105,6 @@ pub struct Args {
     pub trials: usize,
     pub seed: u64,
     pub threads: Option<usize>,
-    pub inner_threads: usize,
-    pub batch_lanes: usize,
     pub name: String,
     pub workers: usize,
     pub connect: Vec<String>,
@@ -167,8 +165,6 @@ impl Default for Args {
             trials: 1,
             seed: 7,
             threads: None,
-            inner_threads: 1,
-            batch_lanes: 1,
             name: "campaign".to_string(),
             workers: 0,
             connect: Vec::new(),
@@ -226,8 +222,6 @@ pub enum ConfigConflict {
     SummaryOnlyNeedsSharding,
     /// `--summary-only` without `--jsonl`.
     SummaryOnlyNeedsJsonl,
-    /// `--batch-lanes` with any cluster mode.
-    BatchLanesDistributed,
     /// Coordinator resilience flags on a `--serve` daemon.
     ServeWithResilience,
     /// `--heartbeat` is not shorter than `--assign-timeout`.
@@ -289,10 +283,6 @@ impl std::fmt::Display for ConfigConflict {
             ConfigConflict::SummaryOnlyNeedsJsonl => write!(
                 f,
                 "--summary-only requires --jsonl <path> (the series live in the stream)"
-            ),
-            ConfigConflict::BatchLanesDistributed => write!(
-                f,
-                "--batch-lanes applies to in-process execution; drop --workers/--connect/--serve"
             ),
             ConfigConflict::ServeWithResilience => write!(
                 f,
@@ -503,24 +493,6 @@ pub fn parse_args(argv: &[String]) -> Result<Args, CliError> {
                         .map_err(|_| usage(format!("invalid thread count `{value}`")))?,
                 );
             }
-            "--inner-threads" => {
-                args.inner_threads = value
-                    .parse()
-                    .map_err(|_| usage(format!("invalid inner-thread count `{value}`")))?;
-            }
-            "--batch-lanes" => {
-                // The SoA engine is built for lane widths 4 and 8 (half and
-                // full register); anything else silently degrades, so it is
-                // a hard error rather than a clamp.
-                args.batch_lanes = match value.parse::<usize>() {
-                    Ok(n @ (1 | 4 | 8)) => n,
-                    _ => {
-                        return Err(usage(format!(
-                            "invalid --batch-lanes `{value}`: must be 1, 4, or 8"
-                        )))
-                    }
-                };
-            }
             "--workers" => {
                 args.workers = value
                     .parse()
@@ -702,12 +674,6 @@ pub fn validate(args: &Args) -> Result<(), ConfigConflict> {
     if args.summary_only && args.jsonl.is_none() {
         return Err(C::SummaryOnlyNeedsJsonl);
     }
-    if args.batch_lanes > 1 && (any_pool || args.daemon.is_some() || args.register.is_some()) {
-        // Cluster workers execute arbitrary spec subsets one at a time, so
-        // lane grouping cannot apply there; refusing beats silently running
-        // without the requested batching.
-        return Err(C::BatchLanesDistributed);
-    }
     // --- flags that only configure one side ---
     if args.serve.is_some()
         && (args.assign_timeout.is_some()
@@ -868,18 +834,6 @@ mod tests {
         assert_eq!(
             conflict("--workers 2 --summary-only"),
             ConfigConflict::SummaryOnlyNeedsJsonl
-        );
-    }
-
-    #[test]
-    fn batch_lanes_distributed_conflicts() {
-        assert_eq!(
-            conflict("--batch-lanes 4 --workers 2"),
-            ConfigConflict::BatchLanesDistributed
-        );
-        assert_eq!(
-            conflict("--batch-lanes 4 --register h:1"),
-            ConfigConflict::BatchLanesDistributed
         );
     }
 

@@ -311,11 +311,6 @@ pub struct WorkerOptions {
     /// `parallel` feature; effectively 1 otherwise). Advertised in the
     /// `Hello` reply so the coordinator sizes batches to match.
     pub threads: usize,
-    /// In-state kernel threads per run (`0`/`1` = sequential statevector
-    /// sweeps). Composes with `threads`: the executor fan-out splits runs
-    /// across workers while each run's apply/expectation splits its own
-    /// amplitude array. Results are bit-identical either way.
-    pub inner_threads: usize,
     /// Worker-initiated keepalive: while a batch computes, send a `Ping`
     /// whenever no result has been produced for this long, so a
     /// coordinator with an assign deadline can tell *slow* (frames still
@@ -335,7 +330,6 @@ impl Default for WorkerOptions {
         WorkerOptions {
             token: String::new(),
             threads: 1,
-            inner_threads: 1,
             heartbeat: Some(Duration::from_secs(2)),
             handshake_timeout: Duration::from_secs(10),
             plan: None,
@@ -562,7 +556,7 @@ pub fn serve_session(
     opts: &WorkerOptions,
 ) -> Result<SessionOutcome, ClusterError> {
     let threads = opts.advertised_threads();
-    let executor = SweepExecutor::with_threads(threads).with_inner_threads(opts.inner_threads);
+    let executor = SweepExecutor::with_threads(threads);
     let coordinator = match transport.recv() {
         Ok(Message::Hello(hello)) => hello,
         Ok(other) => {

@@ -12,10 +12,7 @@
 
 use crate::report::{CampaignReport, ReportMeta, RunRecord};
 use crate::scenario::{Campaign, RunKind, RunSpec};
-use crate::{
-    lockstep_capable, run_kalman_instance, run_scheme, run_scheme_lockstep, SchemeOutcome,
-};
-use std::ops::Range;
+use crate::{run_kalman_instance, run_scheme};
 use std::panic::AssertUnwindSafe;
 
 /// A typed failure from a fallible sweep ([`SweepExecutor::try_run_specs`]).
@@ -68,8 +65,6 @@ fn catch_run<R>(index: usize, f: impl FnOnce() -> R) -> Result<R, ExecutorError>
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepExecutor {
     threads: usize,
-    inner_threads: usize,
-    batch_lanes: usize,
 }
 
 impl Default for SweepExecutor {
@@ -83,65 +78,18 @@ impl SweepExecutor {
     /// feature is enabled, sequential otherwise.
     pub fn new() -> Self {
         let threads = if cfg!(feature = "parallel") { 0 } else { 1 };
-        SweepExecutor {
-            threads,
-            inner_threads: 1,
-            batch_lanes: 1,
-        }
+        SweepExecutor { threads }
     }
 
     /// A strictly sequential executor.
     pub fn sequential() -> Self {
-        SweepExecutor {
-            threads: 1,
-            inner_threads: 1,
-            batch_lanes: 1,
-        }
+        SweepExecutor { threads: 1 }
     }
 
     /// An executor with an explicit worker count (`0` = all cores). More
     /// than one worker only takes effect under the `parallel` feature.
     pub fn with_threads(threads: usize) -> Self {
-        SweepExecutor {
-            threads,
-            inner_threads: 1,
-            batch_lanes: 1,
-        }
-    }
-
-    /// Sets the in-state kernel thread count each worker configures on its
-    /// backend pool (`0`/`1` = sequential kernels). This splits the thread
-    /// budget between run-level fan-out (`threads`) and state-level
-    /// parallelism inside each statevector sweep; the two compose, so
-    /// `threads * inner_threads` should not exceed the machine. More than
-    /// one inner thread only takes effect under the `parallel` feature.
-    pub fn with_inner_threads(mut self, inner_threads: usize) -> Self {
-        self.inner_threads = inner_threads;
-        self
-    }
-
-    /// The configured in-state kernel thread count.
-    pub fn inner_threads(&self) -> usize {
-        self.inner_threads
-    }
-
-    /// Sets the lockstep lane count: consecutive trials of one scenario
-    /// (same app/scheme/iterations/magnitude, per-trial seeds) are grouped
-    /// into batches of up to `lanes` and run as one lane-batched trajectory
-    /// group through [`run_scheme_lockstep`]. `1` disables grouping.
-    /// Results are **bitwise identical** to `batch_lanes = 1` — lanes keep
-    /// independent seeds and the SoA engine is bitwise equal to the scalar
-    /// path — so this is purely a throughput knob. Scenarios whose scheme
-    /// is not [`lockstep_capable`] (QISMET, Only-Transients, Kalman) run
-    /// scalar regardless.
-    pub fn with_batch_lanes(mut self, lanes: usize) -> Self {
-        self.batch_lanes = lanes.max(1);
-        self
-    }
-
-    /// The configured lockstep lane count.
-    pub fn batch_lanes(&self) -> usize {
-        self.batch_lanes
+        SweepExecutor { threads }
     }
 
     /// The worker count this executor will actually use for `n` tasks.
@@ -173,37 +121,13 @@ impl SweepExecutor {
     ///
     /// Returns the lowest-indexed run failure.
     pub fn try_run(&self, campaign: &Campaign) -> Result<CampaignReport, ExecutorError> {
-        let specs = campaign.expand();
-        let records = if self.batch_lanes > 1 {
-            self.try_run_specs_lockstep(&specs)?
-        } else {
-            self.try_run_specs(&specs, run_one)?
-        };
+        let records = self.try_run_specs(&campaign.expand(), run_one)?;
         Ok(CampaignReport {
             name: campaign.name.clone(),
             seed: campaign.seed,
             meta: ReportMeta::current(),
             records,
         })
-    }
-
-    /// Runs the expanded spec list with lockstep trial-grouping: each group
-    /// of up to `batch_lanes` consecutive same-scenario trials becomes one
-    /// unit of work (a [`run_scheme_lockstep`] call); groups are then
-    /// scheduled exactly like individual specs (sequential or worker
-    /// fan-out). A panic inside a group is attributed to the group's first
-    /// spec index.
-    fn try_run_specs_lockstep(&self, specs: &[RunSpec]) -> Result<Vec<RunRecord>, ExecutorError> {
-        let groups = lockstep_groups(specs, self.batch_lanes);
-        let nested = self
-            .try_run_specs(&groups, |g| run_group(specs, g.clone()))
-            .map_err(|e| match e {
-                ExecutorError::RunPanicked { index, message } => ExecutorError::RunPanicked {
-                    index: groups[index].start,
-                    message,
-                },
-            })?;
-        Ok(nested.into_iter().flatten().collect())
     }
 
     /// Runs an arbitrary per-spec function over a slice of independent
@@ -242,7 +166,6 @@ impl SweepExecutor {
     {
         let workers = self.effective_threads(specs.len());
         if workers <= 1 || specs.len() <= 1 {
-            crate::set_worker_inner_threads(self.inner_threads);
             return specs
                 .iter()
                 .enumerate()
@@ -277,9 +200,7 @@ impl SweepExecutor {
             for _ in 0..workers {
                 let next = &next;
                 let abort = &abort;
-                let inner_threads = self.inner_threads;
                 handles.push(scope.spawn(move || {
-                    crate::set_worker_inner_threads(inner_threads);
                     let mut local = Vec::new();
                     loop {
                         if abort.load(Ordering::Relaxed) {
@@ -353,7 +274,6 @@ impl SweepExecutor {
         R: Send,
         F: Fn(&S) -> R + Sync,
     {
-        crate::set_worker_inner_threads(self.inner_threads);
         specs
             .iter()
             .enumerate()
@@ -390,24 +310,11 @@ pub fn run_one(spec: &RunSpec) -> RunRecord {
         ),
     };
     if let Some(t0) = t0 {
-        record_sweep_done(t0.elapsed(), 1);
+        let ns = t0.elapsed().as_nanos() as u64;
+        qismet_telemetry::counter!("sweep.specs_done").inc();
+        qismet_telemetry::counter!("sweep.eval_ns").add(ns);
+        qismet_telemetry::histogram!("sweep.spec_ns").record(ns);
     }
-    record_from_outcome(spec, outcome)
-}
-
-/// Books `n` finished specs taking `elapsed` wall time (combined) into the
-/// sweep counters and the per-spec latency histogram.
-fn record_sweep_done(elapsed: std::time::Duration, n: u64) {
-    let total_ns = elapsed.as_nanos() as u64;
-    qismet_telemetry::counter!("sweep.specs_done").add(n);
-    qismet_telemetry::counter!("sweep.eval_ns").add(total_ns);
-    let per_spec = total_ns / n.max(1);
-    for _ in 0..n {
-        qismet_telemetry::histogram!("sweep.spec_ns").record(per_spec);
-    }
-}
-
-fn record_from_outcome(spec: &RunSpec, outcome: SchemeOutcome) -> RunRecord {
     RunRecord {
         label: spec.label.clone(),
         app: spec.app.name(),
@@ -424,56 +331,6 @@ fn record_from_outcome(spec: &RunSpec, outcome: SchemeOutcome) -> RunRecord {
         skips: outcome.skips,
         series: outcome.series,
     }
-}
-
-/// Splits an expanded (ordered) spec list into lockstep groups: maximal
-/// runs of up to `lanes` consecutive specs that belong to the same scenario
-/// and carry a [`lockstep_capable`] scheme. Everything else becomes a
-/// singleton group. Concatenating the groups reproduces the input order.
-fn lockstep_groups(specs: &[RunSpec], lanes: usize) -> Vec<Range<usize>> {
-    let mut groups = Vec::new();
-    let mut i = 0;
-    while i < specs.len() {
-        let batchable = matches!(&specs[i].kind, RunKind::Scheme(s) if lockstep_capable(*s));
-        let mut j = i + 1;
-        if batchable {
-            while j < specs.len()
-                && j - i < lanes
-                && specs[j].scenario == specs[i].scenario
-                && specs[j].kind == specs[i].kind
-            {
-                j += 1;
-            }
-        }
-        groups.push(i..j);
-        i = j;
-    }
-    groups
-}
-
-/// Runs one lockstep group. Singletons take the scalar [`run_one`] path
-/// (bitwise the `batch_lanes = 1` behavior); multi-spec groups run their
-/// trials as lanes of one [`run_scheme_lockstep`] trajectory group.
-fn run_group(specs: &[RunSpec], group: Range<usize>) -> Vec<RunRecord> {
-    if group.len() == 1 {
-        return vec![run_one(&specs[group.start])];
-    }
-    let lead = &specs[group.start];
-    let scheme = match &lead.kind {
-        RunKind::Scheme(s) => *s,
-        RunKind::Kalman(_) => unreachable!("kalman specs are never grouped"),
-    };
-    let seeds: Vec<u64> = specs[group.clone()].iter().map(|s| s.seed).collect();
-    let t0 = qismet_telemetry::enabled().then(std::time::Instant::now);
-    let outcomes = run_scheme_lockstep(&lead.app, scheme, lead.iterations, lead.magnitude, &seeds);
-    if let Some(t0) = t0 {
-        record_sweep_done(t0.elapsed(), seeds.len() as u64);
-    }
-    specs[group]
-        .iter()
-        .zip(outcomes)
-        .map(|(spec, outcome)| record_from_outcome(spec, outcome))
-        .collect()
 }
 
 /// Convenience: runs `campaign` with the default executor.
@@ -566,56 +423,6 @@ mod tests {
         let a = SweepExecutor::sequential().try_run(&campaign).unwrap();
         let b = SweepExecutor::sequential().run(&campaign);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn lockstep_groups_split_scenarios_and_lane_limit() {
-        let campaign = Campaign::new("g", 3)
-            .with(
-                ScenarioSpec::new(AppSpec::by_id(1).unwrap(), Scheme::Baseline, 25).with_trials(5),
-            )
-            .with(ScenarioSpec::new(AppSpec::by_id(1).unwrap(), Scheme::Qismet, 25).with_trials(2))
-            .with(
-                ScenarioSpec::new(AppSpec::by_id(1).unwrap(), Scheme::Blocking, 25).with_trials(3),
-            );
-        let specs = campaign.expand();
-        let groups = lockstep_groups(&specs, 4);
-        let shape: Vec<(usize, usize)> = groups.iter().map(|g| (g.start, g.len())).collect();
-        // Baseline: 4-lane group + remainder; Qismet: scalar singletons;
-        // Blocking: one 3-lane group.
-        assert_eq!(shape, vec![(0, 4), (4, 1), (5, 1), (6, 1), (7, 3)]);
-        assert_eq!(lockstep_groups(&specs, 1).len(), specs.len());
-    }
-
-    #[test]
-    fn batch_lanes_campaign_is_bitwise_identical_to_scalar() {
-        // The seam-2 acceptance bar: a campaign mixing lockstep-capable and
-        // scalar-only schemes, with trial counts that don't divide the lane
-        // width, must produce byte-identical reports with and without
-        // `--batch-lanes` (and regardless of worker fan-out).
-        let campaign = Campaign::new("lanes", 17)
-            .with(
-                ScenarioSpec::new(AppSpec::by_id(1).unwrap(), Scheme::Baseline, 30).with_trials(5),
-            )
-            .with(ScenarioSpec::new(AppSpec::by_id(1).unwrap(), Scheme::Qismet, 30).with_trials(2))
-            .with(
-                ScenarioSpec::new(AppSpec::by_id(1).unwrap(), Scheme::Blocking, 30).with_trials(3),
-            );
-        let scalar = SweepExecutor::sequential().run(&campaign);
-        for lanes in [4, 8] {
-            for executor in [
-                SweepExecutor::sequential().with_batch_lanes(lanes),
-                SweepExecutor::with_threads(3).with_batch_lanes(lanes),
-            ] {
-                let batched = executor.run(&campaign);
-                assert_eq!(scalar, batched, "lanes {lanes}");
-                for (a, b) in scalar.records.iter().zip(&batched.records) {
-                    for (x, y) in a.series.iter().zip(&b.series) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "lanes {lanes}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

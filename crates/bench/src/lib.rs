@@ -39,11 +39,9 @@ use qismet::{
     run_filtered_baseline, run_only_transients_budgeted, run_qismet_budgeted, QismetConfig,
 };
 use qismet_filters::{KalmanFilter, OnlyTransientsPolicy};
-use qismet_optim::{BlockingPolicy, GainSchedule, Proposer, SecondOrderSpsa, Spsa};
+use qismet_optim::{BlockingPolicy, GainSchedule, SecondOrderSpsa, Spsa};
 use qismet_qsim::BackendPool;
-use qismet_vqa::{
-    run_tuning, run_tuning_lockstep, AppInstance, AppSpec, NoisyObjective, TuningLane, TuningScheme,
-};
+use qismet_vqa::{run_tuning, AppInstance, AppSpec, NoisyObjective, TuningScheme};
 use std::cell::RefCell;
 
 thread_local! {
@@ -55,25 +53,6 @@ thread_local! {
     // sharing"). Results are unchanged by the sharing — the Backend
     // contract — which `campaign_engine` pins by test.
     static WORKER_BACKENDS: RefCell<BackendPool> = RefCell::new(BackendPool::new());
-}
-
-/// Sets the in-state (statevector kernel) thread count for every backend the
-/// *current worker thread* hands out from here on. The sweep executor calls
-/// this on each worker before it starts pulling specs, which is how the
-/// `--inner-threads` knob splits run-level parallelism (executor workers)
-/// from state-level parallelism (threaded apply/expectation inside one run).
-///
-/// `0` and `1` both mean sequential kernels. Rebuilding the pool drops the
-/// cached plans/scratch, so this is meant to be called once per worker, not
-/// per run. Results are unchanged by the setting — the threaded kernels are
-/// bit-identical to the sequential sweep, which the qsim suite pins.
-pub fn set_worker_inner_threads(inner_threads: usize) {
-    WORKER_BACKENDS.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.inner_threads() != inner_threads {
-            *pool = BackendPool::with_inner_threads(inner_threads);
-        }
-    });
 }
 
 /// Scale factor for iteration counts, read from `QISMET_BENCH_SCALE`
@@ -307,91 +286,6 @@ pub fn run_scheme(
             )
         }
     }
-}
-
-/// Whether `scheme` can run its independent trials in lockstep through the
-/// lane-batched statevector engine. True for the plain [`run_tuning`]-driven
-/// schemes (Baseline, Blocking, Resampling, 2nd-order); the QISMET /
-/// Only-Transients / Kalman loops have per-iteration retry control flow that
-/// stays on the scalar path for now.
-pub fn lockstep_capable(scheme: Scheme) -> bool {
-    matches!(
-        scheme,
-        Scheme::Baseline | Scheme::Blocking | Scheme::Resampling | Scheme::SecondOrder
-    )
-}
-
-/// Runs `seeds.len()` independent trials of `scheme` on `spec` in
-/// **lockstep**: one trajectory per lane, every evaluation site a cross-lane
-/// batch the SoA engine executes in one lane-batched state. Each outcome is
-/// bitwise identical to [`run_scheme`] at the same seed — lanes keep their
-/// own transient trace, RNG, and optimizer state — so this is purely a
-/// throughput knob. Schemes that are not [`lockstep_capable`] (and
-/// single-seed calls) fall back to sequential [`run_scheme`] calls.
-pub fn run_scheme_lockstep(
-    spec: &AppSpec,
-    scheme: Scheme,
-    iterations: usize,
-    magnitude: Option<f64>,
-    seeds: &[u64],
-) -> Vec<SchemeOutcome> {
-    if !lockstep_capable(scheme) || seeds.len() <= 1 {
-        return seeds
-            .iter()
-            .map(|&s| run_scheme(spec, scheme, iterations, magnitude, s))
-            .collect();
-    }
-    let window = final_window(iterations);
-    let mut apps: Vec<AppInstance> = seeds
-        .iter()
-        .map(|&s| fresh_app(spec, iterations, magnitude, s))
-        .collect();
-    let mut proposers: Vec<Box<dyn Proposer>> = seeds
-        .iter()
-        .zip(&apps)
-        .map(|(&s, app)| {
-            let opt_seed = qismet_mathkit::derive_seed(s, 0xa11);
-            let n = app.theta0.len();
-            match scheme {
-                Scheme::Resampling => Box::new(Spsa::with_resampling(
-                    n,
-                    GainSchedule::vqa_paper(),
-                    opt_seed,
-                    2,
-                )) as Box<dyn Proposer>,
-                Scheme::SecondOrder => {
-                    Box::new(SecondOrderSpsa::new(n, GainSchedule::vqa_paper(), opt_seed))
-                }
-                _ => Box::new(Spsa::new(n, GainSchedule::vqa_paper(), opt_seed)),
-            }
-        })
-        .collect();
-    let tuning = match scheme {
-        Scheme::Blocking => TuningScheme::Blocking(BlockingPolicy::adaptive(0.05)),
-        _ => TuningScheme::Baseline,
-    };
-    let mut lanes: Vec<TuningLane<'_>> = proposers
-        .iter_mut()
-        .zip(apps.iter_mut())
-        .map(|(p, app)| TuningLane {
-            proposer: p.as_mut(),
-            objective: &mut app.objective,
-            theta0: app.theta0.clone(),
-        })
-        .collect();
-    let records = run_tuning_lockstep(&mut lanes, iterations, tuning);
-    drop(lanes);
-    records
-        .into_iter()
-        .map(|rec| {
-            let skips = if scheme == Scheme::Blocking {
-                rec.rejected
-            } else {
-                0
-            };
-            outcome(scheme, rec.measured, window, rec.jobs, rec.evals, skips)
-        })
-        .collect()
 }
 
 /// Runs one specific Kalman instance (for the Fig. 16 grid plot).

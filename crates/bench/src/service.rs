@@ -377,8 +377,6 @@ pub struct RegisterOptions {
     pub token: String,
     /// Executor threads (0 = all cores under `parallel`).
     pub threads: usize,
-    /// In-state kernel threads per run.
-    pub inner_threads: usize,
     /// Keepalive interval while a batch computes.
     pub heartbeat: Option<Duration>,
     /// Re-dial budget after a lost daemon connection (each attempt backs
@@ -397,7 +395,6 @@ impl Default for RegisterOptions {
             name: "worker".into(),
             token: String::new(),
             threads: 1,
-            inner_threads: 1,
             heartbeat: Some(Duration::from_secs(2)),
             max_reconnects: 10,
             deregister_after: None,
@@ -447,7 +444,7 @@ pub fn register_worker(addr: &str, opts: &RegisterOptions) -> Result<RegisterSta
     } else {
         opts.threads
     };
-    let executor = SweepExecutor::with_threads(threads).with_inner_threads(opts.inner_threads);
+    let executor = SweepExecutor::with_threads(threads);
     // Per-job expansion cache: jobs are re-announced per session, but an
     // expansion is pure, so re-joining workers re-derive identical specs.
     let mut jobs: BTreeMap<u64, (u64, Vec<RunSpec>)> = BTreeMap::new();

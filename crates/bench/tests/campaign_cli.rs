@@ -19,62 +19,15 @@ fn run_campaign_cli(args: &[&str]) -> (i32, String) {
 }
 
 #[test]
-fn batch_lanes_rejects_unsupported_widths() {
-    // The SoA engine supports lane widths 1 (scalar), 4, and 8 only; every
-    // other value must die with a typed usage error, not clamp or ignore.
-    for bad in ["0", "2", "3", "5", "6", "7", "9", "16", "x", "-4"] {
-        let (code, stderr) = run_campaign_cli(&["--batch-lanes", bad]);
-        assert_eq!(code, 2, "--batch-lanes {bad} must exit 2");
+fn removed_engine_flags_are_unknown() {
+    for flag in ["--batch-lanes", "--inner-threads"] {
+        let (code, stderr) = run_campaign_cli(&[flag, "2"]);
+        assert_eq!(code, 2, "{flag} must exit 2");
         assert!(
-            stderr.contains("invalid --batch-lanes") && stderr.contains("must be 1, 4, or 8"),
-            "--batch-lanes {bad} stderr: {stderr}"
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{flag} stderr: {stderr}"
         );
     }
-}
-
-#[test]
-fn batch_lanes_rejects_missing_value_and_cluster_modes() {
-    let (code, stderr) = run_campaign_cli(&["--batch-lanes"]);
-    assert_eq!(code, 2);
-    assert!(stderr.contains("missing value"), "stderr: {stderr}");
-
-    // Cluster workers pull specs one at a time, so lane grouping cannot
-    // apply; combining the flags is refused instead of silently ignored.
-    for extra in [
-        &["--workers", "2"][..],
-        &["--connect", "localhost:1"][..],
-        &["--serve", "127.0.0.1:0"][..],
-    ] {
-        let mut args = vec!["--batch-lanes", "4"];
-        args.extend_from_slice(extra);
-        let (code, stderr) = run_campaign_cli(&args);
-        assert_eq!(code, 2, "{extra:?} must exit 2");
-        assert!(
-            stderr.contains("--batch-lanes applies to in-process execution"),
-            "{extra:?} stderr: {stderr}"
-        );
-    }
-}
-
-#[test]
-fn batch_lanes_accepts_supported_widths() {
-    // Valid widths parse and the run completes end to end on a tiny grid
-    // (exit 0), exercising the wired-through executor path.
-    let (code, stderr) = run_campaign_cli(&[
-        "--apps",
-        "1",
-        "--schemes",
-        "baseline",
-        "--iterations",
-        "20",
-        "--trials",
-        "4",
-        "--batch-lanes",
-        "4",
-        "--name",
-        "cli-lanes-smoke",
-    ]);
-    assert_eq!(code, 0, "stderr: {stderr}");
 }
 
 /// End-to-end observability acceptance: a real 2-worker cluster run with

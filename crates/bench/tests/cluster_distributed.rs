@@ -118,33 +118,6 @@ fn two_process_sharded_matches_sequential_and_threaded_bitwise() {
 }
 
 #[test]
-fn batch_lanes_coordinator_matches_sharded_cluster_bitwise() {
-    // Lockstep lane batching is a pure throughput knob: an in-process
-    // `--batch-lanes` run must produce the same bytes as a 2-process
-    // sharded cluster run of the same campaign (both equal the sequential
-    // scalar reference). 5 trials forces a 4-lane group plus a scalar
-    // remainder; the qismet scenarios take the scalar fallback inside the
-    // lane-batched executor.
-    let case = grid_case("dist-lanes", 77, &[1], 5, 22);
-    let scalar = SweepExecutor::sequential().run(&case.campaign);
-    let laned = SweepExecutor::sequential()
-        .with_batch_lanes(4)
-        .run(&case.campaign);
-    let (sharded, stats) = run_campaign_distributed(
-        &case.campaign,
-        Some(launch(&case)),
-        &DistributedOptions {
-            workers: 2,
-            ..DistributedOptions::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(stats.executed, case.campaign.len());
-    assert_reports_bitwise_equal(&scalar, &laned);
-    assert_reports_bitwise_equal(&laned, &sharded);
-}
-
-#[test]
 fn interrupted_campaign_resumes_rerunning_only_missing_specs() {
     let case = grid_case("dist-resume", 0xbeef, &[1], 3, 22);
     let total = case.campaign.len();

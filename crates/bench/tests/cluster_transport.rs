@@ -260,31 +260,6 @@ fn dropped_sessions_reconnect_through_the_whole_campaign() {
 }
 
 #[test]
-fn remote_workers_with_inner_threads_match_sequential_bitwise() {
-    // The `--inner-threads` axis: remote workers that split every
-    // statevector sweep across in-state kernel threads must still be
-    // byte-identical to a plain sequential in-process run — the threaded
-    // apply/expectation kernels are exact, not approximately equal.
-    let case = grid_case("net-inner", 0x1717, &[1, 2], 2, 22);
-    let sequential = SweepExecutor::sequential().run(&case.campaign);
-
-    let mut inner_a = worker_opts(1);
-    inner_a.inner_threads = 2;
-    let mut inner_b = worker_opts(2);
-    inner_b.inner_threads = 3;
-    let (addr_a, serve_a) = spawn_serve(&case.campaign, inner_a, 1);
-    let (addr_b, serve_b) = spawn_serve(&case.campaign, inner_b, 1);
-    let (remote, stats) =
-        run_campaign_distributed(&case.campaign, None, &remote_opts(vec![addr_a, addr_b])).unwrap();
-    assert_eq!(serve_a.join().unwrap(), 1);
-    assert_eq!(serve_b.join().unwrap(), 1);
-
-    assert_eq!(stats.executed, case.campaign.len());
-    assert_eq!(stats.lost_workers, 0);
-    assert_reports_bitwise_equal(&sequential, &remote);
-}
-
-#[test]
 fn stdio_threaded_workers_match_sequential_bitwise() {
     // Hybrid threads x processes over the original stdio transport: two
     // local worker processes, each running batches on 2 executor threads.

@@ -1,6 +1,6 @@
 //! The telemetry no-perturbation guarantee, pinned: campaign reports with
 //! metric recording (and tracing) enabled are **byte-identical** to runs
-//! with telemetry off — sequentially, threaded, lane-batched, and across a
+//! with telemetry off — sequentially, threaded, and across a
 //! real 2-process cluster whose workers piggyback stats on `Done` frames.
 //!
 //! Telemetry only observes (wall-clock samples, counter bumps); no
@@ -126,19 +126,15 @@ proptest! {
         assert_identity_under_gate(|| SweepExecutor::with_threads(2).run(&case.campaign));
     }
 
-    // Lane-batched lockstep runs exercise the batch bind cache and lane
-    // occupancy counters — the heaviest-instrumented path.
+    // Ten specs over three executor threads: workers finish unevenly, so
+    // per-worker counters and histograms interleave in varying order.
     #[test]
-    fn lane_batched_reports_identical_with_telemetry_on(
+    fn uneven_threaded_reports_identical_with_telemetry_on(
         seed in 0u64..u64::MAX,
     ) {
         let _g = lock();
-        let case = grid_case("telem-lanes", seed, &[1], 5, 20);
-        assert_identity_under_gate(|| {
-            SweepExecutor::sequential()
-                .with_batch_lanes(4)
-                .run(&case.campaign)
-        });
+        let case = grid_case("telem-uneven", seed, &[1], 5, 20);
+        assert_identity_under_gate(|| SweepExecutor::with_threads(3).run(&case.campaign));
     }
 }
 

@@ -73,6 +73,11 @@ use std::io::{self, BufRead, Write};
 /// corrupted length header into a giant allocation).
 const MAX_FRAME_BYTES: usize = 1 << 30;
 
+/// Longest valid length header: the decimal digits of [`MAX_FRAME_BYTES`]
+/// plus the newline. Bounds the header read, so a peer that never sends
+/// `\n` cannot grow it without limit.
+const MAX_HEADER_BYTES: u64 = MAX_FRAME_BYTES.ilog10() as u64 + 2;
+
 /// Build provenance carried by the [`Hello`] handshake so mismatched
 /// binaries (different commit, different ISA features, different feature
 /// flags) are visible at connection time and recorded in fleet telemetry.
@@ -452,14 +457,22 @@ pub fn write_message<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
 ///
 /// Returns [`io::ErrorKind::UnexpectedEof`] when the channel closed cleanly
 /// between messages, and [`io::ErrorKind::InvalidData`] on framing or JSON
-/// corruption (a non-numeric length header, a missing trailing newline, an
-/// oversized frame, or an unparsable body).
+/// corruption (a non-numeric or overlong length header, a missing trailing
+/// newline, an oversized frame, or an unparsable or too deeply nested
+/// body).
 pub fn read_message<R: BufRead>(r: &mut R) -> io::Result<Message> {
     let mut header = String::new();
-    if r.read_line(&mut header)? == 0 {
+    let n = io::Read::take(&mut *r, MAX_HEADER_BYTES).read_line(&mut header)?;
+    if n == 0 {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "message channel closed",
+        ));
+    }
+    if n as u64 == MAX_HEADER_BYTES && !header.ends_with('\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame length header longer than {MAX_HEADER_BYTES} bytes"),
         ));
     }
     let len: usize = header.trim().parse().map_err(|_| {
@@ -681,5 +694,37 @@ mod tests {
             read_message(&mut cursor).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
+    }
+
+    #[test]
+    fn deeply_nested_frame_is_a_typed_error() {
+        // A body of 100 000 `[` would overflow the stack of a recursive
+        // parser; the nesting cap must turn it into InvalidData.
+        let body = "[".repeat(100_000);
+        let frame = format!("{}\n{body}\n", body.len());
+        let mut cursor = io::Cursor::new(frame.into_bytes());
+        assert_eq!(
+            read_message(&mut cursor).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+    }
+
+    #[test]
+    fn unterminated_length_header_is_bounded() {
+        // 1 MiB of digits and no newline: rejected after the longest valid
+        // header, without buffering the rest.
+        let mut cursor = io::Cursor::new(vec![b'1'; 1 << 20]);
+        assert_eq!(
+            read_message(&mut cursor).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+        assert!(
+            cursor.position() <= MAX_HEADER_BYTES,
+            "read {} header bytes",
+            cursor.position()
+        );
+        // The cap is exactly the longest valid header.
+        let max = format!("{MAX_FRAME_BYTES}\n");
+        assert_eq!(max.len() as u64, MAX_HEADER_BYTES);
     }
 }

@@ -3,11 +3,11 @@
 //! Everything above this crate evaluates circuits through the [`Backend`]
 //! trait instead of constructing simulators directly, which gives the
 //! workspace one seam for every execution strategy: the straightforward
-//! statevector path, the buffer-reusing cached path, multi-threaded batch
-//! fan-out (the `parallel` feature), and — in future PRs — sharded or
-//! remote executors. QISMET's job structure (paper Fig. 7) maps naturally
-//! onto [`Backend::evaluate_batch`]: every circuit of one quantum job is
-//! handed to the engine as a single batch.
+//! statevector path, the buffer-reusing cached path, and the mutex-shared
+//! and per-width pooled handles campaign executors hand to their runs.
+//! QISMET's job structure (paper Fig. 7) maps naturally onto
+//! [`Backend::evaluate_batch`]: every circuit of one quantum job is handed
+//! to the engine as a single batch.
 //!
 //! Both statevector backends execute through compiled plans
 //! ([`crate::CompiledCircuit`] / [`crate::CompiledObservable`]): each keeps
@@ -30,7 +30,6 @@
 //! assert_eq!(single.to_bits(), batch[0].to_bits());
 //! ```
 
-use crate::batch::{BatchStateVector, BatchedCircuit, LANE_BATCH_MAX_QUBITS, MAX_LANES};
 use crate::circuit::Circuit;
 use crate::compile::{CompiledCircuit, CompiledObservable};
 use crate::gate::GateError;
@@ -226,38 +225,6 @@ impl Backend for StatevectorBackend {
         self.cache.plans[p].run_expectation(&mut sv, &self.cache.observables[o].1)
     }
 
-    #[cfg(feature = "parallel")]
-    fn evaluate_batch(
-        &mut self,
-        circuits: &[Circuit],
-        observable: &PauliSum,
-    ) -> Result<Vec<f64>, GateError> {
-        parallel_batch(circuits, observable, 1)
-    }
-
-    #[cfg(feature = "parallel")]
-    fn evaluate_plan_batch(
-        &mut self,
-        plan: &mut CompiledCircuit,
-        points: &[Vec<f64>],
-        observable: &CompiledObservable,
-    ) -> Result<Vec<f64>, GateError> {
-        let mut batch = BatchScratch::default();
-        parallel_plan_batch(plan, points, observable, &mut batch, 1)
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn evaluate_plan_batch(
-        &mut self,
-        plan: &mut CompiledCircuit,
-        points: &[Vec<f64>],
-        observable: &CompiledObservable,
-    ) -> Result<Vec<f64>, GateError> {
-        let mut scratch = None;
-        let mut batch = BatchScratch::default();
-        lane_batch_eval(plan, points, observable, &mut scratch, &mut batch, 1)
-    }
-
     fn clone_box(&self) -> Box<dyn Backend> {
         Box::new(self.clone())
     }
@@ -277,9 +244,7 @@ impl Backend for StatevectorBackend {
 #[derive(Debug, Clone, Default)]
 pub struct CachedStatevectorBackend {
     scratch: Option<StateVector>,
-    batch: BatchScratch,
     cache: PlanCache,
-    inner_threads: usize,
 }
 
 impl CachedStatevectorBackend {
@@ -288,62 +253,35 @@ impl CachedStatevectorBackend {
     pub fn new() -> Self {
         CachedStatevectorBackend::default()
     }
-
-    /// Creates the backend with in-state parallelism: each single
-    /// evaluation's kernel sweeps are split across up to `inner_threads`
-    /// scoped workers (`parallel` feature; `<= 1`, small states, or
-    /// non-`parallel` builds run sequentially). Results are bitwise
-    /// identical at any setting.
-    pub fn with_inner_threads(inner_threads: usize) -> Self {
-        CachedStatevectorBackend {
-            inner_threads,
-            ..CachedStatevectorBackend::default()
-        }
-    }
-
-    /// The configured in-state thread fan-out (`0`/`1` = sequential).
-    pub fn inner_threads(&self) -> usize {
-        self.inner_threads
-    }
 }
 
-/// Adds `times` executions of `plan`'s per-kernel-class op counts to the
+/// Adds one execution of `plan`'s per-kernel-class op counts to the
 /// `qsim.ops.*` counters. One relaxed load and early-out when telemetry is
-/// off; when on, eight atomic adds per (batched) execution.
-fn record_op_classes(plan: &CompiledCircuit, times: u64) {
+/// off; when on, eight atomic adds per execution.
+fn record_op_classes(plan: &CompiledCircuit) {
     if !qismet_telemetry::enabled() {
         return;
     }
     let counts = plan.op_class_counts();
-    qismet_telemetry::counter!("qsim.ops.one_q").add(counts[0] * times);
-    qismet_telemetry::counter!("qsim.ops.one_q_real").add(counts[1] * times);
-    qismet_telemetry::counter!("qsim.ops.cx").add(counts[2] * times);
-    qismet_telemetry::counter!("qsim.ops.cz").add(counts[3] * times);
-    qismet_telemetry::counter!("qsim.ops.swap").add(counts[4] * times);
-    qismet_telemetry::counter!("qsim.ops.rzz").add(counts[5] * times);
-    qismet_telemetry::counter!("qsim.ops.superop").add(counts[6] * times);
-    qismet_telemetry::counter!("qsim.ops.table").add(counts[7] * times);
+    qismet_telemetry::counter!("qsim.ops.one_q").add(counts[0]);
+    qismet_telemetry::counter!("qsim.ops.one_q_real").add(counts[1]);
+    qismet_telemetry::counter!("qsim.ops.cx").add(counts[2]);
+    qismet_telemetry::counter!("qsim.ops.cz").add(counts[3]);
+    qismet_telemetry::counter!("qsim.ops.swap").add(counts[4]);
+    qismet_telemetry::counter!("qsim.ops.rzz").add(counts[5]);
+    qismet_telemetry::counter!("qsim.ops.superop").add(counts[6]);
+    qismet_telemetry::counter!("qsim.ops.table").add(counts[7]);
 }
 
 /// Runs a bound plan on the scratch state (reset by the plan run itself,
 /// which lets real-amplitude plans take their `f64` fast path) and
-/// evaluates the compiled observable, honoring the in-state thread fan-out.
-/// The threaded and sequential paths are bitwise identical, so this only
-/// selects a schedule.
+/// evaluates the compiled observable.
 fn execute(
     plan: &CompiledCircuit,
     observable: &CompiledObservable,
     scratch: &mut StateVector,
-    inner_threads: usize,
 ) -> Result<f64, GateError> {
-    record_op_classes(plan, 1);
-    #[cfg(feature = "parallel")]
-    if inner_threads > 1 {
-        plan.run_threaded(scratch, inner_threads)?;
-        return Ok(observable.expectation_threaded(scratch, inner_threads));
-    }
-    #[cfg(not(feature = "parallel"))]
-    let _ = inner_threads;
+    record_op_classes(plan);
     plan.run_expectation(scratch, observable)
 }
 
@@ -360,173 +298,12 @@ fn scratch_for(slot: &mut Option<StateVector>, n_qubits: usize) -> &mut StateVec
     slot.as_mut().expect("scratch populated above")
 }
 
-/// Cached lane-batch bindings and states, one slot per lane width (at most
-/// the full- and half-width slots in practice): [`lane_batch_into`] rebinds
-/// a cached [`BatchedCircuit`] in place across evaluation batches instead
-/// of reallocating its per-lane storage per chunk, falling back to a fresh
-/// bind when the plan structure changed (see [`BatchedCircuit::matches`]).
-/// Purely a reuse cache — rebinding is bitwise identical to fresh binding.
-#[derive(Debug, Clone, Default)]
-struct BatchScratch {
-    slots: Vec<(BatchedCircuit, BatchStateVector)>,
-}
-
-impl BatchScratch {
-    /// The batched binding and state for `chunk`, rebound in place when the
-    /// cached slot for this lane width still matches `plan`.
-    fn bind<'a>(
-        &'a mut self,
-        plan: &mut CompiledCircuit,
-        chunk: &[Vec<f64>],
-    ) -> Result<(&'a BatchedCircuit, &'a mut BatchStateVector), GateError> {
-        let lanes = chunk.len();
-        let n = plan.n_qubits();
-        let k = match self.slots.iter().position(|(bc, _)| bc.lanes() == lanes) {
-            Some(k) => {
-                let (bc, bsv) = &mut self.slots[k];
-                if bc.matches(plan) {
-                    qismet_telemetry::counter!("qsim.batch.rebinds").inc();
-                    bc.rebind(plan, chunk)?;
-                } else {
-                    qismet_telemetry::counter!("qsim.batch.binds").inc();
-                    *bc = BatchedCircuit::bind(plan, chunk)?;
-                    if bsv.n_qubits() != n {
-                        *bsv = BatchStateVector::new(n, lanes);
-                    }
-                }
-                k
-            }
-            None => {
-                qismet_telemetry::counter!("qsim.batch.binds").inc();
-                let bc = BatchedCircuit::bind(plan, chunk)?;
-                self.slots.push((bc, BatchStateVector::new(n, lanes)));
-                self.slots.len() - 1
-            }
-        };
-        let (bc, bsv) = &mut self.slots[k];
-        Ok((&*bc, bsv))
-    }
-}
-
-/// Evaluates a run of plan points through the lane-batched engine into
-/// per-point result slots: greedy full-width ([`MAX_LANES`]) chunks, then
-/// one half-width chunk, then a scalar remainder. Wide states (above
-/// [`LANE_BATCH_MAX_QUBITS`], where the in-state schedule wins) and chunks
-/// that fail to bind (preserving per-point error attribution) take the
-/// scalar loop instead. Per-lane arithmetic is the exact scalar path, so
-/// every grouping is bitwise identical to the sequential loop.
-fn lane_batch_into(
-    plan: &mut CompiledCircuit,
-    points: &[Vec<f64>],
-    observable: &CompiledObservable,
-    scratch: &mut Option<StateVector>,
-    batch: &mut BatchScratch,
-    inner_threads: usize,
-    out: &mut [Result<f64, GateError>],
-) {
-    debug_assert_eq!(points.len(), out.len());
-    qismet_telemetry::counter!("qsim.batch.points").add(points.len() as u64);
-    // Every batched point evaluates a plan compiled earlier: plan reuse.
-    qismet_telemetry::counter!("qsim.plan_cache.hits").add(points.len() as u64);
-    let n = plan.n_qubits();
-    fn scalar(
-        plan: &mut CompiledCircuit,
-        point: &[f64],
-        observable: &CompiledObservable,
-        scratch: &mut Option<StateVector>,
-        inner_threads: usize,
-    ) -> Result<f64, GateError> {
-        plan.rebind(point)?;
-        let sv = scratch_for(scratch, plan.n_qubits());
-        execute(plan, observable, sv, inner_threads)
-    }
-    let mut i = 0usize;
-    while i < points.len() {
-        let rem = points.len() - i;
-        let lanes = if n > LANE_BATCH_MAX_QUBITS {
-            1
-        } else if rem >= MAX_LANES {
-            MAX_LANES
-        } else if rem >= MAX_LANES / 2 {
-            MAX_LANES / 2
-        } else {
-            1
-        };
-        if lanes == 1 {
-            qismet_telemetry::counter!("qsim.batch.chunks_lane1").inc();
-            out[i] = scalar(plan, &points[i], observable, scratch, inner_threads);
-            i += 1;
-            continue;
-        }
-        if lanes == MAX_LANES {
-            qismet_telemetry::counter!("qsim.batch.chunks_lane8").inc();
-        } else {
-            qismet_telemetry::counter!("qsim.batch.chunks_lane4").inc();
-        }
-        let chunk = &points[i..i + lanes];
-        match batch.bind(plan, chunk) {
-            Ok((batched, bsv)) => {
-                record_op_classes(plan, lanes as u64);
-                let mut vals = [0.0f64; MAX_LANES];
-                batched.run_expectation_only(bsv, observable, &mut vals);
-                for (slot, v) in out[i..i + lanes].iter_mut().zip(vals) {
-                    *slot = Ok(v);
-                }
-            }
-            Err(_) => {
-                for (k, p) in chunk.iter().enumerate() {
-                    out[i + k] = scalar(plan, p, observable, scratch, inner_threads);
-                }
-            }
-        }
-        i += lanes;
-    }
-}
-
-/// Lane-batched [`Backend::evaluate_plan_batch`] body shared by both
-/// statevector backends (and, under `parallel`, by each fan-out worker's
-/// chunk): bitwise identical to the sequential per-point loop.
-fn lane_batch_eval(
-    plan: &mut CompiledCircuit,
-    points: &[Vec<f64>],
-    observable: &CompiledObservable,
-    scratch: &mut Option<StateVector>,
-    batch: &mut BatchScratch,
-    inner_threads: usize,
-) -> Result<Vec<f64>, GateError> {
-    let mut out: Vec<Result<f64, GateError>> = vec![Ok(0.0); points.len()];
-    lane_batch_into(
-        plan,
-        points,
-        observable,
-        scratch,
-        batch,
-        inner_threads,
-        &mut out,
-    );
-    out.into_iter().collect()
-}
-
 impl Backend for CachedStatevectorBackend {
     fn evaluate(&mut self, circuit: &Circuit, observable: &PauliSum) -> Result<f64, GateError> {
         let p = self.cache.plan_for(circuit)?;
         let o = self.cache.observable_for(observable);
         let scratch = scratch_for(&mut self.scratch, circuit.n_qubits());
-        execute(
-            &self.cache.plans[p],
-            &self.cache.observables[o].1,
-            scratch,
-            self.inner_threads,
-        )
-    }
-
-    #[cfg(feature = "parallel")]
-    fn evaluate_batch(
-        &mut self,
-        circuits: &[Circuit],
-        observable: &PauliSum,
-    ) -> Result<Vec<f64>, GateError> {
-        parallel_batch(circuits, observable, self.inner_threads)
+        execute(&self.cache.plans[p], &self.cache.observables[o].1, scratch)
     }
 
     fn evaluate_plan(
@@ -539,40 +316,7 @@ impl Backend for CachedStatevectorBackend {
         qismet_telemetry::counter!("qsim.plan_cache.hits").inc();
         plan.rebind(params)?;
         let scratch = scratch_for(&mut self.scratch, plan.n_qubits());
-        execute(plan, observable, scratch, self.inner_threads)
-    }
-
-    #[cfg(feature = "parallel")]
-    fn evaluate_plan_batch(
-        &mut self,
-        plan: &mut CompiledCircuit,
-        points: &[Vec<f64>],
-        observable: &CompiledObservable,
-    ) -> Result<Vec<f64>, GateError> {
-        parallel_plan_batch(
-            plan,
-            points,
-            observable,
-            &mut self.batch,
-            self.inner_threads,
-        )
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn evaluate_plan_batch(
-        &mut self,
-        plan: &mut CompiledCircuit,
-        points: &[Vec<f64>],
-        observable: &CompiledObservable,
-    ) -> Result<Vec<f64>, GateError> {
-        lane_batch_eval(
-            plan,
-            points,
-            observable,
-            &mut self.scratch,
-            &mut self.batch,
-            self.inner_threads,
-        )
+        execute(plan, observable, scratch)
     }
 
     fn clone_box(&self) -> Box<dyn Backend> {
@@ -599,16 +343,6 @@ impl SharedBackend {
     /// Creates a handle to a fresh cached backend.
     pub fn new() -> Self {
         SharedBackend::default()
-    }
-
-    /// Creates a handle to a cached backend configured with in-state
-    /// parallelism (see [`CachedStatevectorBackend::with_inner_threads`]).
-    pub fn with_inner_threads(inner_threads: usize) -> Self {
-        SharedBackend {
-            inner: Arc::new(Mutex::new(CachedStatevectorBackend::with_inner_threads(
-                inner_threads,
-            ))),
-        }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, CachedStatevectorBackend> {
@@ -663,7 +397,6 @@ impl Backend for SharedBackend {
 #[derive(Debug, Clone, Default)]
 pub struct BackendPool {
     slots: HashMap<usize, SharedBackend>,
-    inner_threads: usize,
 }
 
 impl BackendPool {
@@ -672,30 +405,10 @@ impl BackendPool {
         BackendPool::default()
     }
 
-    /// Creates an empty pool whose backends use in-state parallelism (see
-    /// [`CachedStatevectorBackend::with_inner_threads`]).
-    pub fn with_inner_threads(inner_threads: usize) -> Self {
-        BackendPool {
-            inner_threads,
-            ..BackendPool::default()
-        }
-    }
-
-    /// The in-state thread fan-out newly created backends receive.
-    pub fn inner_threads(&self) -> usize {
-        self.inner_threads
-    }
-
     /// A backend handle for `n_qubits`-wide circuits; all handles for one
     /// width share scratch state and plan cache.
     pub fn backend_for(&mut self, n_qubits: usize) -> Box<dyn Backend> {
-        let inner_threads = self.inner_threads;
-        Box::new(
-            self.slots
-                .entry(n_qubits)
-                .or_insert_with(|| SharedBackend::with_inner_threads(inner_threads))
-                .clone(),
-        )
+        Box::new(self.slots.entry(n_qubits).or_default().clone())
     }
 
     /// Number of distinct widths the pool currently serves.
@@ -707,103 +420,6 @@ impl BackendPool {
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
-}
-
-/// Host thread count for batch fan-out, resolved once per process.
-/// `std::thread::available_parallelism` re-reads cgroup limits on every
-/// call on Linux (file opens + parsing, >10us inside a container) — far
-/// more than a small lane-batched evaluation, so the per-call lookup was
-/// dominating `evaluate_plan_batch` on small states.
-#[cfg(feature = "parallel")]
-fn host_parallelism() -> usize {
-    static HOST: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *HOST.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
-/// Evaluates a batch across threads with `std::thread::scope`, one cached
-/// scratch state per worker. Results are written back by index, so the
-/// output order (and, since evaluations are independent, every bit of
-/// every result) matches the sequential loop.
-///
-/// The vendored dependency set has no `rayon`; scoped threads give the
-/// same fan-out with the standard library only.
-#[cfg(feature = "parallel")]
-fn parallel_batch(
-    circuits: &[Circuit],
-    observable: &PauliSum,
-    inner_threads: usize,
-) -> Result<Vec<f64>, GateError> {
-    let workers = host_parallelism().min(circuits.len().max(1));
-    if workers <= 1 || circuits.len() < 2 {
-        let mut backend = CachedStatevectorBackend::with_inner_threads(inner_threads);
-        return circuits
-            .iter()
-            .map(|c| backend.evaluate(c, observable))
-            .collect();
-    }
-    let mut results: Vec<Result<f64, GateError>> = vec![Ok(0.0); circuits.len()];
-    // Contiguous chunking: each worker owns one run of the result slice.
-    let chunk = circuits.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, out) in results.chunks_mut(chunk).enumerate() {
-            let start = w * chunk;
-            scope.spawn(move || {
-                let mut backend = CachedStatevectorBackend::with_inner_threads(inner_threads);
-                for (i, slot) in out.iter_mut().enumerate() {
-                    *slot = backend.evaluate(&circuits[start + i], observable);
-                }
-            });
-        }
-    });
-    results.into_iter().collect()
-}
-
-/// Plan-batch fan-out: each worker clones the plan (one allocation per
-/// worker per batch, not per point) and runs its contiguous chunk of
-/// points through the lane-batched engine. Per-point arithmetic is
-/// independent of the scratch, of binding order, and of lane grouping, so
-/// results are bitwise identical to the sequential loop at any worker
-/// count.
-#[cfg(feature = "parallel")]
-fn parallel_plan_batch(
-    plan: &mut CompiledCircuit,
-    points: &[Vec<f64>],
-    observable: &CompiledObservable,
-    batch: &mut BatchScratch,
-    inner_threads: usize,
-) -> Result<Vec<f64>, GateError> {
-    let workers = host_parallelism().min(points.len().max(1));
-    if workers <= 1 || points.len() < 2 {
-        let mut scratch = None;
-        return lane_batch_eval(plan, points, observable, &mut scratch, batch, inner_threads);
-    }
-    let mut results: Vec<Result<f64, GateError>> = vec![Ok(0.0); points.len()];
-    let chunk = points.len().div_ceil(workers);
-    let template: &CompiledCircuit = plan;
-    std::thread::scope(|scope| {
-        for (w, out) in results.chunks_mut(chunk).enumerate() {
-            let start = w * chunk;
-            scope.spawn(move || {
-                let mut local = template.clone();
-                let mut scratch = None;
-                let mut local_batch = BatchScratch::default();
-                lane_batch_into(
-                    &mut local,
-                    &points[start..start + out.len()],
-                    observable,
-                    &mut scratch,
-                    &mut local_batch,
-                    inner_threads,
-                    out,
-                );
-            });
-        }
-    });
-    results.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -966,80 +582,11 @@ mod tests {
             .evaluate_plan_batch(&mut plan, &[], &obs)
             .unwrap()
             .is_empty());
-    }
-
-    #[test]
-    fn lane_batched_plan_batch_agrees_bitwise_with_singles() {
-        use crate::gate::Param;
-        // 21 points drives every grouping the greedy chunker produces:
-        // two 8-lane batches, one 4-lane batch, one scalar point. A 6q
-        // ry+cx ansatz exercises the batched real-f64 path; adding rz
-        // opts into the complex batched path.
-        for with_rz in [false, true] {
-            let n = 6;
-            let h = observable(n);
-            let obs = CompiledObservable::compile(&h);
-            let mut ansatz = Circuit::new(n);
-            let mut k = 0usize;
-            for _ in 0..3 {
-                for q in 0..n {
-                    ansatz.ry(Param::Free(k), q);
-                    k += 1;
-                    if with_rz {
-                        ansatz.rz(Param::Free(k), q);
-                        k += 1;
-                    }
-                }
-                for q in 0..n - 1 {
-                    ansatz.cx(q, q + 1);
-                }
-            }
-            let mut rng = rng_from_seed(13);
-            let points: Vec<Vec<f64>> = (0..21)
-                .map(|_| (0..k).map(|_| rng.gen::<f64>() * 3.0 - 1.5).collect())
-                .collect();
-            for mut backend in [
-                Box::new(StatevectorBackend::new()) as Box<dyn Backend>,
-                Box::new(CachedStatevectorBackend::new()) as Box<dyn Backend>,
-                Box::new(SharedBackend::new()) as Box<dyn Backend>,
-            ] {
-                let mut plan = CompiledCircuit::compile(&ansatz);
-                let singles: Vec<f64> = points
-                    .iter()
-                    .map(|p| backend.evaluate_plan(&mut plan, p, &obs).unwrap())
-                    .collect();
-                let batch = backend
-                    .evaluate_plan_batch(&mut plan, &points, &obs)
-                    .unwrap();
-                for (i, (a, b)) in singles.iter().zip(&batch).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{} with_rz={with_rz} point {i}",
-                        backend.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lane_batched_plan_batch_propagates_short_point_errors() {
-        use crate::gate::Param;
-        let h = observable(3);
-        let obs = CompiledObservable::compile(&h);
-        let mut ansatz = Circuit::new(3);
-        for (k, q) in (0..3).enumerate() {
-            ansatz.ry(Param::Free(k), q);
-        }
-        ansatz.cx(0, 1).cx(1, 2);
-        let mut plan = CompiledCircuit::compile(&ansatz);
-        let mut backend = CachedStatevectorBackend::new();
-        // A short point buried inside a would-be 8-lane chunk must error.
-        let mut points: Vec<Vec<f64>> = (0..9).map(|i| vec![0.1 * i as f64; 3]).collect();
-        points[5] = vec![0.2];
+        // A short point in the middle of a batch errors the whole batch.
+        let mut short = points.clone();
+        short[5] = vec![0.2];
         assert!(backend
-            .evaluate_plan_batch(&mut plan, &points, &obs)
+            .evaluate_plan_batch(&mut plan, &short, &obs)
             .is_err());
     }
 
@@ -1150,27 +697,6 @@ mod tests {
             .evaluate_batch(&[], &h)
             .unwrap();
         assert!(out.is_empty());
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn inner_threads_backend_is_bitwise_identical() {
-        // 16 qubits crosses the in-state parallelism threshold, so the
-        // threaded schedule actually runs — and must not change a bit.
-        let h = observable(16);
-        let c = random_circuit(16, 77);
-        let a = CachedStatevectorBackend::new().evaluate(&c, &h).unwrap();
-        for t in [2usize, 4] {
-            let b = CachedStatevectorBackend::with_inner_threads(t)
-                .evaluate(&c, &h)
-                .unwrap();
-            assert_eq!(a.to_bits(), b.to_bits(), "inner_threads={t}");
-        }
-        // Pool-served backends propagate the knob.
-        let mut pool = BackendPool::with_inner_threads(4);
-        assert_eq!(pool.inner_threads(), 4);
-        let via_pool = pool.backend_for(16).evaluate(&c, &h).unwrap();
-        assert_eq!(a.to_bits(), via_pool.to_bits());
     }
 
     #[test]

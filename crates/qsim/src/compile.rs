@@ -139,7 +139,7 @@ const LADDER_MAX_QUBITS: usize = 8;
 /// Minimum state width for the real-amplitude run mode: below this the
 /// thread-local scratch borrow and the complex write-back pass cost more
 /// than the halved sweeps save.
-pub(crate) const REAL_RUN_MIN_QUBITS: usize = 6;
+const REAL_RUN_MIN_QUBITS: usize = 6;
 
 thread_local! {
     /// Per-thread real-amplitude state for plans where
@@ -149,13 +149,6 @@ thread_local! {
     static REAL_STATE: core::cell::RefCell<Vec<f64>> =
         const { core::cell::RefCell::new(Vec::new()) };
 }
-
-/// Minimum state width for in-state thread parallelism: below 2^15
-/// amplitudes a full sweep takes microseconds and thread dispatch would
-/// dominate. The threshold only gates a performance choice — sequential and
-/// threaded paths are bitwise identical either way.
-#[cfg(feature = "parallel")]
-const PARALLEL_MIN_QUBITS: usize = 15;
 
 /// Maximum superoperator support (dense `2^k x 2^k` matrices; k = 3 keeps
 /// the 8x8 matrix and its 8-amplitude orbit in registers).
@@ -219,16 +212,16 @@ impl LocalGate {
 /// fused into one dense `2^k x 2^k` matrix (k <= [`SUPEROP_MAX_QUBITS`]),
 /// applied in a single cache-blocked gather/scatter sweep.
 #[derive(Debug, Clone)]
-pub(crate) struct SuperOp {
+struct SuperOp {
     /// Support, global qubit indices, ascending.
-    pub(crate) qubits: Vec<usize>,
+    qubits: Vec<usize>,
     /// Row-major `2^k x 2^k` matrix over the local basis (local bit `j` =
     /// `qubits[j]`); only the top-left `2^k x 2^k` block of the fixed-size
     /// backing store is used.
-    pub(crate) m: [Complex64; 64],
+    m: [Complex64; 64],
     /// All constituent gates are real-for-any-angle: the apply kernel skips
     /// the imaginary halves of the matrix entries (exact zeros).
-    pub(crate) real: bool,
+    real: bool,
     /// Contains at least one free parameter (rebuilt on rebind).
     free: bool,
     /// Constituents in application order, global qubit indices.
@@ -236,7 +229,7 @@ pub(crate) struct SuperOp {
 }
 
 impl SuperOp {
-    pub(crate) fn k(&self) -> usize {
+    fn k(&self) -> usize {
         self.qubits.len()
     }
 
@@ -336,27 +329,27 @@ impl SuperOp {
 /// phase over its local support, precomputed into lookup tables and applied
 /// in one sweep instead of one sweep per gate.
 #[derive(Debug, Clone)]
-pub(crate) struct PermTable {
+struct PermTable {
     /// Support, global qubit indices, ascending.
-    pub(crate) qubits: Vec<usize>,
+    qubits: Vec<usize>,
     /// `1 << q` per support qubit, ascending (kernel orbit expansion).
-    pub(crate) bits: Vec<usize>,
+    bits: Vec<usize>,
     /// Amplitude offset of each local configuration.
-    pub(crate) offs: Vec<usize>,
+    offs: Vec<usize>,
     /// `src[l] = pi^-1(l)`: which local config lands on `l`.
-    pub(crate) src: Vec<u8>,
+    src: Vec<u8>,
     /// Output phase of local config `l`.
-    pub(crate) phase: Vec<Complex64>,
+    phase: Vec<Complex64>,
     /// `Some(qubits[0])` when the support is a contiguous qubit run
     /// `[k, k+s)`: local config `l` then sits at amplitude offset
     /// `l << k` and every orbit is one contiguous region, so the kernel
     /// permutes `2^k`-amplitude blocks instead of gathering amplitudes
     /// through the `offs` indirection.
-    pub(crate) contig_shift: Option<usize>,
+    contig_shift: Option<usize>,
     /// Identity permutation (CZ/RZZ-only ladder): in-place phase sweep.
-    pub(crate) diagonal: bool,
+    diagonal: bool,
     /// All phases exactly one (CX/SWAP-only ladder): pure permutation.
-    pub(crate) unit: bool,
+    unit: bool,
     /// Contains a free RZZ angle (tables are rebuilt on rebind).
     free: bool,
     /// Constituents in application order, global qubit indices.
@@ -443,7 +436,7 @@ impl PermTable {
 
 /// One lowered operation of an execution plan.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum PlanOp {
+enum PlanOp {
     /// A (possibly fused) 2x2 unitary on one qubit.
     OneQ { qubit: usize, u: Mat2 },
     /// A (possibly fused) **real** 2x2 unitary on one qubit — the
@@ -575,14 +568,14 @@ fn kind_tag(g: Gate) -> u8 {
 pub struct CompiledCircuit {
     n_qubits: usize,
     n_params: usize,
-    pub(crate) ops: Vec<PlanOp>,
+    ops: Vec<PlanOp>,
     /// Constituent gates of parameterized fused segments, in application
     /// order (rebind recomputes their product).
     fused_gates: Vec<Vec<Gate>>,
     /// Dense multi-qubit superoperators referenced by [`PlanOp::Super`].
-    pub(crate) supers: Vec<SuperOp>,
+    supers: Vec<SuperOp>,
     /// Permutation/phase ladder tables referenced by [`PlanOp::Table`].
-    pub(crate) tables: Vec<PermTable>,
+    tables: Vec<PermTable>,
     slots: Vec<Slot>,
     bound: bool,
     source_len: usize,
@@ -595,7 +588,7 @@ pub struct CompiledCircuit {
     /// tables). [`CompiledCircuit::run`] then evolves an `f64` scratch state
     /// from `|0...0>` — half the flops and memory traffic of the complex
     /// sweep — and writes the amplitudes back at the end.
-    pub(crate) real_run: bool,
+    real_run: bool,
 }
 
 /// Working state of the lowering pass.
@@ -1016,8 +1009,8 @@ impl CompiledCircuit {
     fn lower(circuit: &Circuit, template: bool) -> Self {
         // One taxonomy across every evaluation path: compiling a plan is
         // the plan-cache *miss*; evaluating a previously compiled plan
-        // (structure-cache match, batch rebind, or `evaluate_plan` on an
-        // externally held plan) is the *hit*.
+        // (structure-cache match or `evaluate_plan` on an externally held
+        // plan) is the *hit*.
         qismet_telemetry::counter!("qsim.plans_compiled").inc();
         qismet_telemetry::counter!("qsim.plan_cache.misses").inc();
         let n = circuit.n_qubits();
@@ -1217,11 +1210,7 @@ impl CompiledCircuit {
         Ok(())
     }
 
-    /// Applies one lowered op to an amplitude slice. The slice may be the
-    /// full state or one region of a parallel partition: every kernel only
-    /// combines amplitudes whose indices differ below the op's alignment
-    /// (`1 << (highest support qubit + 1)`), so any slice whose length is a
-    /// multiple of that alignment is closed under the op.
+    /// Applies one lowered op to the full amplitude slice.
     fn apply_op(&self, op: &PlanOp, amps: &mut [Complex64]) {
         match *op {
             PlanOp::OneQ { qubit, ref u } => kernels::apply_1q(amps, u, 1usize << qubit),
@@ -1412,138 +1401,6 @@ impl CompiledCircuit {
         Ok(obs.expectation(sv))
     }
 
-    /// Smallest power-of-two slice length closed under `op` (see
-    /// [`CompiledCircuit::apply_op`]).
-    #[cfg(feature = "parallel")]
-    fn op_align(&self, op: &PlanOp) -> usize {
-        let hi = match *op {
-            PlanOp::OneQ { qubit, .. } | PlanOp::OneQReal { qubit, .. } => qubit,
-            PlanOp::Cx {
-                control: a,
-                target: b,
-            }
-            | PlanOp::Cz { a, b }
-            | PlanOp::Swap { a, b }
-            | PlanOp::Rzz { a, b, .. } => a.max(b),
-            PlanOp::Super { idx } => *self.supers[idx].qubits.last().expect("superop has support"),
-            PlanOp::Table { idx } => *self.tables[idx].qubits.last().expect("table has support"),
-        };
-        1usize << (hi + 1)
-    }
-
-    /// Applies the plan with the sweeps over the amplitude array split
-    /// across up to `threads` scoped workers.
-    ///
-    /// Workers own **disjoint contiguous regions** whose boundaries are
-    /// aligned to every op in their batch, so no amplitude is ever touched
-    /// by two threads and each region computes exactly the numbers the
-    /// sequential sweep would — the result is bitwise identical to
-    /// [`CompiledCircuit::apply`] at any thread count. Consecutive ops that
-    /// admit a common partition are batched into one `thread::scope` so the
-    /// spawn cost amortizes over many sweeps; ops aligned wider than half
-    /// the state (i.e. touching the top qubit) run sequentially.
-    ///
-    /// States below a minimum width (where a full sweep is microseconds and
-    /// dispatch would dominate), or `threads <= 1`, fall back to the
-    /// sequential path.
-    ///
-    /// # Errors
-    ///
-    /// [`GateError::UnboundParameter`] if the plan has unbound slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics on width mismatch.
-    #[cfg(feature = "parallel")]
-    pub fn apply_threaded(&self, sv: &mut StateVector, threads: usize) -> Result<(), GateError> {
-        if threads <= 1 || self.n_qubits < PARALLEL_MIN_QUBITS {
-            return self.apply(sv);
-        }
-        if !self.bound {
-            return Err(GateError::UnboundParameter);
-        }
-        assert_eq!(
-            sv.n_qubits(),
-            self.n_qubits,
-            "plan width must match state width"
-        );
-        let amps = sv.amps_mut();
-        self.apply_ops_threaded(amps, threads, Self::apply_op);
-        Ok(())
-    }
-
-    /// The threaded batching sweep shared by the complex and real-amplitude
-    /// paths: batches consecutive ops that admit a common aligned partition
-    /// into one `thread::scope`, splitting `amps` into disjoint contiguous
-    /// regions (see [`CompiledCircuit::apply_threaded`] for the
-    /// bitwise-identity argument).
-    #[cfg(feature = "parallel")]
-    fn apply_ops_threaded<T: Send>(
-        &self,
-        amps: &mut [T],
-        threads: usize,
-        apply: fn(&Self, &PlanOp, &mut [T]),
-    ) {
-        let dim = amps.len();
-        let mut i = 0usize;
-        while i < self.ops.len() {
-            let align = self.op_align(&self.ops[i]);
-            if align * 2 > dim {
-                // Top-qubit op: no legal split, run it on this thread.
-                apply(self, &self.ops[i], amps);
-                i += 1;
-                continue;
-            }
-            // Grow the batch while a common aligned partition exists.
-            let mut batch_align = align;
-            let mut j = i + 1;
-            while j < self.ops.len() {
-                let a = self.op_align(&self.ops[j]);
-                if a * 2 > dim {
-                    break;
-                }
-                batch_align = batch_align.max(a);
-                j += 1;
-            }
-            let region = dim.div_ceil(threads).next_multiple_of(batch_align);
-            let ops = &self.ops[i..j];
-            std::thread::scope(|scope| {
-                for chunk in amps.chunks_mut(region) {
-                    scope.spawn(move || {
-                        for op in ops {
-                            apply(self, op, chunk);
-                        }
-                    });
-                }
-            });
-            i = j;
-        }
-    }
-
-    /// Resets `sv` and applies the plan with in-state parallelism — the
-    /// threaded counterpart of [`CompiledCircuit::run`], bitwise identical
-    /// to it at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// [`GateError::UnboundParameter`] if the plan has unbound slots.
-    #[cfg(feature = "parallel")]
-    pub fn run_threaded(&self, sv: &mut StateVector, threads: usize) -> Result<(), GateError> {
-        if self.real_run && self.n_qubits >= REAL_RUN_MIN_QUBITS {
-            return self.run_real_with(sv, |r| {
-                if threads <= 1 || self.n_qubits < PARALLEL_MIN_QUBITS {
-                    for op in &self.ops {
-                        self.apply_op_real(op, r);
-                    }
-                } else {
-                    self.apply_ops_threaded(r, threads, Self::apply_op_real);
-                }
-            });
-        }
-        sv.reset();
-        self.apply_threaded(sv, threads)
-    }
-
     /// Runs the plan on a freshly allocated zero state.
     ///
     /// # Errors
@@ -1563,18 +1420,18 @@ const DIAG_TABLE_MAX_QUBITS: usize = 16;
 
 /// One off-diagonal (X/Y-carrying) term of a compiled observable.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct OffDiagTerm {
+struct OffDiagTerm {
     /// `2 * coeff * sign(i^y)` — the `i^y` global phase and the Hermitian
     /// pair doubling, hoisted out of the sweep entirely.
-    pub(crate) prefactor: f64,
+    prefactor: f64,
     /// `true` when the term has an odd number of Y factors (the pair sum
     /// then lives in the imaginary part).
-    pub(crate) use_im: bool,
-    pub(crate) x_mask: usize,
-    pub(crate) z_mask: usize,
+    use_im: bool,
+    x_mask: usize,
+    z_mask: usize,
     /// Lowest set bit of `x_mask`: enumerating indices with this bit clear
     /// visits each `(c, c ^ x_mask)` pair exactly once.
-    pub(crate) pair_bit: usize,
+    pair_bit: usize,
 }
 
 /// A [`PauliSum`] compiled into a fused expectation kernel.
@@ -1603,10 +1460,10 @@ pub struct CompiledObservable {
     n_terms: usize,
     /// `(coeff, z_mask)` of diagonal terms; used directly when the weight
     /// table is too wide to materialize.
-    pub(crate) diag: Vec<(f64, usize)>,
+    diag: Vec<(f64, usize)>,
     /// Per-basis-index diagonal weight `w[c] = sum_j c_j (-1)^{|c & z_j|}`.
-    pub(crate) diag_table: Option<Vec<f64>>,
-    pub(crate) offdiag: Vec<OffDiagTerm>,
+    diag_table: Option<Vec<f64>>,
+    offdiag: Vec<OffDiagTerm>,
 }
 
 impl CompiledObservable {
@@ -1684,10 +1541,8 @@ impl CompiledObservable {
         if let Some(w) = &self.diag_table {
             // Four independent accumulator lanes break the FP-add latency
             // chain (the sweep is otherwise serialized on one add per
-            // amplitude). The lane partition is fixed by index, so the
-            // threaded path — which reuses this block function on the same
-            // block boundaries — still adds identical partials in identical
-            // order.
+            // amplitude). The lane partition is fixed by index, so every
+            // sweep adds identical partials in identical order.
             let ws = &w[start..start + amps.len()];
             let mut lanes = [0.0f64; 4];
             let mut ac = amps.chunks_exact(4);
@@ -1727,8 +1582,7 @@ impl CompiledObservable {
         let low = t.pair_bit - 1;
         // Four independent accumulator lanes (round-robin over pair
         // indices) break the FP-add latency chain; the lane partition is
-        // fixed, so sequential and threaded sweeps — which share this block
-        // function and its block boundaries — stay bitwise identical.
+        // fixed, so the sum is deterministic.
         let mut lanes = [0.0f64; 4];
         if t.z_mask == 0 && !t.use_im {
             // Pure-X term (no Y, no Z): every pair contributes with the
@@ -1938,8 +1792,8 @@ impl CompiledObservable {
     /// per-term kernel to `<= 1e-12`.
     ///
     /// All sweeps run in cache-sized blocks whose partial sums are combined
-    /// in block order — the exact reduction the threaded path reproduces,
-    /// so sequential and threaded results are bitwise identical.
+    /// in block order; that fixed summation order is what the real-run path
+    /// (`expectation_real`) reproduces bit for bit.
     ///
     /// # Panics
     ///
@@ -1963,90 +1817,6 @@ impl CompiledObservable {
                 let p1 = (p0 + kernels::BLOCK).min(n_pairs);
                 acc += Self::offdiag_block(t, amps, p0, p1);
                 p0 = p1;
-            }
-            total += t.prefactor * acc;
-        }
-        total
-    }
-
-    /// Value of work item `item` in the flattened (diag blocks, then
-    /// per-term pair blocks) schedule shared by the threaded reduction.
-    #[cfg(feature = "parallel")]
-    fn item_value(
-        &self,
-        amps: &[Complex64],
-        item: usize,
-        diag_items: usize,
-        pair_blocks: usize,
-    ) -> f64 {
-        if item < diag_items {
-            let start = item * kernels::BLOCK;
-            let end = (start + kernels::BLOCK).min(amps.len());
-            self.diag_block(&amps[start..end], start)
-        } else {
-            let k = item - diag_items;
-            let t = &self.offdiag[k / pair_blocks];
-            let p0 = (k % pair_blocks) * kernels::BLOCK;
-            let p1 = (p0 + kernels::BLOCK).min(amps.len() >> 1);
-            Self::offdiag_block(t, amps, p0, p1)
-        }
-    }
-
-    /// The fused expectation with the block sweeps split across up to
-    /// `threads` scoped workers.
-    ///
-    /// Workers fill disjoint slots of a per-block partial-sum table; the
-    /// reduction then combines those partials in exactly the order the
-    /// sequential path uses, so the result is bitwise identical to
-    /// [`CompiledObservable::expectation`] at any thread count. Narrow
-    /// states (or `threads <= 1`) fall back to the sequential path.
-    ///
-    /// # Panics
-    ///
-    /// Panics on width mismatch.
-    #[cfg(feature = "parallel")]
-    pub fn expectation_threaded(&self, sv: &StateVector, threads: usize) -> f64 {
-        if threads <= 1 || self.n_qubits < PARALLEL_MIN_QUBITS {
-            return self.expectation(sv);
-        }
-        assert_eq!(sv.n_qubits(), self.n_qubits, "observable width");
-        let amps = sv.amplitudes();
-        let n_pairs = amps.len() >> 1;
-        let pair_blocks = n_pairs.div_ceil(kernels::BLOCK);
-        let diag_items = if self.diag.is_empty() {
-            0
-        } else {
-            amps.len().div_ceil(kernels::BLOCK)
-        };
-        let n_items = diag_items + self.offdiag.len() * pair_blocks;
-        if n_items == 0 {
-            return 0.0;
-        }
-        let mut partials = vec![0.0f64; n_items];
-        let per = n_items.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (w, chunk) in partials.chunks_mut(per).enumerate() {
-                let start = w * per;
-                scope.spawn(move || {
-                    for (k, slot) in chunk.iter_mut().enumerate() {
-                        *slot = self.item_value(amps, start + k, diag_items, pair_blocks);
-                    }
-                });
-            }
-        });
-        let mut total = 0.0;
-        if diag_items > 0 {
-            let mut acc = 0.0;
-            for &v in &partials[..diag_items] {
-                acc += v;
-            }
-            total += acc;
-        }
-        for (ti, t) in self.offdiag.iter().enumerate() {
-            let mut acc = 0.0;
-            let base = diag_items + ti * pair_blocks;
-            for &v in &partials[base..base + pair_blocks] {
-                acc += v;
             }
             total += t.prefactor * acc;
         }
@@ -2177,43 +1947,6 @@ mod tests {
         let direct = StateVector::from_circuit(&full).unwrap();
         for (a, b) in direct.amplitudes().iter().zip(sv.amplitudes()) {
             assert!(a.approx_eq(*b, TOL), "{a} vs {b}");
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn threaded_apply_bitwise_identical_at_any_thread_count() {
-        // 16 qubits crosses PARALLEL_MIN_QUBITS, so the threaded path
-        // actually partitions the state.
-        let c = random_circuit(16, 99);
-        let plan = CompiledCircuit::compile(&c);
-        let mut seq = StateVector::new(16);
-        plan.run(&mut seq).unwrap();
-        for threads in [2usize, 3, 4, 8] {
-            let mut par = StateVector::new(16);
-            plan.run_threaded(&mut par, threads).unwrap();
-            assert_eq!(seq.amplitudes(), par.amplitudes(), "threads={threads}");
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn threaded_expectation_bitwise_identical_at_any_thread_count() {
-        let c = random_circuit(16, 7);
-        let sv = CompiledCircuit::compile(&c).state().unwrap();
-        let h = crate::PauliSum::from_labels(&[
-            (0.75, "ZZIIIIIIIIIIIIII"),
-            (-0.5, "IXXIIIIIIIIIIIII"),
-            (0.25, "IIIYZIIIIIIIIIII"),
-            (1.5, "XIIIIIIIIIIIIIIX"),
-            (-0.4, "ZIIIIIIIZIIIIIIZ"),
-        ])
-        .unwrap();
-        let obs = CompiledObservable::compile(&h);
-        let seq = obs.expectation(&sv);
-        for threads in [2usize, 3, 4, 8] {
-            let par = obs.expectation_threaded(&sv, threads);
-            assert_eq!(seq.to_bits(), par.to_bits(), "threads={threads}");
         }
     }
 

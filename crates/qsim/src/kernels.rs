@@ -2,21 +2,12 @@
 //!
 //! Every kernel here is a free function over `&mut [Complex64]` (or
 //! `&[Complex64]` for reductions) rather than a method on
-//! [`crate::StateVector`]. Two properties follow from that shape and are
-//! relied on throughout the crate:
-//!
-//! * **Alignment locality** — a kernel acting on support bits
-//!   `b0 < b1 < ... < bmax` only ever combines amplitudes whose indices
-//!   differ below `2 * bmax`. Any slice whose length is a multiple of
-//!   `2 * bmax` is therefore a closed orbit set, which is exactly what lets
-//!   the `parallel`-feature path split one apply across disjoint contiguous
-//!   regions of the same state and stay **bitwise identical** to the
-//!   sequential sweep at any thread count.
-//! * **Chunked inner loops** — the hot loops are written as
-//!   `chunks_exact_mut` + `split_at_mut` sweeps over fixed-shape blocks with
-//!   no per-amplitude bounds checks or index arithmetic, the form the
-//!   autovectorizer turns into packed SIMD on the interleaved
-//!   `[re, im, re, im, ...]` layout.
+//! [`crate::StateVector`], so the real-amplitude run mode can reuse the
+//! element-generic kernels on `f64` states. The hot loops are written as
+//! `chunks_exact_mut` + `split_at_mut` sweeps over fixed-shape blocks with
+//! no per-amplitude bounds checks or index arithmetic, the form the
+//! autovectorizer turns into packed SIMD on the interleaved
+//! `[re, im, re, im, ...]` layout.
 //!
 //! The arithmetic of each kernel (operation order, grouping) matches the
 //! pre-refactor `StateVector` methods exactly, so results are bit-identical
@@ -25,11 +16,10 @@
 use qismet_mathkit::Complex64;
 
 /// Amplitudes per reduction block. Reductions (probability norms, CDF
-/// accumulation, expectation partial sums) are computed block-by-block so
-/// sequential and thread-parallel execution add the same partials in the
-/// same order. States of up to `BLOCK` amplitudes (14 qubits) are a single
-/// block, which keeps their sums bit-identical to the historical straight
-/// loop.
+/// accumulation, expectation partial sums) are computed block-by-block,
+/// which fixes the floating-point summation order. States of up to `BLOCK`
+/// amplitudes (14 qubits) are a single block, which keeps their sums
+/// bit-identical to the historical straight loop.
 pub(crate) const BLOCK: usize = 1 << 14;
 
 /// A stack-allocated 2x2 complex matrix (row-major).
@@ -321,9 +311,8 @@ pub(crate) fn apply_table(
 thread_local! {
     /// Per-thread gather scratch for [`apply_table_contig`]: one orbit
     /// region (`2^(shift + s)` amplitudes), grown on demand and reused
-    /// across ops and calls. Thread-local so the `parallel` path — where
-    /// each worker applies the table to its own disjoint region — needs no
-    /// shared mutable state.
+    /// across ops and calls. Thread-local so concurrent campaign workers
+    /// need no shared mutable state.
     static TABLE_SCRATCH: core::cell::RefCell<Vec<Complex64>> =
         const { core::cell::RefCell::new(Vec::new()) };
 }
@@ -395,10 +384,8 @@ pub(crate) fn apply_table_contig(
 // Plans whose every op preserves real amplitude vectors (real 1q segments,
 // CX/CZ/SWAP, real superops, RZZ-free ladder tables) evolve an `f64` state
 // instead of a `Complex64` one: half the flops and half the memory traffic,
-// with the same sweep structure — and therefore the same
-// sequential-vs-threaded bitwise-identity argument — as the complex kernels
-// above. CX and SWAP reuse the generic kernels; the arithmetic kernels get
-// real twins below.
+// with the same sweep structure as the complex kernels above. CX and SWAP
+// reuse the generic kernels; the arithmetic kernels get real twins below.
 // ---------------------------------------------------------------------------
 
 /// Real twin of [`apply_1q_real`]: the 2x2 real butterfly on an `f64` state.
@@ -616,980 +603,6 @@ pub(crate) fn apply_table_contig_f64(
                 }
             }
         }
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Lane-batched (structure-of-arrays) kernels.
-//
-// A batched state holds `lanes` independent statevectors interleaved
-// lane-major: amplitude `i` of lane `l` lives at `amps[i * lanes + l]`.
-// Every batched kernel reproduces the corresponding scalar kernel's sweep
-// structure index for index, with each per-amplitude access widened to a
-// contiguous lane row, so the innermost loops are stride-1 over lanes —
-// exactly the layout the autovectorizer packs — where the scalar
-// butterflies are strided. The per-lane arithmetic (operation order,
-// accumulation grouping, branch selection) is the exact scalar expression,
-// which is what makes lane `l` of a batched apply **bitwise identical** to
-// a scalar apply of that lane's op data.
-//
-// Per-lane op data (matrices, phases) is stored entry-major, lane-minor:
-// entry `e` of lane `l` sits at `data[e * lanes + l]`, so the lane loop
-// reads it stride-1 too.
-// ---------------------------------------------------------------------------
-
-/// Visits every base index of a two-qubit orbit over a `dim`-amplitude
-/// index space (the batched twin of [`for_each_two_qubit_base`], which
-/// walks indices rather than elements because each index maps to a lane
-/// row).
-#[inline(always)]
-fn for_each_two_qubit_base_idx(dim: usize, lo_bit: usize, hi_bit: usize, mut f: impl FnMut(usize)) {
-    debug_assert!(lo_bit < hi_bit && dim.is_multiple_of(hi_bit << 1));
-    let mut outer = 0usize;
-    while outer < dim {
-        let mut mid = outer;
-        let outer_end = outer + hi_bit;
-        while mid < outer_end {
-            for idx in mid..mid + lo_bit {
-                f(idx);
-            }
-            mid += lo_bit << 1;
-        }
-        outer += hi_bit << 1;
-    }
-}
-
-/// Dispatches a lane-batched kernel to its const-lane-count
-/// monomorphization (`$f::<L>`), giving every innermost lane loop a
-/// compile-time trip count — at `L = 8` one full AVX-512 `f64` vector (two
-/// AVX2 vectors) per lane row — where a runtime `lanes` bound forces the
-/// autovectorizer to emit guarded, unrollable-only-speculatively loops.
-/// Lane counts are capped at [`MAX_LANES`] by state construction, so the
-/// fallthrough arm is unreachable. The second form forwards one explicit
-/// type parameter ahead of the lane count for element-generic kernels.
-macro_rules! lane_dispatch {
-    ($lanes:expr, $f:ident($($args:expr),* $(,)?)) => {
-        match $lanes {
-            1 => $f::<1>($($args),*),
-            2 => $f::<2>($($args),*),
-            3 => $f::<3>($($args),*),
-            4 => $f::<4>($($args),*),
-            5 => $f::<5>($($args),*),
-            6 => $f::<6>($($args),*),
-            7 => $f::<7>($($args),*),
-            8 => $f::<8>($($args),*),
-            other => unreachable!("lane count {other} exceeds MAX_LANES"),
-        }
-    };
-    ($lanes:expr, $f:ident::<$t:ty>($($args:expr),* $(,)?)) => {
-        match $lanes {
-            1 => $f::<1, $t>($($args),*),
-            2 => $f::<2, $t>($($args),*),
-            3 => $f::<3, $t>($($args),*),
-            4 => $f::<4, $t>($($args),*),
-            5 => $f::<5, $t>($($args),*),
-            6 => $f::<6, $t>($($args),*),
-            7 => $f::<7, $t>($($args),*),
-            8 => $f::<8, $t>($($args),*),
-            other => unreachable!("lane count {other} exceeds MAX_LANES"),
-        }
-    };
-}
-pub(crate) use lane_dispatch;
-
-/// Borrows the `L`-element lane row starting at `at` as a fixed-size
-/// array, so the monomorphized kernels index it without per-row bounds
-/// checks.
-#[inline(always)]
-pub(crate) fn lane_row<const L: usize, T>(s: &[T], at: usize) -> &[T; L] {
-    s[at..at + L].try_into().expect("lane row in bounds")
-}
-
-/// Mutable twin of [`lane_row`].
-#[inline(always)]
-pub(crate) fn lane_row_mut<const L: usize, T>(s: &mut [T], at: usize) -> &mut [T; L] {
-    (&mut s[at..at + L]).try_into().expect("lane row in bounds")
-}
-
-/// Batched twin of [`apply_1q`]: per-lane 2x2 unitaries on a lane-major
-/// state. `u` holds the four matrix entries entry-major
-/// (`u[e * lanes + l]`, `e` in `00, 01, 10, 11` row-major order).
-pub(crate) fn apply_1q_batch(amps: &mut [Complex64], u: &[Complex64], lanes: usize, stride: usize) {
-    debug_assert!(u.len() >= 4 * lanes);
-    debug_assert!(amps.len().is_multiple_of((stride << 1) * lanes));
-    lane_dispatch!(lanes, apply_1q_batch_mono(amps, u, stride));
-}
-
-fn apply_1q_batch_mono<const L: usize>(amps: &mut [Complex64], u: &[Complex64], stride: usize) {
-    let u00 = lane_row::<L, _>(u, 0);
-    let u01 = lane_row::<L, _>(u, L);
-    let u10 = lane_row::<L, _>(u, 2 * L);
-    let u11 = lane_row::<L, _>(u, 3 * L);
-    let row = stride * L;
-    for chunk in amps.chunks_exact_mut(row << 1) {
-        let (lo, hi) = chunk.split_at_mut(row);
-        for (a, b) in lo.chunks_exact_mut(L).zip(hi.chunks_exact_mut(L)) {
-            let a: &mut [Complex64; L] = a.try_into().expect("lane row");
-            let b: &mut [Complex64; L] = b.try_into().expect("lane row");
-            for l in 0..L {
-                let a0 = a[l];
-                let a1 = b[l];
-                a[l] = u00[l] * a0 + u01[l] * a1;
-                b[l] = u10[l] * a0 + u11[l] * a1;
-            }
-        }
-    }
-}
-
-/// Batched twin of [`apply_1q_real`]: per-lane **real** 2x2 unitaries on a
-/// lane-major complex state. `m` holds the four entries entry-major
-/// (`m[e * lanes + l]`).
-pub(crate) fn apply_1q_real_batch(amps: &mut [Complex64], m: &[f64], lanes: usize, stride: usize) {
-    debug_assert!(m.len() >= 4 * lanes);
-    debug_assert!(amps.len().is_multiple_of((stride << 1) * lanes));
-    lane_dispatch!(lanes, apply_1q_real_batch_mono(amps, m, stride));
-}
-
-fn apply_1q_real_batch_mono<const L: usize>(amps: &mut [Complex64], m: &[f64], stride: usize) {
-    let m00 = lane_row::<L, _>(m, 0);
-    let m01 = lane_row::<L, _>(m, L);
-    let m10 = lane_row::<L, _>(m, 2 * L);
-    let m11 = lane_row::<L, _>(m, 3 * L);
-    let row = stride * L;
-    for chunk in amps.chunks_exact_mut(row << 1) {
-        let (lo, hi) = chunk.split_at_mut(row);
-        for (a, b) in lo.chunks_exact_mut(L).zip(hi.chunks_exact_mut(L)) {
-            let a: &mut [Complex64; L] = a.try_into().expect("lane row");
-            let b: &mut [Complex64; L] = b.try_into().expect("lane row");
-            for l in 0..L {
-                let a0 = a[l];
-                let a1 = b[l];
-                a[l] = Complex64::new(
-                    m00[l] * a0.re + m01[l] * a1.re,
-                    m00[l] * a0.im + m01[l] * a1.im,
-                );
-                b[l] = Complex64::new(
-                    m10[l] * a0.re + m11[l] * a1.re,
-                    m10[l] * a0.im + m11[l] * a1.im,
-                );
-            }
-        }
-    }
-}
-
-/// Batched twin of [`apply_1q_real_f64`]: per-lane real 2x2 unitaries on a
-/// lane-major `f64` state.
-pub(crate) fn apply_1q_real_f64_batch(amps: &mut [f64], m: &[f64], lanes: usize, stride: usize) {
-    debug_assert!(m.len() >= 4 * lanes);
-    debug_assert!(amps.len().is_multiple_of((stride << 1) * lanes));
-    lane_dispatch!(lanes, apply_1q_real_f64_batch_mono(amps, m, stride));
-}
-
-fn apply_1q_real_f64_batch_mono<const L: usize>(amps: &mut [f64], m: &[f64], stride: usize) {
-    let m00 = lane_row::<L, _>(m, 0);
-    let m01 = lane_row::<L, _>(m, L);
-    let m10 = lane_row::<L, _>(m, 2 * L);
-    let m11 = lane_row::<L, _>(m, 3 * L);
-    if stride < 4 {
-        // Narrow strides: the lo/hi halves are one or two contiguous lane
-        // rows, which the vectorizer already handles at full width.
-        let (rows, rest) = amps.as_chunks_mut::<L>();
-        debug_assert!(rest.is_empty());
-        for chunk in rows.chunks_exact_mut(stride << 1) {
-            let (lo, hi) = chunk.split_at_mut(stride);
-            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                for l in 0..L {
-                    let a0 = a[l];
-                    let a1 = b[l];
-                    a[l] = m00[l] * a0 + m01[l] * a1;
-                    b[l] = m10[l] * a0 + m11[l] * a1;
-                }
-            }
-        }
-        return;
-    }
-    // Wide strides: a per-row inner loop here tempts the vectorizer into
-    // cross-row interleaving (permute-heavy, ~3x slower than row-wise
-    // math). Replicating the coefficient rows across a small tile lets the
-    // lo/hi halves be swept as flat contiguous spans instead — every load
-    // is a plain stride-1 vector load, no shuffles possible. `c[e][k*L+l]
-    // == m_e[l]` exactly, so the per-lane arithmetic is unchanged.
-    const TILE_ROWS: usize = 8;
-    debug_assert!(stride.is_power_of_two());
-    let t = stride.min(TILE_ROWS);
-    let tl = t * L;
-    let mut c = [[0.0f64; TILE_ROWS * MAX_LANES]; 4];
-    for (e, src) in [m00, m01, m10, m11].into_iter().enumerate() {
-        for k in 0..t {
-            c[e][k * L..k * L + L].copy_from_slice(src);
-        }
-    }
-    let (c00, c01, c10, c11) = (&c[0][..tl], &c[1][..tl], &c[2][..tl], &c[3][..tl]);
-    let row = stride * L;
-    for chunk in amps.chunks_exact_mut(row << 1) {
-        let (lo, hi) = chunk.split_at_mut(row);
-        for (la, lb) in lo.chunks_exact_mut(tl).zip(hi.chunks_exact_mut(tl)) {
-            for j in 0..tl {
-                let a0 = la[j];
-                let a1 = lb[j];
-                la[j] = c00[j] * a0 + c01[j] * a1;
-                lb[j] = c10[j] * a0 + c11[j] * a1;
-            }
-        }
-    }
-}
-
-/// Batched twin of [`apply_cx`] (element-generic like the scalar kernel).
-pub(crate) fn apply_cx_batch<T>(amps: &mut [T], lanes: usize, cbit: usize, tbit: usize) {
-    lane_dispatch!(lanes, apply_cx_batch_mono::<T>(amps, cbit, tbit));
-}
-
-fn apply_cx_batch_mono<const L: usize, T>(amps: &mut [T], cbit: usize, tbit: usize) {
-    let (lo, hi) = (cbit.min(tbit), cbit.max(tbit));
-    for_each_two_qubit_base_idx(amps.len() / L, lo, hi, |idx| {
-        let r0 = (idx | cbit) * L;
-        let r1 = (idx | cbit | tbit) * L;
-        for l in 0..L {
-            amps.swap(r0 + l, r1 + l);
-        }
-    });
-}
-
-/// Batched twin of [`apply_cz`].
-pub(crate) fn apply_cz_batch<T: Copy + core::ops::Neg<Output = T>>(
-    amps: &mut [T],
-    lanes: usize,
-    abit: usize,
-    bbit: usize,
-) {
-    lane_dispatch!(lanes, apply_cz_batch_mono::<T>(amps, abit, bbit));
-}
-
-fn apply_cz_batch_mono<const L: usize, T: Copy + core::ops::Neg<Output = T>>(
-    amps: &mut [T],
-    abit: usize,
-    bbit: usize,
-) {
-    let (lo, hi) = (abit.min(bbit), abit.max(bbit));
-    for_each_two_qubit_base_idx(amps.len() / L, lo, hi, |idx| {
-        let r = lane_row_mut::<L, _>(amps, (idx | abit | bbit) * L);
-        for v in r.iter_mut() {
-            *v = -*v;
-        }
-    });
-}
-
-/// Batched twin of [`apply_swap`].
-pub(crate) fn apply_swap_batch<T>(amps: &mut [T], lanes: usize, abit: usize, bbit: usize) {
-    lane_dispatch!(lanes, apply_swap_batch_mono::<T>(amps, abit, bbit));
-}
-
-fn apply_swap_batch_mono<const L: usize, T>(amps: &mut [T], abit: usize, bbit: usize) {
-    let (lo, hi) = (abit.min(bbit), abit.max(bbit));
-    for_each_two_qubit_base_idx(amps.len() / L, lo, hi, |idx| {
-        let ra = (idx | abit) * L;
-        let rb = (idx | bbit) * L;
-        for l in 0..L {
-            amps.swap(ra + l, rb + l);
-        }
-    });
-}
-
-/// Batched twin of [`apply_rzz_phases`] with per-lane diagonal phases
-/// (`minus[l]` / `plus[l]`).
-pub(crate) fn apply_rzz_batch(
-    amps: &mut [Complex64],
-    lanes: usize,
-    minus: &[Complex64],
-    plus: &[Complex64],
-    abit: usize,
-    bbit: usize,
-) {
-    debug_assert!(minus.len() >= lanes && plus.len() >= lanes);
-    lane_dispatch!(lanes, apply_rzz_batch_mono(amps, minus, plus, abit, bbit));
-}
-
-fn apply_rzz_batch_mono<const L: usize>(
-    amps: &mut [Complex64],
-    minus: &[Complex64],
-    plus: &[Complex64],
-    abit: usize,
-    bbit: usize,
-) {
-    let minus = lane_row::<L, _>(minus, 0);
-    let plus = lane_row::<L, _>(plus, 0);
-    let (lo, hi) = (abit.min(bbit), abit.max(bbit));
-    for_each_two_qubit_base_idx(amps.len() / L, lo, hi, |idx| {
-        let r = lane_row_mut::<L, _>(amps, idx * L);
-        for l in 0..L {
-            r[l] *= minus[l];
-        }
-        let r = lane_row_mut::<L, _>(amps, (idx | abit) * L);
-        for l in 0..L {
-            r[l] *= plus[l];
-        }
-        let r = lane_row_mut::<L, _>(amps, (idx | bbit) * L);
-        for l in 0..L {
-            r[l] *= plus[l];
-        }
-        let r = lane_row_mut::<L, _>(amps, (idx | abit | bbit) * L);
-        for l in 0..L {
-            r[l] *= minus[l];
-        }
-    });
-}
-
-/// Maximum lane count of a batched state (see [`crate::BatchStateVector`]);
-/// sizes the stack gather buffers of the batched superop kernels.
-pub(crate) const MAX_LANES: usize = 8;
-
-/// Batched twin of [`apply_super2`]: per-lane dense 4x4 superoperators. A
-/// complex superop holds its 16 entries entry-major in `m`
-/// (`m[(r * 4 + c) * lanes + l]`); a real superop holds them in the bare
-/// `f64` plane `mre` instead, so the lane loops load matrix rows stride-1
-/// rather than gathering `.re` out of interleaved complex pairs.
-pub(crate) fn apply_super2_batch(
-    amps: &mut [Complex64],
-    lanes: usize,
-    m: &[Complex64],
-    mre: &[f64],
-    b0: usize,
-    b1: usize,
-    real: bool,
-) {
-    debug_assert!(if real { mre.len() } else { m.len() } >= 16 * lanes);
-    debug_assert!(b0 < b1 && lanes <= MAX_LANES);
-    debug_assert!((amps.len() / lanes).is_multiple_of(b1 << 1));
-    lane_dispatch!(lanes, apply_super2_batch_mono(amps, m, mre, b0, b1, real));
-}
-
-fn apply_super2_batch_mono<const L: usize>(
-    amps: &mut [Complex64],
-    m: &[Complex64],
-    mre: &[f64],
-    b0: usize,
-    b1: usize,
-    real: bool,
-) {
-    let dim = amps.len() / L;
-    let mut v = [Complex64::ZERO; 4 * MAX_LANES];
-    for_each_two_qubit_base_idx(dim, b0, b1, |base| {
-        let idx = [base, base | b0, base | b1, base | b0 | b1];
-        for (c, &i) in idx.iter().enumerate() {
-            v[c * L..c * L + L].copy_from_slice(&amps[i * L..i * L + L]);
-        }
-        if real {
-            for (r, &i) in idx.iter().enumerate() {
-                let mut re = [0.0f64; L];
-                let mut im = [0.0f64; L];
-                for c in 0..4 {
-                    let mr = lane_row::<L, _>(mre, (r * 4 + c) * L);
-                    let vr = lane_row::<L, _>(&v, c * L);
-                    for l in 0..L {
-                        re[l] += mr[l] * vr[l].re;
-                        im[l] += mr[l] * vr[l].im;
-                    }
-                }
-                let out = lane_row_mut::<L, _>(amps, i * L);
-                for l in 0..L {
-                    out[l] = Complex64::new(re[l], im[l]);
-                }
-            }
-        } else {
-            for (r, &i) in idx.iter().enumerate() {
-                let mut acc = [Complex64::ZERO; L];
-                for c in 0..4 {
-                    let mr = lane_row::<L, _>(m, (r * 4 + c) * L);
-                    let vr = lane_row::<L, _>(&v, c * L);
-                    for l in 0..L {
-                        acc[l] += mr[l] * vr[l];
-                    }
-                }
-                amps[i * L..][..L].copy_from_slice(&acc);
-            }
-        }
-    });
-}
-
-/// Batched twin of [`apply_super3`]: per-lane dense 8x8 superoperators
-/// (`m[(r * 8 + c) * lanes + l]`, real superops in the `mre` plane — see
-/// [`apply_super2_batch`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_super3_batch(
-    amps: &mut [Complex64],
-    lanes: usize,
-    m: &[Complex64],
-    mre: &[f64],
-    b0: usize,
-    b1: usize,
-    b2: usize,
-    real: bool,
-) {
-    debug_assert!(if real { mre.len() } else { m.len() } >= 64 * lanes);
-    debug_assert!(b0 < b1 && b1 < b2 && lanes <= MAX_LANES);
-    debug_assert!((amps.len() / lanes).is_multiple_of(b2 << 1));
-    lane_dispatch!(
-        lanes,
-        apply_super3_batch_mono(amps, m, mre, b0, b1, b2, real)
-    );
-}
-
-fn apply_super3_batch_mono<const L: usize>(
-    amps: &mut [Complex64],
-    m: &[Complex64],
-    mre: &[f64],
-    b0: usize,
-    b1: usize,
-    b2: usize,
-    real: bool,
-) {
-    let dim = amps.len() / L;
-    let mut v = [Complex64::ZERO; 8 * MAX_LANES];
-    let mut top = 0usize;
-    while top < dim {
-        let mut outer = top;
-        let top_end = top + b2;
-        while outer < top_end {
-            let mut mid = outer;
-            let outer_end = outer + b1;
-            while mid < outer_end {
-                for base in mid..mid + b0 {
-                    let idx = [
-                        base,
-                        base | b0,
-                        base | b1,
-                        base | b0 | b1,
-                        base | b2,
-                        base | b0 | b2,
-                        base | b1 | b2,
-                        base | b0 | b1 | b2,
-                    ];
-                    for (c, &i) in idx.iter().enumerate() {
-                        v[c * L..c * L + L].copy_from_slice(&amps[i * L..i * L + L]);
-                    }
-                    if real {
-                        for (r, &i) in idx.iter().enumerate() {
-                            let mut re = [0.0f64; L];
-                            let mut im = [0.0f64; L];
-                            for c in 0..8 {
-                                let mr = lane_row::<L, _>(mre, (r * 8 + c) * L);
-                                let vr = lane_row::<L, _>(&v, c * L);
-                                for l in 0..L {
-                                    re[l] += mr[l] * vr[l].re;
-                                    im[l] += mr[l] * vr[l].im;
-                                }
-                            }
-                            let out = lane_row_mut::<L, _>(amps, i * L);
-                            for l in 0..L {
-                                out[l] = Complex64::new(re[l], im[l]);
-                            }
-                        }
-                    } else {
-                        for (r, &i) in idx.iter().enumerate() {
-                            let mut acc = [Complex64::ZERO; L];
-                            for c in 0..8 {
-                                let mr = lane_row::<L, _>(m, (r * 8 + c) * L);
-                                let vr = lane_row::<L, _>(&v, c * L);
-                                for l in 0..L {
-                                    acc[l] += mr[l] * vr[l];
-                                }
-                            }
-                            amps[i * L..][..L].copy_from_slice(&acc);
-                        }
-                    }
-                }
-                mid += b0 << 1;
-            }
-            outer += b1 << 1;
-        }
-        top += b2 << 1;
-    }
-}
-
-/// Batched twin of [`apply_super2_f64`] on a lane-major `f64` state (the
-/// matrices are per-lane real superops stored entry-major in a bare `f64`
-/// plane, so every load in the hot loop is stride-1).
-pub(crate) fn apply_super2_f64_batch(
-    amps: &mut [f64],
-    lanes: usize,
-    m: &[f64],
-    b0: usize,
-    b1: usize,
-) {
-    debug_assert!(m.len() >= 16 * lanes && b0 < b1 && lanes <= MAX_LANES);
-    debug_assert!((amps.len() / lanes).is_multiple_of(b1 << 1));
-    lane_dispatch!(lanes, apply_super2_f64_batch_mono(amps, m, b0, b1));
-}
-
-fn apply_super2_f64_batch_mono<const L: usize>(amps: &mut [f64], m: &[f64], b0: usize, b1: usize) {
-    let dim = amps.len() / L;
-    let mut v = [0.0f64; 4 * MAX_LANES];
-    for_each_two_qubit_base_idx(dim, b0, b1, |base| {
-        let idx = [base, base | b0, base | b1, base | b0 | b1];
-        for (c, &i) in idx.iter().enumerate() {
-            v[c * L..c * L + L].copy_from_slice(&amps[i * L..i * L + L]);
-        }
-        for (r, &i) in idx.iter().enumerate() {
-            let mut acc = [0.0f64; L];
-            for c in 0..4 {
-                let mr = lane_row::<L, _>(m, (r * 4 + c) * L);
-                let vr = lane_row::<L, _>(&v, c * L);
-                for l in 0..L {
-                    acc[l] += mr[l] * vr[l];
-                }
-            }
-            amps[i * L..][..L].copy_from_slice(&acc);
-        }
-    });
-}
-
-/// Batched twin of [`apply_super3_f64`].
-pub(crate) fn apply_super3_f64_batch(
-    amps: &mut [f64],
-    lanes: usize,
-    m: &[f64],
-    b0: usize,
-    b1: usize,
-    b2: usize,
-) {
-    debug_assert!(m.len() >= 64 * lanes && b0 < b1 && b1 < b2 && lanes <= MAX_LANES);
-    debug_assert!((amps.len() / lanes).is_multiple_of(b2 << 1));
-    lane_dispatch!(lanes, apply_super3_f64_batch_mono(amps, m, b0, b1, b2));
-}
-
-fn apply_super3_f64_batch_mono<const L: usize>(
-    amps: &mut [f64],
-    m: &[f64],
-    b0: usize,
-    b1: usize,
-    b2: usize,
-) {
-    let dim = amps.len() / L;
-    let mut v = [0.0f64; 8 * MAX_LANES];
-    let mut top = 0usize;
-    while top < dim {
-        let mut outer = top;
-        let top_end = top + b2;
-        while outer < top_end {
-            let mut mid = outer;
-            let outer_end = outer + b1;
-            while mid < outer_end {
-                for base in mid..mid + b0 {
-                    let idx = [
-                        base,
-                        base | b0,
-                        base | b1,
-                        base | b0 | b1,
-                        base | b2,
-                        base | b0 | b2,
-                        base | b1 | b2,
-                        base | b0 | b1 | b2,
-                    ];
-                    for (c, &i) in idx.iter().enumerate() {
-                        v[c * L..c * L + L].copy_from_slice(&amps[i * L..i * L + L]);
-                    }
-                    for (r, &i) in idx.iter().enumerate() {
-                        let mut acc = [0.0f64; L];
-                        for c in 0..8 {
-                            let mr = lane_row::<L, _>(m, (r * 8 + c) * L);
-                            let vr = lane_row::<L, _>(&v, c * L);
-                            for l in 0..L {
-                                acc[l] += mr[l] * vr[l];
-                            }
-                        }
-                        amps[i * L..][..L].copy_from_slice(&acc);
-                    }
-                }
-                mid += b0 << 1;
-            }
-            outer += b1 << 1;
-        }
-        top += b2 << 1;
-    }
-}
-
-thread_local! {
-    /// Per-thread gather scratch for the batched table kernels (an orbit
-    /// region times the lane count can exceed comfortable stack size).
-    static BATCH_TABLE_SCRATCH: core::cell::RefCell<Vec<Complex64>> =
-        const { core::cell::RefCell::new(Vec::new()) };
-    /// `f64` twin of [`BATCH_TABLE_SCRATCH`].
-    static BATCH_TABLE_SCRATCH_F64: core::cell::RefCell<Vec<f64>> =
-        const { core::cell::RefCell::new(Vec::new()) };
-}
-
-/// Batched twin of [`apply_table`]: shared permutation structure
-/// (`bits`/`offs`/`src`/`diagonal` are angle-independent, hence identical
-/// across lanes of one compiled structure) with per-lane phases
-/// (`phase[l * lanes + lane]`) and a per-lane `unit` flag.
-///
-/// The scalar kernel *branches* on `unit` — a unit lane is copied, never
-/// multiplied by its exactly-one phase (`re - im * 0.0` can flip a `-0.0`
-/// bit) — so mixed-unit batches blend per lane to stay bitwise identical.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_table_batch(
-    amps: &mut [Complex64],
-    lanes: usize,
-    bits: &[usize],
-    offs: &[usize],
-    src: &[u8],
-    phase: &[Complex64],
-    diagonal: bool,
-    unit: &[bool],
-) {
-    lane_dispatch!(
-        lanes,
-        apply_table_batch_mono(amps, bits, offs, src, phase, diagonal, unit)
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn apply_table_batch_mono<const L: usize>(
-    amps: &mut [Complex64],
-    bits: &[usize],
-    offs: &[usize],
-    src: &[u8],
-    phase: &[Complex64],
-    diagonal: bool,
-    unit: &[bool],
-) {
-    let s = bits.len();
-    let size = 1usize << s;
-    debug_assert!(offs.len() == size && src.len() == size && phase.len() >= size * L);
-    debug_assert!(unit.len() >= L);
-    let dim = amps.len() / L;
-    debug_assert!(dim.is_multiple_of(bits[s - 1] << 1));
-    let n_orbits = dim >> s;
-    let all_unit = unit[..L].iter().all(|&u| u);
-    let any_unit = unit[..L].iter().any(|&u| u);
-    BATCH_TABLE_SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        buf.resize(size * L, Complex64::ZERO);
-        for o in 0..n_orbits {
-            let base = expand_orbit(o, bits);
-            if diagonal {
-                for (l, &off) in offs.iter().enumerate() {
-                    let row = lane_row_mut::<L, _>(amps, (base + off) * L);
-                    let ph = lane_row::<L, _>(phase, l * L);
-                    for la in 0..L {
-                        row[la] *= ph[la];
-                    }
-                }
-                continue;
-            }
-            for l in 0..size {
-                let srow = lane_row::<L, _>(amps, (base + offs[src[l] as usize]) * L);
-                let dst = lane_row_mut::<L, _>(&mut buf, l * L);
-                if all_unit {
-                    dst.copy_from_slice(srow);
-                } else if !any_unit {
-                    let ph = lane_row::<L, _>(phase, l * L);
-                    for la in 0..L {
-                        dst[la] = ph[la] * srow[la];
-                    }
-                } else {
-                    let ph = lane_row::<L, _>(phase, l * L);
-                    for la in 0..L {
-                        dst[la] = if unit[la] {
-                            srow[la]
-                        } else {
-                            ph[la] * srow[la]
-                        };
-                    }
-                }
-            }
-            for l in 0..size {
-                amps[(base + offs[l]) * L..][..L].copy_from_slice(&buf[l * L..][..L]);
-            }
-        }
-    });
-}
-
-/// Batched twin of [`apply_table_contig`]: contiguous-support block
-/// permutation on a lane-major state (an orbit region is one contiguous
-/// `2^(shift + s) * lanes` run; the permutation moves `2^shift`-row lane
-/// blocks).
-pub(crate) fn apply_table_contig_batch(
-    amps: &mut [Complex64],
-    lanes: usize,
-    shift: usize,
-    src: &[u8],
-    phase: &[Complex64],
-    diagonal: bool,
-    unit: &[bool],
-) {
-    lane_dispatch!(
-        lanes,
-        apply_table_contig_batch_mono(amps, shift, src, phase, diagonal, unit)
-    );
-}
-
-fn apply_table_contig_batch_mono<const L: usize>(
-    amps: &mut [Complex64],
-    shift: usize,
-    src: &[u8],
-    phase: &[Complex64],
-    diagonal: bool,
-    unit: &[bool],
-) {
-    let size = src.len();
-    let region = size << shift;
-    debug_assert!(phase.len() >= size * L && unit.len() >= L);
-    debug_assert!((amps.len() / L).is_multiple_of(region));
-    let blk_len = (1usize << shift) * L;
-    if diagonal {
-        for chunk in amps.chunks_exact_mut(region * L) {
-            for (l, blk) in chunk.chunks_exact_mut(blk_len).enumerate() {
-                let ph = lane_row::<L, _>(phase, l * L);
-                for row in blk.chunks_exact_mut(L) {
-                    let row: &mut [Complex64; L] = row.try_into().expect("lane row");
-                    for la in 0..L {
-                        row[la] *= ph[la];
-                    }
-                }
-            }
-        }
-        return;
-    }
-    let all_unit = unit[..L].iter().all(|&u| u);
-    let any_unit = unit[..L].iter().any(|&u| u);
-    BATCH_TABLE_SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        scratch.resize(region * L, Complex64::ZERO);
-        for chunk in amps.chunks_exact_mut(region * L) {
-            scratch.copy_from_slice(chunk);
-            for (l, blk) in chunk.chunks_exact_mut(blk_len).enumerate() {
-                let sblk = &scratch[(src[l] as usize) * blk_len..][..blk_len];
-                if all_unit {
-                    blk.copy_from_slice(sblk);
-                    continue;
-                }
-                let ph = lane_row::<L, _>(phase, l * L);
-                if !any_unit {
-                    for (drow, srow) in blk.chunks_exact_mut(L).zip(sblk.chunks_exact(L)) {
-                        let drow: &mut [Complex64; L] = drow.try_into().expect("lane row");
-                        let srow: &[Complex64; L] = srow.try_into().expect("lane row");
-                        for la in 0..L {
-                            drow[la] = ph[la] * srow[la];
-                        }
-                    }
-                } else {
-                    for (drow, srow) in blk.chunks_exact_mut(L).zip(sblk.chunks_exact(L)) {
-                        let drow: &mut [Complex64; L] = drow.try_into().expect("lane row");
-                        let srow: &[Complex64; L] = srow.try_into().expect("lane row");
-                        for la in 0..L {
-                            drow[la] = if unit[la] {
-                                srow[la]
-                            } else {
-                                ph[la] * srow[la]
-                            };
-                        }
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// Batched twin of [`apply_table_f64`] on a lane-major `f64` state
-/// (RZZ-free ladder phases are exactly real, applied as `phase.re`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_table_f64_batch(
-    amps: &mut [f64],
-    lanes: usize,
-    bits: &[usize],
-    offs: &[usize],
-    src: &[u8],
-    phase: &[Complex64],
-    diagonal: bool,
-    unit: &[bool],
-) {
-    lane_dispatch!(
-        lanes,
-        apply_table_f64_batch_mono(amps, bits, offs, src, phase, diagonal, unit)
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn apply_table_f64_batch_mono<const L: usize>(
-    amps: &mut [f64],
-    bits: &[usize],
-    offs: &[usize],
-    src: &[u8],
-    phase: &[Complex64],
-    diagonal: bool,
-    unit: &[bool],
-) {
-    let s = bits.len();
-    let size = 1usize << s;
-    debug_assert!(offs.len() == size && src.len() == size && phase.len() >= size * L);
-    debug_assert!(unit.len() >= L);
-    let dim = amps.len() / L;
-    debug_assert!(dim.is_multiple_of(bits[s - 1] << 1));
-    let n_orbits = dim >> s;
-    let all_unit = unit[..L].iter().all(|&u| u);
-    let any_unit = unit[..L].iter().any(|&u| u);
-    BATCH_TABLE_SCRATCH_F64.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        buf.resize(size * L, 0.0);
-        for o in 0..n_orbits {
-            let base = expand_orbit(o, bits);
-            if diagonal {
-                for (l, &off) in offs.iter().enumerate() {
-                    let row = lane_row_mut::<L, _>(amps, (base + off) * L);
-                    let ph = lane_row::<L, _>(phase, l * L);
-                    for la in 0..L {
-                        row[la] *= ph[la].re;
-                    }
-                }
-                continue;
-            }
-            for l in 0..size {
-                let srow = lane_row::<L, _>(amps, (base + offs[src[l] as usize]) * L);
-                let dst = lane_row_mut::<L, _>(&mut buf, l * L);
-                if all_unit {
-                    dst.copy_from_slice(srow);
-                } else if !any_unit {
-                    let ph = lane_row::<L, _>(phase, l * L);
-                    for la in 0..L {
-                        dst[la] = ph[la].re * srow[la];
-                    }
-                } else {
-                    let ph = lane_row::<L, _>(phase, l * L);
-                    for la in 0..L {
-                        dst[la] = if unit[la] {
-                            srow[la]
-                        } else {
-                            ph[la].re * srow[la]
-                        };
-                    }
-                }
-            }
-            for l in 0..size {
-                amps[(base + offs[l]) * L..][..L].copy_from_slice(&buf[l * L..][..L]);
-            }
-        }
-    });
-}
-
-/// Batched twin of [`apply_table_contig_f64`]. Takes the state as a `Vec`
-/// because the non-diagonal path gathers into a same-size scratch and
-/// buffer-swaps instead of the scalar kernel's copy-then-permute-in-place —
-/// half the memory traffic, identical values in identical slots.
-pub(crate) fn apply_table_contig_f64_batch(
-    amps: &mut Vec<f64>,
-    lanes: usize,
-    shift: usize,
-    src: &[u8],
-    phase: &[Complex64],
-    diagonal: bool,
-    unit: &[bool],
-) {
-    lane_dispatch!(
-        lanes,
-        apply_table_contig_f64_batch_mono(amps, shift, src, phase, diagonal, unit)
-    );
-}
-
-fn apply_table_contig_f64_batch_mono<const L: usize>(
-    amps: &mut Vec<f64>,
-    shift: usize,
-    src: &[u8],
-    phase: &[Complex64],
-    diagonal: bool,
-    unit: &[bool],
-) {
-    let size = src.len();
-    let region = size << shift;
-    debug_assert!(phase.len() >= size * L && unit.len() >= L);
-    debug_assert!((amps.len() / L).is_multiple_of(region));
-    let blk_len = (1usize << shift) * L;
-    if diagonal {
-        for chunk in amps.chunks_exact_mut(region * L) {
-            for (l, blk) in chunk.chunks_exact_mut(blk_len).enumerate() {
-                let ph = lane_row::<L, _>(phase, l * L);
-                for row in blk.chunks_exact_mut(L) {
-                    let row: &mut [f64; L] = row.try_into().expect("lane row");
-                    for la in 0..L {
-                        row[la] *= ph[la].re;
-                    }
-                }
-            }
-        }
-        return;
-    }
-    let all_unit = unit[..L].iter().all(|&u| u);
-    let any_unit = unit[..L].iter().any(|&u| u);
-    BATCH_TABLE_SCRATCH_F64.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        // Steady state (same width as the last call) skips the zero-fill;
-        // every element below is overwritten before the swap.
-        scratch.resize(amps.len(), 0.0);
-        if shift == 0 {
-            // Each block is exactly one lane row, so the gather is a
-            // permutation of `[f64; L]` array rows. The const-size copy
-            // compiles to straight vector moves, where the generic path
-            // below pays a runtime-length `memmove` per row.
-            let (dst_rows, _) = scratch.as_chunks_mut::<L>();
-            let (src_rows, _) = amps.as_chunks::<L>();
-            for (chunk, prev) in dst_rows
-                .chunks_exact_mut(size)
-                .zip(src_rows.chunks_exact(size))
-            {
-                for (l, drow) in chunk.iter_mut().enumerate() {
-                    let srow = &prev[src[l] as usize];
-                    if all_unit {
-                        *drow = *srow;
-                        continue;
-                    }
-                    let ph = lane_row::<L, _>(phase, l * L);
-                    for la in 0..L {
-                        drow[la] = if any_unit && unit[la] {
-                            srow[la]
-                        } else {
-                            ph[la].re * srow[la]
-                        };
-                    }
-                }
-            }
-            core::mem::swap(&mut *scratch, amps);
-            return;
-        }
-        for (chunk, prev) in scratch
-            .chunks_exact_mut(region * L)
-            .zip(amps.chunks_exact(region * L))
-        {
-            for (l, blk) in chunk.chunks_exact_mut(blk_len).enumerate() {
-                let sblk = &prev[(src[l] as usize) * blk_len..][..blk_len];
-                if all_unit {
-                    blk.copy_from_slice(sblk);
-                    continue;
-                }
-                let ph = lane_row::<L, _>(phase, l * L);
-                if !any_unit {
-                    for (drow, srow) in blk.chunks_exact_mut(L).zip(sblk.chunks_exact(L)) {
-                        let drow: &mut [f64; L] = drow.try_into().expect("lane row");
-                        let srow: &[f64; L] = srow.try_into().expect("lane row");
-                        for la in 0..L {
-                            drow[la] = ph[la].re * srow[la];
-                        }
-                    }
-                } else {
-                    for (drow, srow) in blk.chunks_exact_mut(L).zip(sblk.chunks_exact(L)) {
-                        let drow: &mut [f64; L] = drow.try_into().expect("lane row");
-                        let srow: &[f64; L] = srow.try_into().expect("lane row");
-                        for la in 0..L {
-                            drow[la] = if unit[la] {
-                                srow[la]
-                            } else {
-                                ph[la].re * srow[la]
-                            };
-                        }
-                    }
-                }
-            }
-        }
-        core::mem::swap(&mut *scratch, amps);
     });
 }
 

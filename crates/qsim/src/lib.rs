@@ -13,9 +13,6 @@
 //!   rebind-forever execution plans behind the allocation-free objective
 //!   hot path (fused single-qubit runs, single-sweep diagonal expectation,
 //!   Hermitian pair-skipping for off-diagonal terms).
-//! * [`BatchStateVector`] / [`BatchedCircuit`] — lane-batched
-//!   structure-of-arrays execution of one plan at B parameter points in
-//!   lockstep, bitwise identical to the sequential path per lane.
 //! * [`DensityMatrix`] + [`KrausChannel`] — mixed-state evolution under the
 //!   standard NISQ error channels (amplitude/phase damping, depolarizing),
 //!   used for circuit-fidelity studies (paper Fig. 4) and for validating the
@@ -47,7 +44,6 @@
 #![warn(missing_docs)]
 
 mod backend;
-mod batch;
 mod circuit;
 mod compile;
 mod counts;
@@ -63,7 +59,6 @@ pub mod statevector;
 pub use backend::{
     Backend, BackendPool, CachedStatevectorBackend, SharedBackend, StatevectorBackend,
 };
-pub use batch::{BatchStateVector, BatchedCircuit, MAX_LANES};
 pub use circuit::{Circuit, CircuitError, Op};
 pub use compile::{CompiledCircuit, CompiledObservable};
 pub use counts::Counts;

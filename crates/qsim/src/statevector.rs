@@ -98,20 +98,9 @@ impl StateVector {
     }
 
     /// Mutable amplitude slice — the seam the compiled-plan executor uses to
-    /// run slice kernels (including region-partitioned parallel applies)
-    /// directly on the state.
+    /// run slice kernels directly on the state.
     pub(crate) fn amps_mut(&mut self) -> &mut [Complex64] {
         &mut self.amps
-    }
-
-    /// Fills the state from a strided amplitude slice: amplitude `i` is
-    /// read from `src[i * stride + offset]`. This is the lane-extraction
-    /// seam of the batched (structure-of-arrays) engine, where `stride` is
-    /// the lane count and `offset` the lane index.
-    pub(crate) fn fill_from_strided(&mut self, src: &[Complex64], stride: usize, offset: usize) {
-        for (i, a) in self.amps.iter_mut().enumerate() {
-            *a = src[i * stride + offset];
-        }
     }
 
     /// Squared-norm of the state (should be 1 up to round-off).

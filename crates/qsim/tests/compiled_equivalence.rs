@@ -2,8 +2,9 @@
 //! kernels: random circuits and random `PauliSum`s must evaluate identically
 //! (to <= 1e-12) through every path — interpreted gate dispatch with the
 //! legacy per-term expectation sweeps, compiled plans with the fused
-//! observable kernel, and the backend plan caches — and in-place rebinding
-//! must equal a fresh compile-and-bind.
+//! observable kernel, and the backend plan caches — in-place rebinding
+//! must equal a fresh compile-and-bind, and a plan batch must equal a loop
+//! of single plan evaluations bit for bit.
 
 use proptest::prelude::*;
 use qismet_qsim::statevector::reference;
@@ -63,6 +64,40 @@ fn build_pauli_sum(n: usize, terms: &[(f64, u64)]) -> PauliSum {
         h.add_term(coeff, PauliString::from_label(&label).unwrap());
     }
     h
+}
+
+/// Promotes every `free_stride`-th parameterized gate of `fixed` to the
+/// next free parameter slot.
+fn with_free_params(fixed: &Circuit, free_stride: usize) -> Circuit {
+    let mut c = Circuit::new(fixed.n_qubits());
+    let mut next_free = 0usize;
+    for (i, op) in fixed.ops().iter().enumerate() {
+        let gate = match (op.gate, i % free_stride == 0) {
+            (Gate::Rx(_), true) => Gate::Rx(Param::Free(next_free)),
+            (Gate::Ry(_), true) => Gate::Ry(Param::Free(next_free)),
+            (Gate::Rz(_), true) => Gate::Rz(Param::Free(next_free)),
+            (Gate::Phase(_), true) => Gate::Phase(Param::Free(next_free)),
+            (Gate::Rzz(_), true) => Gate::Rzz(Param::Free(next_free)),
+            (g, _) => g,
+        };
+        if gate.param() == Some(Param::Free(next_free)) {
+            next_free += 1;
+        }
+        c.append(gate, op.operands());
+    }
+    c
+}
+
+/// `count` random parameter points of width `n_params`.
+fn random_points(n_params: usize, count: usize, seed: u64) -> Vec<Vec<f64>> {
+    (0..count as u64)
+        .map(|k| {
+            let mut rng = qismet_mathkit::rng_from_seed(seed + k);
+            (0..n_params)
+                .map(|_| rand::Rng::gen::<f64>(&mut rng) * 6.0 - 3.0)
+                .collect()
+        })
+        .collect()
 }
 
 fn arb_gates() -> impl Strategy<Value = Vec<(usize, usize, usize, f64)>> {
@@ -154,31 +189,8 @@ proptest! {
         free_stride in 1usize..4,
         p_seed in 0u64..1_000_000,
     ) {
-        // Promote every free_stride-th parameterized gate to a free slot.
-        let fixed = build_circuit(n, &gates);
-        let mut c = Circuit::new(n);
-        let mut next_free = 0usize;
-        for (i, op) in fixed.ops().iter().enumerate() {
-            let gate = match (op.gate, i % free_stride == 0) {
-                (Gate::Rx(_), true) => Gate::Rx(Param::Free(next_free)),
-                (Gate::Ry(_), true) => Gate::Ry(Param::Free(next_free)),
-                (Gate::Rz(_), true) => Gate::Rz(Param::Free(next_free)),
-                (Gate::Phase(_), true) => Gate::Phase(Param::Free(next_free)),
-                (Gate::Rzz(_), true) => Gate::Rzz(Param::Free(next_free)),
-                (g, _) => g,
-            };
-            if gate.param() == Some(Param::Free(next_free)) {
-                next_free += 1;
-            }
-            c.append(gate, op.operands());
-        }
-        let n_params = c.n_params();
-        let points: Vec<Vec<f64>> = (0..3)
-            .map(|k| {
-                let mut rng = qismet_mathkit::rng_from_seed(p_seed + k);
-                (0..n_params).map(|_| rand::Rng::gen::<f64>(&mut rng) * 6.0 - 3.0).collect()
-            })
-            .collect();
+        let c = with_free_params(&build_circuit(n, &gates), free_stride);
+        let points = random_points(c.n_params(), 3, p_seed);
 
         let mut reused = CompiledCircuit::compile(&c);
         for point in &points {
@@ -188,6 +200,42 @@ proptest! {
             fresh.rebind(point).unwrap();
             let once = fresh.state().unwrap();
             prop_assert_eq!(rebound.amplitudes(), once.amplitudes());
+        }
+    }
+
+    // The backend seam: evaluate_plan_batch on the cached and fresh backends
+    // agrees bitwise with a loop of evaluate_plan calls at any point count.
+    // `real_only` restricts the gates to ry/cx/cz/swap, so wide enough
+    // plans take the real-amplitude run mode.
+    #[test]
+    fn backend_plan_batch_matches_singles_bitwise(
+        n in 1usize..7,
+        gates in arb_gates(),
+        real_only in 0usize..2,
+        count in 1usize..23,
+        p_seed in 0u64..1_000_000,
+    ) {
+        let gates: Vec<_> = if real_only == 1 {
+            gates.iter().map(|&(kind, a, b, t)| ([10, 13, 14, 15][kind % 4], a, b, t)).collect()
+        } else {
+            gates
+        };
+        let c = with_free_params(&build_circuit(n, &gates), 1);
+        let h = build_pauli_sum(n, &[(-1.0, 0b1111), (0.7, 0b0101), (-0.4, 0b1001)]);
+        let obs = CompiledObservable::compile(&h);
+        let points = random_points(c.n_params(), count, p_seed);
+        let mut cached = CachedStatevectorBackend::new();
+        let mut fresh = StatevectorBackend::new();
+        let mut plan = CompiledCircuit::compile(&c);
+        let singles: Vec<f64> = points
+            .iter()
+            .map(|p| cached.evaluate_plan(&mut plan, p, &obs).unwrap())
+            .collect();
+        let via_cached = cached.evaluate_plan_batch(&mut plan, &points, &obs).unwrap();
+        let via_fresh = fresh.evaluate_plan_batch(&mut plan, &points, &obs).unwrap();
+        for (i, s) in singles.iter().enumerate() {
+            prop_assert_eq!(s.to_bits(), via_cached[i].to_bits(), "cached point {}", i);
+            prop_assert_eq!(s.to_bits(), via_fresh[i].to_bits(), "fresh point {}", i);
         }
     }
 }

@@ -1,9 +1,7 @@
 //! Property tests for the fused statevector kernels: circuit shapes that
 //! drive the lowering into its k-qubit superop and permutation-table paths
 //! must agree with interpreted gate-by-gate dispatch and with the
-//! `statevector::reference` expectation kernels to `<= 1e-12`, and the
-//! in-state parallel apply must be **bitwise** identical to the sequential
-//! sweep at any thread count.
+//! `statevector::reference` expectation kernels to `<= 1e-12`.
 
 use proptest::prelude::*;
 use qismet_qsim::statevector::reference;
@@ -178,38 +176,5 @@ fn real_amplitude_run_matches_reference() {
         .enumerate()
     {
         assert!(a.approx_eq(*b, TOL), "amplitude {i}: {a} vs {b}");
-    }
-}
-
-// The in-state parallel apply partitions a 16-qubit state (above the
-// parallelism threshold) and must reproduce the sequential sweep bit for
-// bit at every thread count. Fewer cases: each one sweeps 2^16 amplitudes.
-#[cfg(feature = "parallel")]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    #[test]
-    fn parallel_apply_bitwise_identical_across_thread_counts(
-        draws in arb_draws(24),
-        shape in 0usize..2,
-    ) {
-        let n = 16;
-        let c = if shape == 0 {
-            ladder_circuit(n, &draws)
-        } else {
-            superop_circuit(n, &draws)
-        };
-        let plan = CompiledCircuit::compile(&c);
-        let mut seq = StateVector::new(n);
-        plan.run(&mut seq).unwrap();
-        let obs = CompiledObservable::compile(&tfim(n));
-        let e_seq = obs.expectation(&seq);
-        for threads in [1usize, 2, 4] {
-            let mut par = StateVector::new(n);
-            plan.run_threaded(&mut par, threads).unwrap();
-            prop_assert_eq!(seq.amplitudes(), par.amplitudes(), "threads={}", threads);
-            let e_par = obs.expectation_threaded(&par, threads);
-            prop_assert_eq!(e_seq.to_bits(), e_par.to_bits(), "threads={}", threads);
-        }
     }
 }

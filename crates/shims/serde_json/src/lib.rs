@@ -160,15 +160,23 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`from_str`] accepts (upstream
+/// `serde_json`'s default limit). The parser recurses once per level, so
+/// without a cap a frame of a few hundred thousand `[` bytes overflows the
+/// thread stack and aborts the process instead of returning an error.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -224,8 +232,22 @@ impl<'a> Parser<'a> {
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'"' => self.string().map(Value::String),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            open @ (b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::new(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             _ => self.number(),
         }
     }
@@ -424,6 +446,18 @@ mod tests {
         assert!(from_str::<f64>("1.0garbage").is_err());
         assert!(from_str::<Vec<f64>>("[1,").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_str::<Value>(&at_cap).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = from_str::<Value>(&over).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        // Far past any thread stack: still an error, not an abort.
+        assert!(from_str::<Value>(&"[".repeat(100_000)).is_err());
+        assert!(from_str::<Value>(&r#"{"a":"#.repeat(100_000)).is_err());
     }
 
     #[test]

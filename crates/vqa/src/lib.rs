@@ -59,11 +59,9 @@ pub use history::{
     RunSummary,
 };
 pub use job::{JobLayout, JobRequest, JobResult};
-pub use objective::{
-    execute_lockstep, ExactObjective, NoisyObjective, NoisyObjectiveConfig, ObjectiveError,
-};
+pub use objective::{ExactObjective, NoisyObjective, NoisyObjectiveConfig, ObjectiveError};
 pub use qaoa::{
     approximation_ratio as qaoa_approximation_ratio, maxcut_hamiltonian, qaoa_circuit, Graph,
 };
-pub use runner::{run_tuning, run_tuning_lockstep, RunRecord, TuningLane, TuningScheme};
+pub use runner::{run_tuning, RunRecord, TuningScheme};
 pub use tfim::{Boundary, Tfim};

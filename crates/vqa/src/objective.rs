@@ -437,18 +437,6 @@ impl NoisyObjective {
     /// as the sequential path would have).
     pub fn execute(&mut self, request: &JobRequest) -> Result<JobResult, ObjectiveError> {
         let ideals = self.exact.eval_batch(request.points());
-        self.apply_noise_stack(ideals, request)
-    }
-
-    /// Applies this objective's noise stack to pre-computed ideal values in
-    /// submission order — the back half of [`NoisyObjective::execute`],
-    /// shared with the lockstep path so both consume the RNG and the job
-    /// counter identically.
-    fn apply_noise_stack(
-        &mut self,
-        ideals: Vec<f64>,
-        request: &JobRequest,
-    ) -> Result<JobResult, ObjectiveError> {
         let mut values = Vec::with_capacity(ideals.len());
         for ideal in ideals {
             let job = self.job;
@@ -459,65 +447,6 @@ impl NoisyObjective {
         }
         Ok(JobResult::new(values, request.rerun_index()))
     }
-}
-
-/// Executes one [`JobRequest`] per independent trajectory (lane) as a
-/// single cross-lane batched backend call: every lane's ideal evaluations
-/// are concatenated into one `evaluate_plan_batch` on lane 0's backend —
-/// where the lane-batched statevector engine runs them in lockstep — and
-/// each lane's noise stack is then applied in lane order.
-///
-/// Per-lane results, RNG streams, eval counters, and job counters are
-/// **bitwise identical** to calling [`NoisyObjective::execute`] on each
-/// lane sequentially: ideal evaluations are RNG-free and grouping-invariant
-/// (the [`Backend`] batch contract), and each lane's noise application
-/// consumes only that lane's RNG in unchanged order.
-///
-/// All lanes must share one ansatz/Hamiltonian structure (independent
-/// trajectories of the same scenario — each lane keeps its own angles,
-/// seed, trace, and job counter).
-///
-/// # Errors
-///
-/// The first lane's [`ObjectiveError::TraceExhausted`], if any; earlier
-/// lanes are already accounted, exactly as sequential execution would
-/// leave them.
-///
-/// # Panics
-///
-/// Panics if `objectives` and `requests` differ in length or the lanes
-/// disagree on ansatz width or parameter count.
-pub fn execute_lockstep(
-    objectives: &mut [&mut NoisyObjective],
-    requests: &[JobRequest],
-) -> Result<Vec<JobResult>, ObjectiveError> {
-    assert_eq!(objectives.len(), requests.len(), "one request per lane");
-    if objectives.is_empty() {
-        return Ok(Vec::new());
-    }
-    let lead = objectives[0].exact.ansatz();
-    let (n_qubits, n_params) = (lead.n_qubits(), lead.n_params());
-    for obj in objectives.iter().skip(1) {
-        assert_eq!(obj.exact.ansatz().n_qubits(), n_qubits, "lane ansatz width");
-        assert_eq!(
-            obj.exact.ansatz().n_params(),
-            n_params,
-            "lane parameter count"
-        );
-    }
-    let all_points: Vec<Vec<f64>> = requests
-        .iter()
-        .flat_map(|r| r.points().iter().cloned())
-        .collect();
-    let ideals = objectives[0].exact.eval_batch(&all_points);
-    let mut out = Vec::with_capacity(objectives.len());
-    let mut off = 0usize;
-    for (obj, req) in objectives.iter_mut().zip(requests) {
-        let lane_ideals = ideals[off..off + req.len()].to_vec();
-        off += req.len();
-        out.push(obj.apply_noise_stack(lane_ideals, req)?);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! makes its rerun-based transient estimate meaningful.
 
 use crate::job::JobRequest;
-use crate::objective::{execute_lockstep, NoisyObjective};
+use crate::objective::NoisyObjective;
 use qismet_optim::{BlockingPolicy, Proposer};
 
 /// How candidate parameters are admitted each iteration.
@@ -159,201 +159,6 @@ pub fn run_tuning(
     }
 }
 
-/// One independent trajectory of a lockstep tuning group: its own
-/// optimizer, its own noisy objective (seed, trace, job counter), and its
-/// own starting parameters. All lanes of a group must share one
-/// ansatz/Hamiltonian structure.
-pub struct TuningLane<'a> {
-    /// The lane's optimizer state.
-    pub proposer: &'a mut dyn Proposer,
-    /// The lane's noisy objective (independent seed and transient trace).
-    pub objective: &'a mut NoisyObjective,
-    /// The lane's starting parameters.
-    pub theta0: Vec<f64>,
-}
-
-/// Runs `iterations` of VQA tuning for B independent same-structure
-/// trajectories in **lockstep**: the per-lane control flow is exactly
-/// [`run_tuning`]'s, but every evaluation site — the initial incumbent
-/// measurement, each iteration's gradient batch, the candidate
-/// measurement, rejected lanes' fresh re-measurements, and the exact
-/// analysis series — executes all lanes as one cross-lane batched backend
-/// call, which the lane-batched statevector engine evaluates in one SoA
-/// state.
-///
-/// Each lane's [`RunRecord`] is **bitwise identical** to running that lane
-/// alone through [`run_tuning`]: per-lane RNG, job, and optimizer state
-/// are self-contained, ideal evaluations are RNG-free, and the backend
-/// batch contract makes values independent of the grouping. Lanes whose
-/// optimizer cannot name its query points up front
-/// (`eval_points() == None`) fall back to their own sequential callback
-/// path for that iteration, still bitwise identical.
-///
-/// # Panics
-///
-/// Panics if the lanes disagree on parameter count, or if any lane's
-/// transient trace is too short (same headroom rule as [`run_tuning`]).
-pub fn run_tuning_lockstep(
-    lanes: &mut [TuningLane<'_>],
-    iterations: usize,
-    scheme: TuningScheme,
-) -> Vec<RunRecord> {
-    let b = lanes.len();
-    if b == 0 {
-        return Vec::new();
-    }
-    let n_params = lanes[0].theta0.len();
-    for lane in lanes.iter() {
-        assert_eq!(lane.theta0.len(), n_params, "lane parameter count");
-    }
-    let mut theta: Vec<Vec<f64>> = lanes.iter().map(|l| l.theta0.clone()).collect();
-    let mut measured: Vec<Vec<f64>> = vec![Vec::with_capacity(iterations); b];
-    let mut exact: Vec<Vec<f64>> = vec![Vec::with_capacity(iterations); b];
-    let mut accepted = vec![0usize; b];
-    let mut rejected = vec![0usize; b];
-    let mut blocking: Vec<Option<BlockingPolicy>> = (0..b)
-        .map(|_| match &scheme {
-            TuningScheme::Baseline => None,
-            TuningScheme::Blocking(p) => Some(p.clone()),
-        })
-        .collect();
-
-    // Cross-lane batched single-point measurement at each lane's current
-    // job (the lockstep twin of per-lane `measure` + `advance_job`).
-    fn measure_all(lanes: &mut [TuningLane<'_>], points: &[Vec<f64>]) -> Vec<f64> {
-        let reqs: Vec<JobRequest> = points
-            .iter()
-            .map(|p| JobRequest::shared_job(vec![p.clone()]))
-            .collect();
-        let mut objs: Vec<&mut NoisyObjective> =
-            lanes.iter_mut().map(|l| &mut *l.objective).collect();
-        let results = execute_lockstep(&mut objs, &reqs).unwrap_or_else(|e| panic!("{e}"));
-        for lane in lanes.iter_mut() {
-            lane.objective.advance_job();
-        }
-        results.into_iter().map(|r| r.values()[0]).collect()
-    }
-
-    let mut incumbent = measure_all(lanes, &theta);
-
-    for _ in 0..iterations {
-        // Gradient estimates: lanes whose optimizer names its points up
-        // front share one cross-lane job-per-eval batch; the rest take
-        // their own callback path (independent RNG streams, so order
-        // across lanes cannot change any lane's bits).
-        let points_per_lane: Vec<Option<Vec<Vec<f64>>>> = lanes
-            .iter_mut()
-            .zip(&theta)
-            .map(|(lane, th)| lane.proposer.eval_points(th))
-            .collect();
-        let batched_lanes: Vec<usize> = (0..b).filter(|&l| points_per_lane[l].is_some()).collect();
-        let mut proposals: Vec<Option<qismet_optim::Proposal>> = (0..b).map(|_| None).collect();
-        if !batched_lanes.is_empty() {
-            let reqs: Vec<JobRequest> = batched_lanes
-                .iter()
-                .map(|&l| {
-                    JobRequest::job_per_eval(points_per_lane[l].clone().expect("filtered Some"))
-                })
-                .collect();
-            let mut objs: Vec<&mut NoisyObjective> = Vec::with_capacity(batched_lanes.len());
-            let mut rest: &mut [TuningLane<'_>] = lanes;
-            let mut prev = 0usize;
-            for &l in &batched_lanes {
-                let (skip, tail) = rest.split_at_mut(l - prev);
-                let (head, tail) = tail.split_first_mut().expect("lane index in range");
-                let _ = skip;
-                objs.push(&mut *head.objective);
-                rest = tail;
-                prev = l + 1;
-            }
-            let results = execute_lockstep(&mut objs, &reqs).unwrap_or_else(|e| panic!("{e}"));
-            for (&l, result) in batched_lanes.iter().zip(results) {
-                proposals[l] = Some(lanes[l].proposer.propose_from(&theta[l], result.values()));
-            }
-        }
-        for l in 0..b {
-            if proposals[l].is_none() {
-                let lane = &mut lanes[l];
-                let obj = &mut *lane.objective;
-                proposals[l] = Some(lane.proposer.propose(&theta[l], &mut |p: &[f64]| {
-                    let e = obj.measure(p);
-                    obj.advance_job();
-                    e
-                }));
-            }
-        }
-        let proposals: Vec<qismet_optim::Proposal> = proposals
-            .into_iter()
-            .map(|p| p.expect("every lane proposed"))
-            .collect();
-
-        // Candidate measurements, one cross-lane batch.
-        let candidates: Vec<Vec<f64>> = proposals.iter().map(|p| p.candidate.clone()).collect();
-        let candidate_energy = measure_all(lanes, &candidates);
-
-        // Accept/reject per lane, then re-measure every rejected lane's
-        // retained parameters as one cross-lane batch.
-        let mut fresh_lanes: Vec<usize> = Vec::new();
-        for l in 0..b {
-            let accept = match blocking[l].as_mut() {
-                None => true,
-                Some(policy) => policy.accepts(incumbent[l], candidate_energy[l]),
-            };
-            if accept {
-                theta[l] = proposals[l].candidate.clone();
-                incumbent[l] = candidate_energy[l];
-                accepted[l] += 1;
-                measured[l].push(candidate_energy[l]);
-            } else {
-                rejected[l] += 1;
-                fresh_lanes.push(l);
-            }
-        }
-        if !fresh_lanes.is_empty() {
-            let retained: Vec<Vec<f64>> = fresh_lanes.iter().map(|&l| theta[l].clone()).collect();
-            let reqs: Vec<JobRequest> = retained
-                .iter()
-                .map(|p| JobRequest::shared_job(vec![p.clone()]))
-                .collect();
-            let mut objs: Vec<&mut NoisyObjective> = Vec::with_capacity(fresh_lanes.len());
-            let mut rest: &mut [TuningLane<'_>] = lanes;
-            let mut prev = 0usize;
-            for &l in &fresh_lanes {
-                let (_, tail) = rest.split_at_mut(l - prev);
-                let (head, tail) = tail.split_first_mut().expect("lane index in range");
-                objs.push(&mut *head.objective);
-                rest = tail;
-                prev = l + 1;
-            }
-            let results = execute_lockstep(&mut objs, &reqs).unwrap_or_else(|e| panic!("{e}"));
-            for (&l, result) in fresh_lanes.iter().zip(results) {
-                lanes[l].objective.advance_job();
-                measured[l].push(result.values()[0]);
-            }
-        }
-
-        // Exact analysis series: RNG-free, so one cross-lane batch through
-        // lane 0's exact evaluator is bitwise identical to per-lane calls.
-        let exact_vals = lanes[0].objective.exact().eval_batch(&theta);
-        for l in 0..b {
-            exact[l].push(exact_vals[l]);
-            lanes[l].proposer.advance();
-        }
-    }
-
-    (0..b)
-        .map(|l| RunRecord {
-            measured: std::mem::take(&mut measured[l]),
-            exact: std::mem::take(&mut exact[l]),
-            final_params: std::mem::take(&mut theta[l]),
-            jobs: lanes[l].objective.job(),
-            evals: lanes[l].objective.evals(),
-            accepted: accepted[l],
-            rejected: rejected[l],
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,88 +301,6 @@ mod tests {
         assert_eq!(via_batch, via_callback);
         for (a, b) in via_batch.measured.iter().zip(&via_callback.measured) {
             assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn lockstep_lanes_match_sequential_runs_bitwise() {
-        // The acceptance bar for the lane-batched trials seam: running B
-        // independent trajectories in lockstep (every evaluation site a
-        // cross-lane batch through the SoA engine) must reproduce each
-        // lane's sequential record bit-for-bit — including a lane whose
-        // optimizer hides its eval points and takes the callback path.
-        for scheme in [
-            TuningScheme::Baseline,
-            TuningScheme::Blocking(BlockingPolicy::adaptive(0.05)),
-        ] {
-            let seeds = [9u64, 23, 57];
-            let traces: Vec<TransientTrace> = seeds
-                .iter()
-                .map(|&s| TransientModel::moderate(0.3).generate(&mut rng_from_seed(s ^ 7), 600))
-                .collect();
-            let sequential: Vec<RunRecord> = seeds
-                .iter()
-                .zip(&traces)
-                .enumerate()
-                .map(|(i, (&s, trace))| {
-                    let (mut obj, _) = objective_with(trace.clone(), s);
-                    let theta0 = obj.exact().ansatz().initial_params(2);
-                    let mut spsa = Spsa::new(theta0.len(), GainSchedule::spall_default(), s + 1);
-                    if i == 2 {
-                        let mut hidden = Unbatched(spsa);
-                        run_tuning(&mut hidden, &mut obj, theta0, 60, scheme.clone())
-                    } else {
-                        run_tuning(&mut spsa, &mut obj, theta0, 60, scheme.clone())
-                    }
-                })
-                .collect();
-
-            let mut objs: Vec<NoisyObjective> = seeds
-                .iter()
-                .zip(&traces)
-                .map(|(&s, trace)| objective_with(trace.clone(), s).0)
-                .collect();
-            let theta0 = objs[0].exact().ansatz().initial_params(2);
-            let mut spsa0 = Spsa::new(theta0.len(), GainSchedule::spall_default(), seeds[0] + 1);
-            let mut spsa1 = Spsa::new(theta0.len(), GainSchedule::spall_default(), seeds[1] + 1);
-            let mut hidden2 = Unbatched(Spsa::new(
-                theta0.len(),
-                GainSchedule::spall_default(),
-                seeds[2] + 1,
-            ));
-            let mut it = objs.iter_mut();
-            let (o0, o1, o2) = (it.next().unwrap(), it.next().unwrap(), it.next().unwrap());
-            let mut lanes = vec![
-                TuningLane {
-                    proposer: &mut spsa0,
-                    objective: o0,
-                    theta0: theta0.clone(),
-                },
-                TuningLane {
-                    proposer: &mut spsa1,
-                    objective: o1,
-                    theta0: theta0.clone(),
-                },
-                TuningLane {
-                    proposer: &mut hidden2,
-                    objective: o2,
-                    theta0: theta0.clone(),
-                },
-            ];
-            let lockstep = run_tuning_lockstep(&mut lanes, 60, scheme);
-            assert_eq!(lockstep.len(), sequential.len());
-            for (l, (a, b)) in lockstep.iter().zip(&sequential).enumerate() {
-                assert_eq!(a, b, "lane {l} record");
-                for (x, y) in a.measured.iter().zip(&b.measured) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "lane {l} measured");
-                }
-                for (x, y) in a.exact.iter().zip(&b.exact) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "lane {l} exact");
-                }
-                for (x, y) in a.final_params.iter().zip(&b.final_params) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "lane {l} params");
-                }
-            }
         }
     }
 

@@ -1,36 +1,31 @@
 //! `campaign` — run an arbitrary user-specified sweep grid from the CLI.
 //!
 //! Expands machines x schemes x threshold-percentiles x magnitudes x apps x
-//! trials into a flat run list and executes it through the sweep engine —
-//! in-process (parallel under `--features parallel`), sharded across local
-//! worker *processes* with `--workers N`, and/or fanned to remote worker
-//! *machines* with `--connect host:port,...` (each remote end being this
-//! same binary in `--serve` mode). Local and remote workers mix freely in
-//! one pool, and each worker runs its batches through its own threaded
-//! executor (`--threads`). Sharded runs can checkpoint every completed run
-//! to an append-only journal (`--checkpoint`) and `--resume` an
-//! interrupted invocation, re-executing only the missing runs; the merged
-//! report is byte-identical to a sequential run whatever the topology.
+//! trials into a flat run list and executes it through the sweep engine,
+//! in-process by default (parallel under `--features parallel`). There
+//! are two ways to spread the grid beyond one process:
+//!
+//! * **One-shot runs** shard across local worker *processes* with
+//!   `--workers N`; each worker runs its batches through its own threaded
+//!   executor (`--threads`). Sharded runs can checkpoint every completed
+//!   run to an append-only journal (`--checkpoint`) and `--resume` an
+//!   interrupted invocation, re-executing only the missing runs.
+//! * **Remote fleets** go through service mode: `--daemon <addr>` runs a
+//!   long-lived multi-tenant campaign service, `--register <addr>` joins
+//!   its elastic worker fleet from any machine, and the
+//!   `submit`/`status`/`cancel`/`drain` verbs talk to it over the same
+//!   framed protocol.
+//!
+//! Either way the report is byte-identical to a sequential in-process run.
 //! Prints a summary table (with bootstrap confidence intervals and paired
 //! cross-scheme significance tests when scenarios have multiple trials)
 //! and writes JSON + CSV artifacts under `target/paper_results/`.
 //!
-//! On top of the one-shot pool sits **service mode**: `--daemon <addr>`
-//! runs a long-lived multi-tenant campaign service, `--register <addr>`
-//! joins its elastic worker fleet, and the `submit`/`status`/`cancel`/
-//! `drain` verbs talk to it over the same framed protocol.
-//!
 //! ```text
-//! # worker daemon on each machine (same grid flags + a bind address):
+//! # one-shot: 4 local worker processes with a resume journal:
 //! cargo run --release -p qismet-bench --bin campaign -- \
 //!     --apps 2 --schemes baseline,qismet --iterations 300 --trials 2 \
-//!     --seed 42 --serve 0.0.0.0:7401 --token s3cret --threads 4
-//!
-//! # coordinator anywhere:
-//! cargo run --release -p qismet-bench --bin campaign -- \
-//!     --apps 2 --schemes baseline,qismet --iterations 300 --trials 2 \
-//!     --seed 42 --connect hostA:7401,hostB:7401 --token s3cret \
-//!     --workers 2 --checkpoint campaign.ckpt.jsonl
+//!     --seed 42 --workers 4 --checkpoint campaign.ckpt.jsonl
 //!
 //! # campaign service: daemon + elastic workers + tenanted submissions:
 //! campaign --daemon 0.0.0.0:7500 --token fleet --tenants alice=a1,bob=b2
@@ -50,8 +45,8 @@ use qismet_bench::cli::{
 };
 use qismet_bench::{
     cancel_job, drain_service, f2, f4, job_status, print_table, register_worker, results_dir,
-    run_campaign_distributed, scheme_cli_name, serve_campaign, serve_worker, submit_job,
-    CampaignGrid, CampaignPlanner, CampaignReport, DistributedOptions, GridSpec, RegisterOptions,
+    run_campaign_distributed, scheme_cli_name, serve_worker, submit_job, CampaignGrid,
+    CampaignPlanner, CampaignReport, DistributedOptions, GridSpec, RegisterOptions,
     RunsJsonlWriter, ServiceError, SweepExecutor, WorkerOptions,
 };
 use qismet_cluster::{FaultPlan, ServiceConfig, TcpTransportListener, WorkerLaunch};
@@ -85,23 +80,19 @@ EXECUTION OPTIONS:
     --threads <n>         Executor threads, 0 = all cores (needs --features parallel).
                           Each thread runs whole specs; reports are bit-identical
                           at any count. In-process: sizes the sweep pool. With
-                          --workers/--serve: each worker runs its assigned
+                          --workers/--register: each worker runs its assigned
                           batches on <n> threads (hybrid threads x
                           processes/machines)
     --workers <n>         Shard across <n> local worker processes
-    --connect <addrs>     Comma-separated remote worker daemons (host:port) to
-                          dial; mixes freely with --workers
-    --serve <addr>        Run as a long-lived remote worker daemon bound to
-                          <addr> (host:port, port 0 = auto) for this grid
     --token <str>         Shared worker-authentication token (both sides)
     --checkpoint <path>   Append every completed run to a resume journal
     --resume              Skip runs already completed in the --checkpoint journal
-    --max-respawns <n>    Respawn/reconnect budget per worker (default: 2)
+    --max-respawns <n>    Respawn budget per worker (default: 2)
     --jsonl <path>        Stream per-run records to a JSONL file as they complete
     --summary-only        Drop per-run series from the merged report once streamed
                           (requires --jsonl; series stay in the JSONL)
 
-SERVICE MODE (campaign-as-a-service):
+SERVICE MODE (campaign-as-a-service; the way to run on remote machines):
     --daemon <addr>       Run a long-lived multi-tenant campaign service bound
                           to <addr>. Clients submit grids as jobs; registered
                           workers serve them. --token is the fleet/admin token
@@ -132,8 +123,8 @@ RESILIENCE & CHAOS OPTIONS:
     --heartbeat <secs>         Worker keepalive interval while a batch computes;
                                must be shorter than --assign-timeout (default: 2)
     --handshake-timeout <secs> Handshake deadline for new sessions, coordinator
-                               and --serve daemon alike (default: 10)
-    --connect-timeout <secs>   TCP dial deadline per connect attempt
+                               and --daemon alike (default: 10)
+    --connect-timeout <secs>   --register: TCP dial deadline per connect attempt
     --speculative              Duplicate in-flight work onto idle workers near
                                the campaign tail; first result wins, reports
                                stay bitwise-identical
@@ -156,7 +147,7 @@ OBSERVABILITY OPTIONS:
                           byte-identical with these flags on or off
 
 EXIT CODES:
-    0 success   2 usage/flag conflict   3 worker/serve/register failure
+    0 success   2 usage/flag conflict   3 worker/daemon/register failure
     4 poisoned specs (crash-looping inputs)   5 rejected handshake/bad token
     1 any other failure
 
@@ -169,20 +160,19 @@ fn die(msg: &str) -> ! {
 }
 
 /// Flags (with a value) that configure the coordinator only and must not be
-/// forwarded to worker processes. (`--threads`, `--token`, `--heartbeat`,
-/// and `--handshake-timeout` are *not* here: workers need them to size
-/// their executors, authenticate, and pace their keepalives.
+/// forwarded to worker processes. (`--threads`, `--token` and
+/// `--heartbeat` are *not* here: workers need them to size their
+/// executors, authenticate, and pace their keepalives.
 /// `--chaos-plan`/`--chaos-seed` are stripped too — the coordinator
 /// resolves them into one concrete plan and forwards it via the hidden
 /// `--chaos-json`.)
 const COORDINATOR_VALUE_FLAGS: &[&str] = &[
     "--workers",
-    "--connect",
-    "--serve",
     "--checkpoint",
     "--max-respawns",
     "--jsonl",
     "--assign-timeout",
+    "--handshake-timeout",
     "--connect-timeout",
     "--quarantine-after",
     "--chaos-plan",
@@ -191,8 +181,8 @@ const COORDINATOR_VALUE_FLAGS: &[&str] = &[
     "--trace-out",
 ];
 
-/// Resolves the fault plan this invocation should execute (worker/serve
-/// side) or forward (coordinator side). Precedence: a concrete forwarded
+/// Resolves the fault plan this invocation should execute (worker side)
+/// or forward (coordinator side). Precedence: a concrete forwarded
 /// plan, then an explicit plan file, then a seed, then the legacy env
 /// hooks. Malformed plans are configuration errors.
 fn resolve_chaos_plan(args: &Args, workers: usize, specs: usize) -> Option<FaultPlan> {
@@ -460,29 +450,21 @@ fn main() {
     };
     let campaign = grid.into_campaign(args.name.clone(), args.seed);
 
-    // Worker/serve sides resolve their own plan (forwarded json, plan
-    // file, seed, or legacy env hooks); seed-derived plans on these sides
-    // address all slots (`workers = 0`) since the pool size is unknown.
-    let worker_opts = |plan: Option<FaultPlan>| {
+    if args.worker_mode {
+        // Hidden cluster-worker mode: stdout belongs to the protocol, so
+        // nothing below this point may run. The worker resolves its own
+        // plan (forwarded json, plan file, seed, or legacy env hooks); a
+        // seed-derived plan here addresses all slots (`workers = 0`) since
+        // the pool size is unknown.
         let mut opts = WorkerOptions {
             token: args.token.clone(),
             threads: args.threads.unwrap_or(1),
-            plan,
+            plan: resolve_chaos_plan(&args, 0, campaign.len()),
             ..WorkerOptions::default()
         };
         if let Some(heartbeat) = args.heartbeat {
             opts.heartbeat = Some(heartbeat);
         }
-        if let Some(timeout) = args.handshake_timeout {
-            opts.handshake_timeout = timeout;
-        }
-        opts
-    };
-
-    if args.worker_mode {
-        // Hidden cluster-worker mode: stdout belongs to the protocol, so
-        // nothing below this point may run.
-        let opts = worker_opts(resolve_chaos_plan(&args, 0, campaign.len()));
         if let Err(e) = serve_worker(&campaign, &opts) {
             eprintln!("worker error: {e}");
             std::process::exit(EXIT_WORKER);
@@ -490,40 +472,8 @@ fn main() {
         return;
     }
 
-    if let Some(addr) = &args.serve {
-        // Remote-worker daemon mode: accept coordinator sessions forever.
-        let listener = TcpTransportListener::bind(addr)
-            .unwrap_or_else(|e| die(&format!("cannot bind `{addr}`: {e}")));
-        let bound = listener
-            .socket_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| addr.clone());
-        let opts = worker_opts(resolve_chaos_plan(&args, 0, campaign.len()));
-        println!(
-            "serving campaign `{}` ({} specs, fingerprint {:#018x}) on {bound}, {} thread(s)",
-            campaign.name,
-            campaign.len(),
-            campaign.fingerprint(),
-            opts.threads,
-        );
-        // Readiness marker for scripts tailing a redirected stdout (the
-        // listener is already bound, so connecting is safe from here on).
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-        match serve_campaign(&campaign, Box::new(listener), &opts) {
-            Ok(sessions) => {
-                println!("served {sessions} session(s), exiting");
-                return;
-            }
-            Err(e) => {
-                eprintln!("serve error: {e}");
-                std::process::exit(EXIT_WORKER);
-            }
-        }
-    }
-
     let n = campaign.len();
-    let distributed = args.workers > 0 || !args.connect.is_empty();
+    let distributed = args.workers > 0;
     // Observability gates: metric recording is a runtime switch, so the
     // same binary runs with telemetry on or off (byte-identical reports
     // either way). Worker processes switch themselves on in serve_worker.
@@ -543,23 +493,14 @@ fn main() {
         // locally, exactly as before.
         let forwarded_chaos: Option<String> =
             if args.chaos_plan.is_some() || args.chaos_seed.is_some() {
-                resolve_chaos_plan(&args, args.workers + args.connect.len(), campaign.len())
-                    .map(|plan| plan.to_json())
+                resolve_chaos_plan(&args, args.workers, campaign.len()).map(|plan| plan.to_json())
             } else {
                 None
             };
-        let launch = if args.workers > 0 {
-            let program = std::env::current_exe().expect("resolve current executable");
-            Some(WorkerLaunch::new(
-                program,
-                worker_argv(&argv, forwarded_chaos.as_deref()),
-            ))
-        } else {
-            None
-        };
+        let program = std::env::current_exe().expect("resolve current executable");
+        let launch = WorkerLaunch::new(program, worker_argv(&argv, forwarded_chaos.as_deref()));
         let opts = DistributedOptions {
             workers: args.workers,
-            connect: args.connect.clone(),
             token: args.token.clone(),
             checkpoint: args.checkpoint.clone(),
             resume: args.resume,
@@ -568,22 +509,20 @@ fn main() {
             summary_only: args.summary_only,
             assign_timeout: args.assign_timeout,
             handshake_timeout: args.handshake_timeout,
-            connect_timeout: args.connect_timeout,
             speculative: args.speculative,
             quarantine_after: args.quarantine_after,
         };
         println!(
-            "campaign `{}`: {} scenarios, {} runs, {} iterations each, {} local worker(s) + {} remote worker(s), fingerprint {:#018x}",
+            "campaign `{}`: {} scenarios, {} runs, {} iterations each, {} worker process(es), fingerprint {:#018x}",
             campaign.name,
             campaign.scenarios.len(),
             n,
             args.iterations,
             opts.workers,
-            opts.connect.len(),
             campaign.fingerprint(),
         );
         let started = std::time::Instant::now();
-        match run_campaign_distributed(&campaign, launch, &opts) {
+        match run_campaign_distributed(&campaign, Some(launch), &opts) {
             Ok((report, stats)) => {
                 println!(
                     "completed {n} runs in {:.2}s ({} resumed from checkpoint, {} executed, {} worker respawn(s), {} worker(s) lost, {} worker(s) quarantined)",

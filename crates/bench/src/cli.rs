@@ -22,7 +22,7 @@ pub const EXIT_OK: i32 = 0;
 pub const EXIT_FAILURE: i32 = 1;
 /// Usage/validation error — bad flag value or a [`ConfigConflict`].
 pub const EXIT_USAGE: i32 = 2;
-/// `--worker`/`--serve`/`--register` side failed while serving.
+/// `--worker`/`--daemon`/`--register` side failed while serving.
 pub const EXIT_WORKER: i32 = 3;
 /// The campaign completed except for poisoned specs
 /// ([`ClusterError::PoisonedSpecs`]).
@@ -107,8 +107,6 @@ pub struct Args {
     pub threads: Option<usize>,
     pub name: String,
     pub workers: usize,
-    pub connect: Vec<String>,
-    pub serve: Option<String>,
     pub token: String,
     pub checkpoint: Option<PathBuf>,
     pub resume: bool,
@@ -167,8 +165,6 @@ impl Default for Args {
             threads: None,
             name: "campaign".to_string(),
             workers: 0,
-            connect: Vec::new(),
-            serve: None,
             token: String::new(),
             checkpoint: None,
             resume: false,
@@ -210,10 +206,6 @@ impl Default for Args {
 pub enum ConfigConflict {
     /// No apps, or neither schemes nor thresholds: the grid is empty.
     EmptyGrid,
-    /// `--serve` combined with `--workers`/`--connect`/`--worker`.
-    ServeWithPool,
-    /// Coordinator journaling/streaming flags on a `--serve` daemon.
-    ServeWithJournal,
     /// `--resume` without `--checkpoint`.
     ResumeWithoutCheckpoint,
     /// `--checkpoint`/`--resume` on a plain in-process run.
@@ -222,12 +214,8 @@ pub enum ConfigConflict {
     SummaryOnlyNeedsSharding,
     /// `--summary-only` without `--jsonl`.
     SummaryOnlyNeedsJsonl,
-    /// Coordinator resilience flags on a `--serve` daemon.
-    ServeWithResilience,
     /// `--heartbeat` is not shorter than `--assign-timeout`.
     HeartbeatSlowerThanDeadline,
-    /// Observability flags on a `--serve` daemon.
-    ServeWithObservability,
     /// Both `--chaos-plan` and `--chaos-seed`.
     ChaosPlanAndSeed,
     /// Chaos flags without any workers to inject faults into.
@@ -261,50 +249,34 @@ impl std::fmt::Display for ConfigConflict {
             ConfigConflict::EmptyGrid => {
                 write!(f, "need at least one app and one scheme (or threshold percentile)")
             }
-            ConfigConflict::ServeWithPool => write!(
-                f,
-                "--serve is a worker daemon mode; it cannot combine with --workers/--connect/--worker"
-            ),
-            ConfigConflict::ServeWithJournal => write!(
-                f,
-                "--checkpoint/--resume/--jsonl/--summary-only belong on the coordinator, not --serve"
-            ),
             ConfigConflict::ResumeWithoutCheckpoint => {
                 write!(f, "--resume requires --checkpoint <path>")
             }
             ConfigConflict::JournalNeedsSharding => write!(
                 f,
-                "--checkpoint/--resume need sharded execution: add --workers <n> or --connect <addrs>"
+                "--checkpoint/--resume need sharded execution: add --workers <n>"
             ),
             ConfigConflict::SummaryOnlyNeedsSharding => write!(
                 f,
-                "--summary-only needs sharded execution: add --workers <n> or --connect <addrs>"
+                "--summary-only needs sharded execution: add --workers <n>"
             ),
             ConfigConflict::SummaryOnlyNeedsJsonl => write!(
                 f,
                 "--summary-only requires --jsonl <path> (the series live in the stream)"
             ),
-            ConfigConflict::ServeWithResilience => write!(
-                f,
-                "--assign-timeout/--connect-timeout/--speculative/--quarantine-after belong on the coordinator, not --serve"
-            ),
             ConfigConflict::HeartbeatSlowerThanDeadline => {
                 write!(f, "--heartbeat must be shorter than --assign-timeout")
             }
-            ConfigConflict::ServeWithObservability => write!(
-                f,
-                "--metrics-out/--trace-out/--progress belong on the coordinator, not --serve"
-            ),
             ConfigConflict::ChaosPlanAndSeed => {
                 write!(f, "--chaos-plan and --chaos-seed are mutually exclusive")
             }
             ConfigConflict::ChaosNeedsWorkers => write!(
                 f,
-                "--chaos-plan/--chaos-seed inject faults into workers: add --workers/--connect or --serve"
+                "--chaos-plan/--chaos-seed inject faults into workers: add --workers <n>"
             ),
             ConfigConflict::DaemonWithPool => write!(
                 f,
-                "--daemon is a service mode; it cannot combine with --workers/--connect/--serve/--worker/--register or a client verb"
+                "--daemon is a service mode; it cannot combine with --workers/--worker/--register or a client verb"
             ),
             ConfigConflict::DaemonWithJournal => write!(
                 f,
@@ -312,7 +284,7 @@ impl std::fmt::Display for ConfigConflict {
             ),
             ConfigConflict::RegisterWithPool => write!(
                 f,
-                "--register is a worker mode; it cannot combine with --workers/--connect/--serve/--worker/--daemon or a client verb"
+                "--register is a worker mode; it cannot combine with --workers/--worker/--daemon or a client verb"
             ),
             ConfigConflict::RegisterWithJournal => write!(
                 f,
@@ -498,16 +470,6 @@ pub fn parse_args(argv: &[String]) -> Result<Args, CliError> {
                     .parse()
                     .map_err(|_| usage(format!("invalid worker count `{value}`")))?;
             }
-            "--connect" => {
-                args.connect = value
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| s.trim().to_string())
-                    .collect();
-            }
-            "--serve" => {
-                args.serve = Some(value.clone());
-            }
             "--token" => {
                 args.token = value.clone();
             }
@@ -619,8 +581,7 @@ pub fn parse_args(argv: &[String]) -> Result<Args, CliError> {
 /// first conflict in a fixed order, so error messages are deterministic.
 pub fn validate(args: &Args) -> Result<(), ConfigConflict> {
     use ConfigConflict as C;
-    let distributed = args.workers > 0 || !args.connect.is_empty();
-    let any_pool = distributed || args.serve.is_some() || args.worker_mode;
+    let any_pool = args.workers > 0 || args.worker_mode;
     // A grid is required by every mode that expands one (everything except
     // the client verbs that carry no grid: status/cancel/drain).
     let needs_grid = !matches!(
@@ -639,18 +600,12 @@ pub fn validate(args: &Args) -> Result<(), ConfigConflict> {
     if args.register.is_some() && (any_pool || args.command.is_some()) {
         return Err(C::RegisterWithPool);
     }
-    if args.serve.is_some() && (distributed || args.worker_mode) {
-        return Err(C::ServeWithPool);
-    }
     // --- journaling/streaming placement ---
     let journal_flags =
         args.checkpoint.is_some() || args.resume || args.jsonl.is_some() || args.summary_only;
-    if args.serve.is_some() && journal_flags {
-        // Journaling and streaming live on the coordinator; a daemon that
-        // silently ignored them would fake durability.
-        return Err(C::ServeWithJournal);
-    }
     if args.daemon.is_some() && journal_flags {
+        // Jobs journal under --state-dir; a daemon that silently ignored
+        // these would fake durability.
         return Err(C::DaemonWithJournal);
     }
     if args.register.is_some() && journal_flags {
@@ -675,27 +630,12 @@ pub fn validate(args: &Args) -> Result<(), ConfigConflict> {
         return Err(C::SummaryOnlyNeedsJsonl);
     }
     // --- flags that only configure one side ---
-    if args.serve.is_some()
-        && (args.assign_timeout.is_some()
-            || args.connect_timeout.is_some()
-            || args.speculative
-            || args.quarantine_after.is_some())
-    {
-        return Err(C::ServeWithResilience);
-    }
     if let (Some(heartbeat), Some(deadline)) = (args.heartbeat, args.assign_timeout) {
         if heartbeat >= deadline {
             // A keepalive slower than the deadline can never land in time,
             // so every slow batch would be misread as a hang.
             return Err(C::HeartbeatSlowerThanDeadline);
         }
-    }
-    if args.serve.is_some()
-        && (args.metrics_out.is_some() || args.trace_out.is_some() || args.progress)
-    {
-        // A daemon never "completes": there is no natural point to write
-        // artifacts, and its stdout belongs to operators' scripts.
-        return Err(C::ServeWithObservability);
     }
     // --- chaos ---
     if args.chaos_plan.is_some() && args.chaos_seed.is_some() {
@@ -782,30 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_with_pool_conflicts() {
-        assert_eq!(
-            conflict("--serve 0:0 --workers 2"),
-            ConfigConflict::ServeWithPool
-        );
-        assert_eq!(
-            conflict("--serve 0:0 --connect a:1"),
-            ConfigConflict::ServeWithPool
-        );
-        assert_eq!(
-            conflict("--serve 0:0 --worker"),
-            ConfigConflict::ServeWithPool
-        );
-    }
-
-    #[test]
-    fn serve_with_journal_conflicts() {
-        assert_eq!(
-            conflict("--serve 0:0 --checkpoint c.jsonl"),
-            ConfigConflict::ServeWithJournal
-        );
-    }
-
-    #[test]
     fn resume_without_checkpoint_conflicts() {
         assert_eq!(
             conflict("--workers 2 --resume"),
@@ -838,32 +754,12 @@ mod tests {
     }
 
     #[test]
-    fn serve_with_resilience_conflicts() {
-        assert_eq!(
-            conflict("--serve 0:0 --speculative"),
-            ConfigConflict::ServeWithResilience
-        );
-        assert_eq!(
-            conflict("--serve 0:0 --quarantine-after 2"),
-            ConfigConflict::ServeWithResilience
-        );
-    }
-
-    #[test]
     fn heartbeat_slower_than_deadline_conflicts() {
         assert_eq!(
             conflict("--workers 1 --heartbeat 5 --assign-timeout 5"),
             ConfigConflict::HeartbeatSlowerThanDeadline
         );
         assert!(parse("--workers 1 --heartbeat 1 --assign-timeout 5").is_ok());
-    }
-
-    #[test]
-    fn serve_with_observability_conflicts() {
-        assert_eq!(
-            conflict("--serve 0:0 --progress"),
-            ConfigConflict::ServeWithObservability
-        );
     }
 
     #[test]
@@ -889,7 +785,7 @@ mod tests {
             ConfigConflict::DaemonWithPool
         );
         assert_eq!(
-            conflict("--daemon 0:0 --serve 0:0"),
+            conflict("--daemon 0:0 --worker"),
             ConfigConflict::DaemonWithPool
         );
         assert_eq!(

@@ -1,23 +1,21 @@
-//! Sharded multi-process / multi-machine campaign execution — the
-//! bench-side adapter over [`qismet_cluster`].
+//! Sharded multi-process campaign execution — the bench-side adapter over
+//! [`qismet_cluster`]'s one-shot worker pool. (Remote fleets go through
+//! the campaign service in [`crate::service`] instead.)
 //!
 //! Both halves of the protocol live here:
 //!
 //! * [`run_campaign_distributed`] is the coordinator: it expands the
 //!   campaign, subtracts any runs already completed in the checkpoint
 //!   journal (`--resume`), fans the remaining spec indices across a
-//!   [`WorkerPool`] — spawned `campaign --worker` processes, remote
-//!   `campaign --serve` daemons dialed over TCP, or any mix — journals
+//!   [`WorkerPool`] of spawned `campaign --worker` processes, journals
 //!   every completion, and merges the records into a [`CampaignReport`]
 //!   that is **byte-identical** to a sequential in-process run.
 //! * [`serve_worker`] is the stdio worker loop the hidden `--worker` mode
-//!   enters, and [`serve_campaign`] is the long-running `--serve` daemon
-//!   that accepts coordinator connections on a [`Listener`] and survives
-//!   their disconnects. Both re-expand the same campaign from the same
-//!   grid flags, authenticate the coordinator's shared token, handshake
-//!   with the campaign fingerprint, and answer batched `Assign(indices)`
-//!   with one `Done(record)` per index — running each batch through a
-//!   (possibly threaded) [`SweepExecutor`].
+//!   enters. It re-expands the same campaign from the same grid flags,
+//!   authenticates the coordinator's shared token, handshakes with the
+//!   campaign fingerprint, and answers batched `Assign(indices)` with one
+//!   `Done(record)` per index — running each batch through a (possibly
+//!   threaded) [`SweepExecutor`].
 //!
 //! Specs never cross the process boundary — they are pure data both sides
 //! derive identically, so the wire carries only indices and records.
@@ -27,9 +25,9 @@ use crate::report::{CampaignReport, ReportMeta, RunRecord, RunsJsonlWriter};
 use crate::scenario::{Campaign, RunSpec};
 use crate::SweepExecutor;
 use qismet_cluster::{
-    load_journal, BuildStamp, CheckpointEntry, ClusterError, Connector, Done, FaultListener,
-    FaultPlan, FaultTransport, Hello, JournalWriter, Listener, Message, Outcome, ProcessConnector,
-    StdioTransport, TcpConnector, Transport, WorkerLaunch, WorkerPool, WorkerStats, WORKER_ID_ENV,
+    load_journal, BuildStamp, CheckpointEntry, ClusterError, Connector, Done, FaultPlan,
+    FaultTransport, Hello, JournalWriter, Message, Outcome, ProcessConnector, StdioTransport,
+    Transport, WorkerLaunch, WorkerPool, WorkerStats, WORKER_ID_ENV,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -41,16 +39,13 @@ use std::time::{Duration, Instant};
 // The legacy fault-injection env hooks now live on the chaos seam
 // (`FaultPlan::from_env` translates them); re-exported here so existing
 // callers keep compiling.
-pub use qismet_cluster::{DROP_AFTER_ENV, EXIT_AFTER_ENV, MAX_SESSIONS_ENV};
+pub use qismet_cluster::{DROP_AFTER_ENV, EXIT_AFTER_ENV};
 
 /// How a distributed campaign should execute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistributedOptions {
-    /// Local worker process count (0 = none; requires a launch spec when
-    /// positive).
+    /// Worker process count (at least 1; requires a launch spec).
     pub workers: usize,
-    /// Remote worker daemons to dial (`host:port` each).
-    pub connect: Vec<String>,
     /// Shared authentication token carried in the `Hello` handshake.
     pub token: String,
     /// Append-only checkpoint journal path; `None` disables checkpointing.
@@ -58,7 +53,7 @@ pub struct DistributedOptions {
     /// Replay the journal first and re-run only the missing specs.
     /// Requires `checkpoint`.
     pub resume: bool,
-    /// Per-worker respawn (process) / reconnect (TCP) budget.
+    /// Per-worker respawn budget.
     pub max_respawns: usize,
     /// Stream every completed record to this JSONL path as it finishes.
     pub stream_jsonl: Option<PathBuf>,
@@ -74,9 +69,6 @@ pub struct DistributedOptions {
     /// Handshake read deadline per session attempt; `None` keeps the pool
     /// default.
     pub handshake_timeout: Option<Duration>,
-    /// TCP connect deadline per dial attempt; `None` keeps the connector
-    /// default.
-    pub connect_timeout: Option<Duration>,
     /// Straggler mitigation: when idle workers outnumber remaining work,
     /// duplicate in-flight indices onto them (first result wins).
     pub speculative: bool,
@@ -89,7 +81,6 @@ impl Default for DistributedOptions {
     fn default() -> Self {
         DistributedOptions {
             workers: 2,
-            connect: Vec::new(),
             token: String::new(),
             checkpoint: None,
             resume: false,
@@ -98,7 +89,6 @@ impl Default for DistributedOptions {
             summary_only: false,
             assign_timeout: None,
             handshake_timeout: None,
-            connect_timeout: None,
             speculative: false,
             quarantine_after: None,
         }
@@ -114,7 +104,7 @@ pub struct DistributedStats {
     pub resumed: usize,
     /// Specs executed by the worker pool this invocation.
     pub executed: usize,
-    /// Worker respawns/reconnects along the way.
+    /// Worker respawns along the way.
     pub respawns: usize,
     /// Worker slots lost for good (their work re-dispatched to survivors).
     pub lost_workers: usize,
@@ -122,12 +112,11 @@ pub struct DistributedStats {
     pub quarantined_workers: usize,
 }
 
-/// Runs `campaign` across a pool of workers — `opts.workers` spawned
-/// processes (launched via `launch`) plus one remote TCP worker per
-/// `opts.connect` address — returning the merged report and run
+/// Runs `campaign` across a pool of `opts.workers` spawned processes
+/// (launched via `launch`), returning the merged report and run
 /// statistics. See the module docs for the full contract; the short
 /// version: same records, same order, same bytes as
-/// `SweepExecutor::sequential().run(&campaign)`, whatever the topology.
+/// `SweepExecutor::sequential().run(&campaign)`, whatever the worker count.
 ///
 /// # Errors
 ///
@@ -155,29 +144,20 @@ pub fn run_campaign_distributed(
             "summary-only merge requires a JSONL stream path".into(),
         ));
     }
-    let mut connectors: Vec<Box<dyn Connector>> = Vec::new();
-    if opts.workers > 0 {
-        let launch = launch.ok_or_else(|| {
-            ClusterError::Spawn("local workers requested without a launch spec".into())
-        })?;
-        for _ in 0..opts.workers {
-            connectors.push(Box::new(ProcessConnector {
-                launch: launch.clone(),
-            }));
-        }
-    }
-    for addr in &opts.connect {
-        let mut connector = TcpConnector::new(addr.clone());
-        if let Some(timeout) = opts.connect_timeout {
-            connector = connector.with_connect_timeout(timeout);
-        }
-        connectors.push(Box::new(connector));
-    }
-    if connectors.is_empty() {
+    if opts.workers == 0 {
         return Err(ClusterError::Spawn(
-            "no workers: need a positive worker count or at least one connect address".into(),
+            "no workers: need a positive worker count".into(),
         ));
     }
+    let launch = launch
+        .ok_or_else(|| ClusterError::Spawn("workers requested without a launch spec".into()))?;
+    let connectors: Vec<Box<dyn Connector>> = (0..opts.workers)
+        .map(|_| {
+            Box::new(ProcessConnector {
+                launch: launch.clone(),
+            }) as Box<dyn Connector>
+        })
+        .collect();
 
     // Replay the journal: a record is only adopted if its (fingerprint,
     // index, seed) triple still matches the campaign being run.
@@ -300,8 +280,7 @@ fn io_err(e: io::Error) -> ClusterError {
     ClusterError::Io(e.to_string())
 }
 
-/// Worker-side behavior knobs, shared by the stdio worker and the TCP
-/// serve daemon.
+/// Worker-side behavior knobs for the stdio worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerOptions {
     /// Shared authentication token; sessions whose coordinator presents a
@@ -316,9 +295,6 @@ pub struct WorkerOptions {
     /// coordinator with an assign deadline can tell *slow* (frames still
     /// flowing) from *hung* (silence). `None` disables pings.
     pub heartbeat: Option<Duration>,
-    /// How long a serve daemon lets an accepted-but-silent connection
-    /// stall the accept loop before shedding it.
-    pub handshake_timeout: Duration,
     /// Deterministic fault injection: the plan this worker executes
     /// against its own channel (see [`qismet_cluster::chaos`]). `None` (the
     /// default) runs the channel clean.
@@ -331,7 +307,6 @@ impl Default for WorkerOptions {
             token: String::new(),
             threads: 1,
             heartbeat: Some(Duration::from_secs(2)),
-            handshake_timeout: Duration::from_secs(10),
             plan: None,
         }
     }
@@ -382,7 +357,7 @@ pub(crate) fn channel_end(op: &str, e: io::Error) -> Result<SessionOutcome, Clus
 /// samples the process-global sweep / plan-cache counters and ships the
 /// **delta** since this session's previous `Done`, so the coordinator
 /// aggregates by plain addition — arithmetic that survives respawns and
-/// daemon session reuse without baseline bookkeeping. Also tallies the
+/// reconnecting registered workers without baseline bookkeeping. Also tallies the
 /// keepalive `Ping` -> `Pong` round trips, so the next `Done` carries
 /// every one taken before it. Inert while telemetry is disabled: every
 /// `Done` then carries `stats: None`.
@@ -584,9 +559,6 @@ pub fn serve_session(
         }))
         .map_err(|e| ClusterError::Io(format!("hello reply failed: {e}")))?;
     let mut stats = StatsTracker::default();
-    // Handshake deadline (if the caller set one) no longer applies: an
-    // authenticated coordinator may legitimately idle between batches.
-    let _ = transport.set_read_timeout(None);
 
     loop {
         let message = match transport.recv() {
@@ -646,59 +618,4 @@ pub fn serve_worker(campaign: &Campaign, opts: &WorkerOptions) -> Result<(), Clu
         _ => stdio,
     };
     serve_session(campaign, &specs, transport.as_mut(), opts).map(|_| ())
-}
-
-/// The long-running worker daemon behind `campaign --serve <addr>`:
-/// accepts coordinator sessions from `listener` one at a time and serves
-/// each until shutdown or disconnect. Coordinator disconnects, rejected
-/// handshakes, and per-session errors do **not** stop the daemon — it
-/// returns to `accept` and waits for the next campaign, forever (or until
-/// the fault plan's `max_sessions` have been accepted, when set). When the
-/// options carry a [`FaultPlan`] with faults, every accepted session runs
-/// through a [`FaultTransport`] sharing one once-per-process fault state.
-///
-/// Returns the number of sessions accepted.
-///
-/// # Errors
-///
-/// Returns a [`ClusterError`] only when `accept` itself fails (the
-/// listening socket died).
-pub fn serve_campaign(
-    campaign: &Campaign,
-    listener: Box<dyn Listener>,
-    opts: &WorkerOptions,
-) -> Result<usize, ClusterError> {
-    // Daemon workers run with telemetry on, like `serve_worker`.
-    qismet_telemetry::set_enabled(true);
-    let specs = campaign.expand();
-    let max_sessions = opts.plan.as_ref().and_then(|p| p.max_sessions);
-    let mut listener: Box<dyn Listener> = match &opts.plan {
-        Some(plan) if !plan.faults.is_empty() => {
-            Box::new(FaultListener::new(listener, plan.clone()))
-        }
-        _ => listener,
-    };
-    let mut sessions = 0usize;
-    loop {
-        if let Some(max) = max_sessions {
-            if sessions >= max {
-                return Ok(sessions);
-            }
-        }
-        let mut transport = listener
-            .accept()
-            .map_err(|e| ClusterError::Io(format!("accept failed: {e}")))?;
-        sessions += 1;
-        let peer = transport.peer();
-        let _ = transport.set_read_timeout(Some(opts.handshake_timeout));
-        match serve_session(campaign, &specs, transport.as_mut(), opts) {
-            Ok(outcome) => {
-                eprintln!("[serve] session {sessions} from {peer}: {outcome:?}");
-            }
-            Err(e) => {
-                // A broken session must not take the daemon down.
-                eprintln!("[serve] session {sessions} from {peer} failed: {e}");
-            }
-        }
-    }
 }

@@ -16,9 +16,8 @@ pub mod scenario;
 pub mod service;
 
 pub use distributed::{
-    run_campaign_distributed, serve_campaign, serve_session, serve_worker, DistributedOptions,
-    DistributedStats, SessionOutcome, WorkerOptions, DROP_AFTER_ENV, EXIT_AFTER_ENV,
-    MAX_SESSIONS_ENV,
+    run_campaign_distributed, serve_session, serve_worker, DistributedOptions, DistributedStats,
+    SessionOutcome, WorkerOptions, DROP_AFTER_ENV, EXIT_AFTER_ENV,
 };
 pub use executor::{run_campaign, run_one, try_run_one, ExecutorError, SweepExecutor};
 pub use report::{

@@ -20,8 +20,14 @@ fn run_campaign_cli(args: &[&str]) -> (i32, String) {
 
 #[test]
 fn removed_engine_flags_are_unknown() {
-    for flag in ["--batch-lanes", "--inner-threads"] {
-        let (code, stderr) = run_campaign_cli(&[flag, "2"]);
+    for (flag, value) in [
+        ("--batch-lanes", "2"),
+        ("--inner-threads", "2"),
+        // The static TCP worker pool: remote fleets use --daemon/--register.
+        ("--serve", "127.0.0.1:0"),
+        ("--connect", "a:1"),
+    ] {
+        let (code, stderr) = run_campaign_cli(&[flag, value]);
         assert_eq!(code, 2, "{flag} must exit 2");
         assert!(
             stderr.contains(&format!("unknown flag `{flag}`")),
@@ -214,26 +220,6 @@ fn metrics_out_in_process_carries_qsim_taxonomy() {
     let _ = std::fs::remove_file(&trace_path);
 }
 
-/// Observability flags are coordinator-side configuration: a worker daemon
-/// must refuse them instead of silently never writing artifacts.
-#[test]
-fn observability_flags_are_refused_on_serve_daemons() {
-    for extra in [
-        &["--metrics-out", "/tmp/x.json"][..],
-        &["--trace-out", "/tmp/x.json"][..],
-        &["--progress"][..],
-    ] {
-        let mut args = vec!["--serve", "127.0.0.1:0"];
-        args.extend_from_slice(extra);
-        let (code, stderr) = run_campaign_cli(&args);
-        assert_eq!(code, 2, "{extra:?} must exit 2");
-        assert!(
-            stderr.contains("belong on the coordinator, not --serve"),
-            "{extra:?} stderr: {stderr}"
-        );
-    }
-}
-
 /// Validation conflicts — whatever the flag combination — exit with the
 /// usage code and a named conflict, never a partial run.
 #[test]
@@ -269,7 +255,7 @@ fn poisoned_specs_exit_with_their_own_code() {
     ));
     std::fs::write(
         &plan_path,
-        r#"{"faults":[{"worker":null,"after_dones":0,"kind":{"PoisonSpec":0}}],"max_sessions":null}"#,
+        r#"{"faults":[{"worker":null,"after_dones":0,"kind":{"PoisonSpec":0}}]}"#,
     )
     .expect("plan written");
     let (code, stderr) = run_campaign_cli(&[

@@ -86,7 +86,6 @@ fn everywhere(after_dones: usize, kind: FaultKind) -> FaultPlan {
             after_dones,
             kind,
         }],
-        max_sessions: None,
     }
 }
 

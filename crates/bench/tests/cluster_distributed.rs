@@ -354,20 +354,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     // For random small campaigns, sequential, threaded, and 2-process
-    // sharded execution produce bitwise-identical reports.
+    // sharded execution (each worker on 1-3 executor threads) produce
+    // bitwise-identical reports.
     #[test]
     fn random_grids_agree_across_all_executors(
         seed in 0u64..u64::MAX,
         n_apps in 1usize..3,
         trials in 1usize..3,
+        worker_threads in 1usize..4,
     ) {
         let app_ids: Vec<u8> = (1..=n_apps as u8).collect();
         let case = grid_case("dist-prop", seed, &app_ids, trials, 20);
         let sequential = SweepExecutor::sequential().run(&case.campaign);
         let threaded = SweepExecutor::with_threads(2).run(&case.campaign);
+        let mut launch = launch(&case);
+        launch.args.push("--threads".into());
+        launch.args.push(worker_threads.to_string());
         let (sharded, _) = run_campaign_distributed(
             &case.campaign,
-            Some(launch(&case)),
+            Some(launch),
             &DistributedOptions { workers: 2, ..DistributedOptions::default() },
         )
         .unwrap();

@@ -6,16 +6,16 @@
 //! first-class, reproducible input instead of a pair of ad-hoc environment
 //! hooks. A [`FaultPlan`] is a seeded, serializable schedule of faults,
 //! each addressed by worker slot and session event count; the plan is
-//! executed by [`FaultTransport`] / [`FaultListener`] wrappers that
-//! implement the ordinary [`Transport`] / [`Listener`] traits, so the
-//! protocol, coordinator, and worker code under test are byte-for-byte the
+//! executed by a [`FaultTransport`] wrapper that implements the ordinary
+//! [`Transport`] trait beneath a worker's channel, so the protocol,
+//! coordinator, and worker code under test are byte-for-byte the
 //! production paths — only the stream beneath them misbehaves, on
 //! schedule.
 //!
 //! The legacy env hooks (`QISMET_CLUSTER_EXIT_AFTER`,
-//! `QISMET_NET_DROP_AFTER`, `QISMET_NET_MAX_SESSIONS`) survive as thin
-//! adapters: [`FaultPlan::from_env`] translates them into an equivalent
-//! plan, so existing CI jobs and scripts keep working unchanged.
+//! `QISMET_NET_DROP_AFTER`) survive as thin adapters:
+//! [`FaultPlan::from_env`] translates them into an equivalent plan, so
+//! existing CI jobs and scripts keep working unchanged.
 //!
 //! ## Fault taxonomy
 //!
@@ -38,32 +38,24 @@
 //! an [`Assign`](crate::protocol::Assign) containing the spec arrives
 //! (gated on `after_dones` too, normally 0).
 //!
-//! `CrashOnSpec` is "once" *per process lifetime*: a long-lived serve
-//! daemon survives it exactly once across all its sessions, which is the
-//! re-dispatch-then-succeed scenario. A per-session stdio worker process is
-//! respawned with fresh state, so there `CrashOnSpec` degenerates to
-//! `PoisonSpec` — which the coordinator's poison-spec quarantine is built
-//! to absorb.
+//! `CrashOnSpec` is "once" *per session*. A stdio worker process serves
+//! exactly one session and is respawned with fresh state, so across a
+//! campaign `CrashOnSpec` behaves like `PoisonSpec` — which the
+//! coordinator's poison-spec quarantine is built to absorb.
 
 use crate::protocol::Message;
-use crate::transport::{Listener, Transport};
+use crate::transport::Transport;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::io;
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Env hook: a worker process exits with code 17 after sending this many
 /// `Done` frames. Adapter for [`FaultKind::CrashProcess`].
 pub const EXIT_AFTER_ENV: &str = "QISMET_CLUSTER_EXIT_AFTER";
 
-/// Env hook: a serve-daemon session disconnects after sending this many
-/// `Done` frames. Adapter for [`FaultKind::Disconnect`].
+/// Env hook: a worker session disconnects after sending this many `Done`
+/// frames. Adapter for [`FaultKind::Disconnect`].
 pub const DROP_AFTER_ENV: &str = "QISMET_NET_DROP_AFTER";
-
-/// Env hook: a serve daemon accepts at most this many sessions. Adapter
-/// for [`FaultPlan::max_sessions`].
-pub const MAX_SESSIONS_ENV: &str = "QISMET_NET_MAX_SESSIONS";
 
 /// Exit code used by [`FaultKind::CrashProcess`] (and the legacy
 /// [`EXIT_AFTER_ENV`] hook) so a chaos crash is distinguishable from a
@@ -91,7 +83,7 @@ pub enum FaultKind {
     /// The whole worker process exits with [`CRASH_EXIT_CODE`].
     CrashProcess,
     /// The session dies when an `Assign` containing this spec index
-    /// arrives — once per process lifetime.
+    /// arrives — once per session.
     CrashOnSpec(usize),
     /// The session dies *every time* an `Assign` containing this spec
     /// index arrives (the poison-spec scenario).
@@ -102,8 +94,7 @@ pub enum FaultKind {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Fault {
     /// Which pool slot this fault applies to (`None` = every slot). A
-    /// stdio worker learns its slot from `QISMET_CLUSTER_WORKER_ID`; a
-    /// serve-daemon session learns it from the coordinator's `Hello`.
+    /// stdio worker learns its slot from `QISMET_CLUSTER_WORKER_ID`.
     pub worker: Option<usize>,
     /// The fault arms once the session has sent this many `Done` frames.
     pub after_dones: usize,
@@ -121,23 +112,17 @@ pub struct Fault {
 pub struct FaultPlan {
     /// The scheduled faults, evaluated independently.
     pub faults: Vec<Fault>,
-    /// For serve daemons: stop accepting sessions after this many
-    /// (`None` = unlimited).
-    pub max_sessions: Option<usize>,
 }
 
 impl FaultPlan {
-    /// An empty plan (no faults, unlimited sessions).
+    /// An empty plan (no faults).
     pub fn new() -> Self {
-        FaultPlan {
-            faults: Vec::new(),
-            max_sessions: None,
-        }
+        FaultPlan { faults: Vec::new() }
     }
 
     /// True when the plan schedules nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.faults.is_empty() && self.max_sessions.is_none()
+        self.faults.is_empty()
     }
 
     /// Translates the legacy env hooks into a plan.
@@ -174,7 +159,6 @@ impl FaultPlan {
                 kind: FaultKind::Disconnect,
             });
         }
-        plan.max_sessions = read(MAX_SESSIONS_ENV)?;
         Ok(if plan.is_empty() { None } else { Some(plan) })
     }
 
@@ -211,10 +195,7 @@ impl FaultPlan {
                 kind,
             });
         }
-        FaultPlan {
-            faults,
-            max_sessions: None,
-        }
+        FaultPlan { faults }
     }
 
     /// Serializes the plan to its JSON file format.
@@ -238,29 +219,6 @@ impl Default for FaultPlan {
     }
 }
 
-/// Fault state shared across every session of one process (so "once per
-/// process lifetime" faults stay once even when a daemon serves many
-/// sessions).
-#[derive(Debug, Default)]
-pub struct ChaosState {
-    consumed: Mutex<HashSet<usize>>,
-}
-
-impl ChaosState {
-    /// Fresh shared state (nothing consumed yet).
-    pub fn new() -> Arc<Self> {
-        Arc::new(ChaosState::default())
-    }
-
-    /// Marks fault `index` consumed; true if it was not already.
-    fn consume(&self, index: usize) -> bool {
-        self.consumed
-            .lock()
-            .expect("chaos state lock poisoned")
-            .insert(index)
-    }
-}
-
 /// What a triggered garbling fault writes next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Garble {
@@ -269,12 +227,11 @@ enum Garble {
 }
 
 /// A [`Transport`] wrapper that executes a [`FaultPlan`] against the
-/// stream. Wraps the *worker side* of a session (stdio worker or daemon
-/// session); the coordinator side always runs the production transport.
+/// stream. Wraps the *worker side* of a session; the coordinator side
+/// always runs the production transport.
 pub struct FaultTransport {
     inner: Box<dyn Transport>,
     plan: FaultPlan,
-    shared: Arc<ChaosState>,
     slot: Option<usize>,
     dones_sent: usize,
     fired: Vec<bool>,
@@ -285,27 +242,14 @@ pub struct FaultTransport {
 }
 
 impl FaultTransport {
-    /// Wraps `inner`, executing `plan`. `slot` is the worker's pool slot if
-    /// already known (stdio workers read `QISMET_CLUSTER_WORKER_ID`);
-    /// daemon sessions pass `None` and learn it from the coordinator's
-    /// `Hello`.
+    /// Wraps `inner`, executing `plan`. `slot` is the worker's pool slot
+    /// (stdio workers read `QISMET_CLUSTER_WORKER_ID`); `None` means only
+    /// faults addressed to every slot apply.
     pub fn new(inner: Box<dyn Transport>, plan: FaultPlan, slot: Option<usize>) -> Self {
-        FaultTransport::with_shared(inner, plan, slot, ChaosState::new())
-    }
-
-    /// Like [`FaultTransport::new`] but sharing once-per-process fault
-    /// state with other sessions (used by [`FaultListener`]).
-    pub fn with_shared(
-        inner: Box<dyn Transport>,
-        plan: FaultPlan,
-        slot: Option<usize>,
-        shared: Arc<ChaosState>,
-    ) -> Self {
         let fired = vec![false; plan.faults.len()];
         FaultTransport {
             inner,
             plan,
-            shared,
             slot,
             dones_sent: 0,
             fired,
@@ -374,32 +318,22 @@ impl FaultTransport {
     }
 
     /// The armed spec fault hit by this assignment, if any.
-    fn spec_fault_hit(&mut self, indices: &[usize]) -> bool {
-        for i in 0..self.plan.faults.len() {
-            let fault = self.plan.faults[i].clone();
-            if !self.applies(&fault) || self.dones_sent < fault.after_dones {
+    fn spec_fault_hit(&self, indices: &[usize]) -> bool {
+        for fault in &self.plan.faults {
+            if !self.applies(fault) || self.dones_sent < fault.after_dones {
                 continue;
             }
-            match fault.kind {
-                FaultKind::CrashOnSpec(spec)
-                    if indices.contains(&spec) && self.shared.consume(i) =>
-                {
+            // The session dies on the hit, so a once-per-session
+            // `CrashOnSpec` and an every-time `PoisonSpec` fire alike here.
+            if let FaultKind::CrashOnSpec(spec) | FaultKind::PoisonSpec(spec) = fault.kind {
+                if indices.contains(&spec) {
                     qismet_telemetry::counter!("chaos.faults_fired").inc();
                     qismet_telemetry::event(
                         "chaos_fault",
-                        format!("CrashOnSpec({spec}) fired on slot {:?}", self.slot),
+                        format!("{:?} fired on slot {:?}", fault.kind, self.slot),
                     );
                     return true;
                 }
-                FaultKind::PoisonSpec(spec) if indices.contains(&spec) => {
-                    qismet_telemetry::counter!("chaos.faults_fired").inc();
-                    qismet_telemetry::event(
-                        "chaos_fault",
-                        format!("PoisonSpec({spec}) fired on slot {:?}", self.slot),
-                    );
-                    return true;
-                }
-                _ => {}
             }
         }
         false
@@ -450,11 +384,6 @@ impl Transport for FaultTransport {
         self.check_triggers();
         self.gate()?;
         let msg = self.inner.recv()?;
-        if self.slot.is_none() {
-            if let Message::Hello(hello) = &msg {
-                self.slot = Some(hello.worker_id);
-            }
-        }
         if let Message::Assign(assign) = &msg {
             if self.spec_fault_hit(&assign.indices) {
                 self.dead = true;
@@ -477,50 +406,6 @@ impl Transport for FaultTransport {
 
     fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.inner.send_raw(bytes)
-    }
-}
-
-/// A [`Listener`] wrapper that wraps every accepted session in a
-/// [`FaultTransport`] sharing one [`ChaosState`], so once-per-process
-/// faults stay once across a daemon's whole lifetime.
-pub struct FaultListener {
-    inner: Box<dyn Listener>,
-    plan: FaultPlan,
-    shared: Arc<ChaosState>,
-}
-
-impl FaultListener {
-    /// Wraps `inner`, applying `plan` to every accepted session.
-    pub fn new(inner: Box<dyn Listener>, plan: FaultPlan) -> Self {
-        FaultListener {
-            inner,
-            plan,
-            shared: ChaosState::new(),
-        }
-    }
-}
-
-impl std::fmt::Debug for FaultListener {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultListener")
-            .field("plan", &self.plan)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Listener for FaultListener {
-    fn accept(&mut self) -> io::Result<Box<dyn Transport>> {
-        let session = self.inner.accept()?;
-        Ok(Box::new(FaultTransport::with_shared(
-            session,
-            self.plan.clone(),
-            None,
-            Arc::clone(&self.shared),
-        )))
-    }
-
-    fn local_addr(&self) -> io::Result<String> {
-        self.inner.local_addr()
     }
 }
 
@@ -547,9 +432,10 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Assign, Done, Hello, Outcome};
+    use crate::protocol::{Assign, Done, Outcome};
     use serde::Value;
     use std::collections::VecDeque;
+    use std::sync::{Arc, Mutex};
 
     /// Records sends and replays scripted incoming messages; no real peer.
     /// State lives behind an `Arc` so tests can inspect it after handing
@@ -630,7 +516,6 @@ mod tests {
                 after_dones,
                 kind,
             }],
-            max_sessions: None,
         }
     }
 
@@ -649,11 +534,14 @@ mod tests {
                     kind: FaultKind::PoisonSpec(7),
                 },
             ],
-            max_sessions: Some(3),
         };
         let text = plan.to_json();
         assert_eq!(FaultPlan::from_json(&text).unwrap(), plan);
         assert!(FaultPlan::from_json("{broken").is_err());
+        // Plan files written while plans still carried a session cap
+        // keep parsing: the stale key is ignored.
+        let legacy = text.replacen('{', "{\"max_sessions\":null,", 1);
+        assert_eq!(FaultPlan::from_json(&legacy).unwrap(), plan);
     }
 
     #[test]
@@ -668,17 +556,15 @@ mod tests {
 
     #[test]
     fn env_adapter_translates_the_legacy_hooks() {
-        // Env mutation: keep all three vars inside this single test to
-        // avoid cross-test races.
-        for var in [EXIT_AFTER_ENV, DROP_AFTER_ENV, MAX_SESSIONS_ENV] {
+        // Env mutation: keep both vars inside this single test to avoid
+        // cross-test races.
+        for var in [EXIT_AFTER_ENV, DROP_AFTER_ENV] {
             std::env::remove_var(var);
         }
         assert_eq!(FaultPlan::from_env(), Ok(None));
         std::env::set_var(EXIT_AFTER_ENV, "3");
         std::env::set_var(DROP_AFTER_ENV, "2");
-        std::env::set_var(MAX_SESSIONS_ENV, "5");
         let plan = FaultPlan::from_env().unwrap().unwrap();
-        assert_eq!(plan.max_sessions, Some(5));
         assert_eq!(
             plan.faults,
             vec![
@@ -696,7 +582,7 @@ mod tests {
         );
         std::env::set_var(EXIT_AFTER_ENV, "not-a-number");
         assert!(FaultPlan::from_env().is_err());
-        for var in [EXIT_AFTER_ENV, DROP_AFTER_ENV, MAX_SESSIONS_ENV] {
+        for var in [EXIT_AFTER_ENV, DROP_AFTER_ENV] {
             std::env::remove_var(var);
         }
     }
@@ -723,24 +609,6 @@ mod tests {
         for i in 0..4 {
             t.send(&done(i)).unwrap();
         }
-    }
-
-    #[test]
-    fn daemon_sessions_learn_their_slot_from_the_hello() {
-        let (mock, _state) = MockTransport::scripted(&[Message::Hello(Hello {
-            worker_id: 1,
-            fingerprint: 0,
-            spec_count: 4,
-            token: String::new(),
-            threads: 0,
-            build: crate::protocol::BuildStamp::local(false),
-        })]);
-        let mut t = FaultTransport::new(mock, plan(FaultKind::Disconnect, Some(1), 0), None);
-        // Slot unknown: the slot-1 fault cannot apply yet, so the Hello
-        // gets through — and teaches the transport it *is* slot 1.
-        t.recv().unwrap();
-        let err = t.send(&done(0)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::ConnectionAborted);
     }
 
     #[test]
@@ -773,40 +641,29 @@ mod tests {
 
     #[test]
     fn poison_spec_kills_every_matching_assign() {
-        let shared = ChaosState::new();
         for _session in 0..3 {
             let (mock, _state) = MockTransport::scripted(&[assign(&[3, 7])]);
-            let mut t = FaultTransport::with_shared(
-                mock,
-                plan(FaultKind::PoisonSpec(7), None, 0),
-                Some(0),
-                Arc::clone(&shared),
-            );
+            let mut t = FaultTransport::new(mock, plan(FaultKind::PoisonSpec(7), None, 0), Some(0));
             let err = t.recv().unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
         }
     }
 
     #[test]
-    fn crash_on_spec_is_consumed_after_one_strike() {
-        let shared = ChaosState::new();
-        let make = |shared: &Arc<ChaosState>| {
-            let (mock, _state) = MockTransport::scripted(&[assign(&[7])]);
-            FaultTransport::with_shared(
-                mock,
-                plan(FaultKind::CrashOnSpec(7), None, 0),
-                Some(0),
-                Arc::clone(shared),
-            )
-        };
-        let mut first = make(&shared);
-        assert_eq!(
-            first.recv().unwrap_err().kind(),
-            io::ErrorKind::ConnectionReset
-        );
-        // Second session sharing state: the once-fault is spent.
-        let mut second = make(&shared);
-        assert_eq!(second.recv().unwrap(), assign(&[7]));
+    fn crash_on_spec_fires_once_per_session() {
+        // Each session is a fresh worker process with fresh fault state,
+        // so a respawned worker crashes on the spec again.
+        for _session in 0..2 {
+            let (mock, _state) = MockTransport::scripted(&[assign(&[7]), assign(&[7])]);
+            let mut t =
+                FaultTransport::new(mock, plan(FaultKind::CrashOnSpec(7), None, 0), Some(0));
+            assert_eq!(t.recv().unwrap_err().kind(), io::ErrorKind::ConnectionReset);
+            // The session is dead after the crash.
+            assert_eq!(
+                t.recv().unwrap_err().kind(),
+                io::ErrorKind::ConnectionAborted
+            );
+        }
     }
 
     #[test]

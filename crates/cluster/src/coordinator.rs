@@ -1,14 +1,15 @@
 //! The worker-pool coordinator.
 //!
 //! [`WorkerPool::run`] drives one [`crate::transport::Connector`] per
-//! worker slot — local process workers, remote TCP workers, or any mix —
+//! worker slot (in production, a spawned `campaign --worker` process)
 //! through the same lifecycle: connect, exchange the mutual
 //! [`Hello`](crate::protocol::Hello) handshake (campaign fingerprint, spec
-//! count, shared token), then stream [`Assign`] batches sized to the
-//! worker's advertised thread count from a shared dispatch queue. Each
-//! [`Done`] is surfaced to the caller's `on_done` sink (where the journal
+//! count, shared token), then stream [`Assign`](crate::protocol::Assign)
+//! batches sized to the worker's advertised thread count from a shared
+//! dispatch queue. Each [`Done`](crate::protocol::Done) is surfaced to the caller's `on_done` sink (where the journal
 //! append and any streaming writers live) before being merged into
-//! index-addressed slots.
+//! index-addressed slots. The batch exchange itself is
+//! `dispatch::exchange_batch`, shared with the service daemon.
 //!
 //! ## Fault model
 //!
@@ -16,10 +17,10 @@
 //!   un-acknowledged remainder of the batch returns to the shared queue as
 //!   *suspects* — re-dispatched one index at a time so any further crash is
 //!   precisely attributable — and the session is re-established through the
-//!   connector (respawn for processes, reconnect for TCP) behind an
-//!   exponential backoff. Reconnects consume the slot's respawn budget,
-//!   which measures *consecutive* failures: a session that delivered at
-//!   least one result refills it.
+//!   connector (a respawn, for process workers) behind an exponential
+//!   backoff. Respawns consume the slot's respawn budget, which measures
+//!   *consecutive* failures: a session that delivered at least one result
+//!   refills it.
 //! * **Hang** (worker alive, frames stopped): with an assign deadline
 //!   configured ([`WorkerPool::with_assign_timeout`]), silence past the
 //!   deadline tears the session down exactly like a channel loss. Workers
@@ -47,12 +48,12 @@
 //!   spec): retrying would fail the same way, so the pool shuts down and
 //!   returns [`ClusterError::RunFailed`].
 //!
-//! Whatever the topology or fault sequence, the merged records are
+//! Whatever the worker count or fault sequence, the merged records are
 //! **byte-identical** to a sequential in-process run: results are keyed by
 //! spec index and every record is a pure function of its pure spec.
 
-use crate::dispatch::{Batch, Dispatch};
-use crate::protocol::{Assign, BuildStamp, CheckpointEntry, Done, Hello, Message, Outcome};
+use crate::dispatch::{exchange_batch, Batch, Dispatch, ExchangeEnd};
+use crate::protocol::{BuildStamp, CheckpointEntry, Hello, Message, Outcome};
 use crate::transport::{Connector, Transport};
 use qismet_telemetry::{counter, event, fleet_update};
 use serde::Value;
@@ -228,7 +229,7 @@ pub struct ClusterOutcome {
     pub quarantined_workers: usize,
 }
 
-/// Default bound on the handshake round-trip (a daemon that accepts but
+/// Default bound on the handshake round-trip (a worker that starts but
 /// never answers must not hang the pool). Override via
 /// [`WorkerPool::with_handshake_timeout`].
 pub const DEFAULT_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
@@ -237,12 +238,32 @@ pub const DEFAULT_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 /// via [`WorkerPool::with_poison_after`].
 pub const DEFAULT_POISON_AFTER: usize = 2;
 
+/// Rejects zero/nonsense durations and thresholds before any session
+/// starts — the checks the one-shot pool and the service daemon share.
+pub(crate) fn validate_limits(
+    handshake_timeout: Duration,
+    assign_timeout: Option<Duration>,
+    poison_after: usize,
+    quarantine_after: Option<usize>,
+) -> Result<(), ClusterError> {
+    let problem = if handshake_timeout.is_zero() {
+        "handshake timeout must be positive"
+    } else if matches!(assign_timeout, Some(t) if t.is_zero()) {
+        "assign timeout must be positive (omit it to wait forever)"
+    } else if poison_after == 0 {
+        "poison-after threshold must be at least 1"
+    } else if quarantine_after == Some(0) {
+        "quarantine-after threshold must be at least 1 (omit it to disable)"
+    } else {
+        return Ok(());
+    };
+    Err(ClusterError::Config(problem.into()))
+}
+
 /// Base pause between a channel loss and the reconnect attempt; doubles
-/// per consecutive attempt (capped by [`RECONNECT_DELAY_MAX`]) so a daemon
-/// that is briefly busy — e.g. still computing a stale batch from the
-/// dropped session — is not hammered into a spuriously exhausted respawn
-/// budget. Long-running specs may still need a raised budget
-/// (`--max-respawns`) to ride out a reconnect window.
+/// per consecutive attempt (capped by [`RECONNECT_DELAY_MAX`]) so a worker
+/// that keeps failing to start is not hammered into a spuriously exhausted
+/// respawn budget.
 const RECONNECT_DELAY: Duration = Duration::from_millis(50);
 
 /// Ceiling for the exponential reconnect backoff.
@@ -250,10 +271,9 @@ const RECONNECT_DELAY_MAX: Duration = Duration::from_secs(5);
 
 /// A pool of workers — one [`Connector`] per slot — executing spec indices.
 ///
-/// This is the generalization of the original process pool over the
-/// [`Transport`] seam: a pool of `ProcessConnector`s reproduces the old
-/// spawn-N-children behavior, while arbitrary connector lists mix local
-/// and remote workers in one pool.
+/// Production pools hold one `ProcessConnector` per slot (spawned
+/// `campaign --worker` children); tests substitute scripted connectors
+/// through the same seam.
 pub struct WorkerPool {
     connectors: Vec<Box<dyn Connector>>,
     max_respawns: usize,
@@ -374,32 +394,6 @@ impl WorkerPool {
         self.connectors.len().min(n.max(1))
     }
 
-    /// Rejects zero/nonsense durations and thresholds before any session
-    /// starts.
-    fn validate(&self) -> Result<(), ClusterError> {
-        if self.handshake_timeout.is_zero() {
-            return Err(ClusterError::Config(
-                "handshake timeout must be positive".into(),
-            ));
-        }
-        if matches!(self.assign_timeout, Some(t) if t.is_zero()) {
-            return Err(ClusterError::Config(
-                "assign timeout must be positive (omit it to wait forever)".into(),
-            ));
-        }
-        if self.poison_after == 0 {
-            return Err(ClusterError::Config(
-                "poison-after threshold must be at least 1".into(),
-            ));
-        }
-        if self.quarantine_after == Some(0) {
-            return Err(ClusterError::Config(
-                "quarantine-after threshold must be at least 1 (omit it to disable)".into(),
-            ));
-        }
-        Ok(())
-    }
-
     /// Dispatches `pending` spec indices across the pool and collects the
     /// records. `fingerprint`/`total` describe the campaign both sides
     /// expanded; `on_done` observes every completed run (in completion
@@ -429,7 +423,12 @@ impl WorkerPool {
     where
         F: FnMut(&mut CheckpointEntry) -> Result<(), String> + Send,
     {
-        self.validate()?;
+        validate_limits(
+            self.handshake_timeout,
+            self.assign_timeout,
+            self.poison_after,
+            self.quarantine_after,
+        )?;
         if pending.is_empty() {
             return Ok(ClusterOutcome {
                 records: Vec::new(),
@@ -771,7 +770,8 @@ impl WorkerPool {
 
     /// Assigns one batch and collects its `Done`s; on channel loss (or a
     /// deadline expiry with no heartbeat) the unacknowledged remainder is
-    /// returned to the queue with crash blame recorded.
+    /// returned to the queue with crash blame recorded. A protocol
+    /// violation, a failed run or a sink failure is fatal.
     #[allow(clippy::too_many_arguments)]
     fn serve_batch<F>(
         &self,
@@ -788,146 +788,75 @@ impl WorkerPool {
         F: FnMut(&mut CheckpointEntry) -> Result<(), String> + Send,
     {
         let mut outstanding: VecDeque<usize> = batch.indices.iter().copied().collect();
-        let lose = |dispatch: &Dispatch,
-                    outstanding: &VecDeque<usize>,
-                    accepted: usize,
-                    detail: String| {
-            let blamed = dispatch.settle_loss(outstanding, batch.suspect);
-            SessionEnd::ChannelLost(SessionLoss {
-                detail,
-                productive: accepted > 0,
-                spec_blamed: blamed,
-            })
-        };
-        let assign = Message::Assign(Assign {
-            indices: batch.indices.clone(),
-        });
-        if let Err(e) = transport.send(&assign) {
-            let indices = &batch.indices;
-            return Err(lose(
-                dispatch,
-                &outstanding,
-                *accepted,
-                format!("assigning batch {indices:?} failed: {e}"),
-            ));
-        }
-        fleet_update(worker as u64, |s| s.assigned += batch.indices.len() as u64);
-        counter!("cluster.specs_assigned").add(batch.indices.len() as u64);
-        while !outstanding.is_empty() {
-            let done = match transport.recv() {
-                Ok(Message::Done(done)) => done,
-                Ok(Message::Ping) => {
-                    // The worker is alive, just still computing: answer and
-                    // keep waiting (the read deadline restarts per frame).
-                    fleet_update(worker as u64, |s| s.pings += 1);
-                    counter!("cluster.pings").inc();
-                    if let Err(e) = transport.send(&Message::Pong) {
-                        return Err(lose(
-                            dispatch,
-                            &outstanding,
-                            *accepted,
-                            format!("heartbeat reply failed: {e}"),
-                        ));
+        let exchanged = exchange_batch(
+            worker as u64,
+            transport,
+            batch,
+            &mut outstanding,
+            |index, seed, outcome| {
+                let record = match outcome {
+                    Outcome::Record(record) => record,
+                    Outcome::Failed(detail) => {
+                        dispatch.complete(index);
+                        return Err(ClusterError::RunFailed { index, detail });
                     }
-                    continue;
+                };
+                *accepted += 1;
+                if !dispatch.complete(index) {
+                    // A speculative twin finished first; this duplicate is
+                    // byte-identical by construction, so drop it without
+                    // re-journaling.
+                    fleet_update(worker as u64, |s| s.duplicates_lost += 1);
+                    counter!("cluster.speculative.duplicates_lost").inc();
+                    return Ok(());
                 }
-                Ok(other) => {
-                    dispatch.settle_loss(&outstanding, false);
-                    return Err(SessionEnd::Fatal(ClusterError::Protocol {
-                        worker,
-                        detail: format!("expected Done, got {other:?}"),
-                    }));
-                }
-                Err(e) => {
-                    return Err(lose(
-                        dispatch,
-                        &outstanding,
-                        *accepted,
-                        format!("reading result of batch {outstanding:?} failed: {e}"),
-                    ));
-                }
-            };
-            let Done {
-                index,
-                seed,
-                outcome,
-                stats,
-            } = done;
-            if let Some(stats) = &stats {
-                // Worker-side deltas: plain addition aggregates correctly
-                // across respawns and reused daemon sessions.
                 fleet_update(worker as u64, |s| {
-                    s.worker_specs_done += stats.specs_done;
-                    s.worker_eval_ns += stats.eval_ns;
-                    s.worker_plan_hits += stats.plan_hits;
-                    s.worker_plan_misses += stats.plan_misses;
-                    s.rtt_count += stats.rtt_count;
-                    s.rtt_ns_sum += stats.rtt_ns_sum;
-                    s.rtt_ns_max = s.rtt_ns_max.max(stats.rtt_ns_max);
-                });
-            }
-            let Some(pos) = outstanding.iter().position(|&i| i == index) else {
-                dispatch.settle_loss(&outstanding, false);
-                return Err(SessionEnd::Fatal(ClusterError::Protocol {
-                    worker,
-                    detail: format!("got result for unassigned spec {index}"),
-                }));
-            };
-            match outcome {
-                Outcome::Record(record) => {
-                    *accepted += 1;
-                    outstanding.remove(pos);
-                    if !dispatch.complete(index) {
-                        // A speculative twin finished first; this duplicate
-                        // is byte-identical by construction, so drop it
-                        // without re-journaling.
-                        fleet_update(worker as u64, |s| s.duplicates_lost += 1);
-                        counter!("cluster.speculative.duplicates_lost").inc();
-                        continue;
-                    }
-                    fleet_update(worker as u64, |s| {
-                        s.done += 1;
-                        if batch.speculative {
-                            s.speculative_won += 1;
-                        }
-                    });
-                    counter!("cluster.specs_done").inc();
+                    s.done += 1;
                     if batch.speculative {
-                        counter!("cluster.speculative.won").inc();
+                        s.speculative_won += 1;
                     }
-                    let mut entry = CheckpointEntry {
-                        fingerprint,
-                        index,
-                        seed,
-                        record,
-                    };
-                    let sunk = {
-                        let mut sink = sink.lock().expect("sink mutex poisoned");
-                        sink(&mut entry)
-                    };
-                    if let Err(detail) = sunk {
-                        // Durability lost (journal/stream write failed):
-                        // continuing would complete runs that can never be
-                        // resumed, so fail fast instead. The run was
-                        // journaled as completed in dispatch but the pool
-                        // aborts, so no further work depends on it.
-                        dispatch.settle_loss(&outstanding, false);
-                        return Err(SessionEnd::Fatal(ClusterError::Io(detail)));
-                    }
-                    results
-                        .lock()
-                        .expect("results mutex poisoned")
-                        .push((index, entry.record));
+                });
+                counter!("cluster.specs_done").inc();
+                if batch.speculative {
+                    counter!("cluster.speculative.won").inc();
                 }
-                Outcome::Failed(detail) => {
-                    outstanding.remove(pos);
-                    dispatch.complete(index);
-                    dispatch.settle_loss(&outstanding, false);
-                    return Err(SessionEnd::Fatal(ClusterError::RunFailed { index, detail }));
-                }
+                let mut entry = CheckpointEntry {
+                    fingerprint,
+                    index,
+                    seed,
+                    record,
+                };
+                // Durability lost (journal/stream write failed): continuing
+                // would complete runs that can never be resumed, so fail
+                // fast instead.
+                (sink.lock().expect("sink mutex poisoned"))(&mut entry)
+                    .map_err(ClusterError::Io)?;
+                results
+                    .lock()
+                    .expect("results mutex poisoned")
+                    .push((index, entry.record));
+                Ok(())
+            },
+        );
+        match exchanged {
+            Ok(()) => Ok(()),
+            Err(ExchangeEnd::Lost(detail)) => {
+                let spec_blamed = dispatch.settle_loss(&outstanding, batch.suspect);
+                Err(SessionEnd::ChannelLost(SessionLoss {
+                    detail,
+                    productive: *accepted > 0,
+                    spec_blamed,
+                }))
+            }
+            Err(ExchangeEnd::Violation(detail)) => {
+                dispatch.settle_loss(&outstanding, false);
+                Err(SessionEnd::Fatal(ClusterError::Protocol { worker, detail }))
+            }
+            Err(ExchangeEnd::Stopped(e)) => {
+                dispatch.settle_loss(&outstanding, false);
+                Err(SessionEnd::Fatal(e))
             }
         }
-        Ok(())
     }
 }
 

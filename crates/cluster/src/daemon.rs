@@ -28,16 +28,15 @@
 //! so a daemon killed anywhere resumes every interrupted job on restart,
 //! and the final report of every job is byte-identical to a sequential
 //! run of the same campaign — the dispatch queue preserves the
-//! first-result-wins, index-keyed merge discipline of the static pool
+//! first-result-wins, index-keyed merge discipline of the one-shot pool
 //! regardless of how jobs interleave or when workers come and go.
 
-use crate::coordinator::ClusterError;
-use crate::dispatch::{Batch, Dispatch};
+use crate::coordinator::{validate_limits, ClusterError};
+use crate::dispatch::{exchange_batch, Batch, Dispatch, ExchangeEnd};
 use crate::journal::{load_journal, JournalWriter};
-use crate::protocol::{Assign, DrainOk};
 use crate::protocol::{
-    BuildStamp, CheckpointEntry, Done, Hello, JobOpen, JobStatusInfo, Message, Outcome, ServiceErr,
-    ServiceErrKind, SlotStatusInfo, StatusReply, Submitted,
+    BuildStamp, CheckpointEntry, DrainOk, Hello, JobOpen, JobStatusInfo, Message, Outcome,
+    ServiceErr, ServiceErrKind, SlotStatusInfo, StatusReply, Submitted,
 };
 use crate::queue::{JobPhase, JobQueue, JobSpec, QueueError};
 use crate::registry::{RegisterRefusal, WorkerRegistry};
@@ -45,6 +44,7 @@ use crate::transport::{Listener, TcpTransport, Transport};
 use qismet_telemetry::{counter, event, fleet_update, gauge};
 use serde::Value;
 use std::collections::{BTreeMap, VecDeque};
+use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -103,7 +103,7 @@ pub struct ServiceConfig {
     pub quarantine_after: Option<usize>,
     /// Precise crash strikes before a spec is poisoned.
     pub poison_after: usize,
-    /// Mid-batch silence bound, as in the static pool (`None` = wait
+    /// Mid-batch silence bound, as in the one-shot pool (`None` = wait
     /// forever; workers heartbeat while computing).
     pub assign_timeout: Option<Duration>,
     /// Bound on handshake-ish exchanges (registration, `Ready`,
@@ -115,7 +115,7 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A config with the given fleet token and the same defaults as the
-    /// static pool (no tenants, ephemeral, no quarantine).
+    /// one-shot pool (no tenants, ephemeral, no quarantine).
     pub fn new(fleet_token: impl Into<String>) -> Self {
         ServiceConfig {
             fleet_token: fleet_token.into(),
@@ -565,67 +565,36 @@ impl<'a> Engine<'a> {
             }
         }
         let _ = transport.set_read_timeout(self.config.assign_timeout);
-        if let Err(e) = transport.send(&Message::Assign(Assign {
-            indices: batch.indices.clone(),
-        })) {
-            lose!("assigning batch {:?} failed: {e}", batch.indices);
-        }
-        fleet_update(slot, |s| s.assigned += batch.indices.len() as u64);
-        counter!("cluster.specs_assigned").add(batch.indices.len() as u64);
-        while !outstanding.is_empty() {
-            let done = match transport.recv() {
-                Ok(Message::Done(done)) => done,
-                Ok(Message::Ping) => {
-                    fleet_update(slot, |s| s.pings += 1);
-                    counter!("cluster.pings").inc();
-                    if let Err(e) = transport.send(&Message::Pong) {
-                        lose!("heartbeat reply failed: {e}");
+        let exchanged = exchange_batch(
+            slot,
+            transport,
+            batch,
+            &mut outstanding,
+            |index, seed, outcome| {
+                match outcome {
+                    Outcome::Record(record) => self.on_record(slot, run, index, seed, record),
+                    Outcome::Failed(detail) => {
+                        // Deterministic: retrying fails the same way. The
+                        // job dies; the worker is innocent and keeps serving
+                        // other jobs, so drain the rest of the batch
+                        // normally.
+                        run.dispatch.complete(index);
+                        self.fail_job(
+                            run,
+                            format!("spec {index} failed deterministically: {detail}"),
+                        );
                     }
-                    continue;
                 }
-                Ok(other) => {
-                    lose!("expected Done, got {other:?}");
-                }
-                Err(e) => {
-                    lose!("reading result of batch {outstanding:?} failed: {e}");
-                }
-            };
-            let Done {
-                index,
-                seed,
-                outcome,
-                stats,
-            } = done;
-            if let Some(stats) = &stats {
-                fleet_update(slot, |s| {
-                    s.worker_specs_done += stats.specs_done;
-                    s.worker_eval_ns += stats.eval_ns;
-                    s.worker_plan_hits += stats.plan_hits;
-                    s.worker_plan_misses += stats.plan_misses;
-                    s.rtt_count += stats.rtt_count;
-                    s.rtt_ns_sum += stats.rtt_ns_sum;
-                    s.rtt_ns_max = s.rtt_ns_max.max(stats.rtt_ns_max);
-                });
+                Ok::<(), Infallible>(())
+            },
+        );
+        match exchanged {
+            Ok(()) => Ok(()),
+            Err(ExchangeEnd::Lost(detail) | ExchangeEnd::Violation(detail)) => {
+                self.lose_batch(run, &outstanding, batch.suspect, detail)
             }
-            let Some(pos) = outstanding.iter().position(|&i| i == index) else {
-                lose!("got result for unassigned spec {index}");
-            };
-            outstanding.remove(pos);
-            match outcome {
-                Outcome::Record(record) => self.on_record(slot, run, index, seed, record),
-                Outcome::Failed(detail) => {
-                    // Deterministic: retrying fails the same way. The job
-                    // dies; the worker is innocent and keeps serving other
-                    // jobs, so drain the rest of the batch normally.
-                    run.dispatch.complete(index);
-                    self.fail_job(
-                        run,
-                        format!("spec {index} failed deterministically: {detail}"),
-                    );
-                }
-            }
+            Err(ExchangeEnd::Stopped(never)) => match never {},
         }
-        Ok(())
     }
 
     /// Drives one registered worker session until it deregisters, the
@@ -996,32 +965,18 @@ fn refuse(kind: ServiceErrKind, detail: String) -> Message {
 ///
 /// Returns [`ClusterError::Io`] when the state directory cannot be opened
 /// or the listener dies before a drain, and [`ClusterError::Config`] for
-/// nonsense thresholds (mirroring the static pool's validation).
+/// nonsense thresholds (mirroring the one-shot pool's validation).
 pub fn serve(
     mut listener: Box<dyn Listener>,
     planner: &dyn JobPlanner,
     config: &ServiceConfig,
 ) -> Result<ServiceSummary, ClusterError> {
-    if config.handshake_timeout.is_zero() {
-        return Err(ClusterError::Config(
-            "handshake timeout must be positive".into(),
-        ));
-    }
-    if matches!(config.assign_timeout, Some(t) if t.is_zero()) {
-        return Err(ClusterError::Config(
-            "assign timeout must be positive (omit it to wait forever)".into(),
-        ));
-    }
-    if config.poison_after == 0 {
-        return Err(ClusterError::Config(
-            "poison-after threshold must be at least 1".into(),
-        ));
-    }
-    if config.quarantine_after == Some(0) {
-        return Err(ClusterError::Config(
-            "quarantine-after threshold must be at least 1 (omit it to disable)".into(),
-        ));
-    }
+    validate_limits(
+        config.handshake_timeout,
+        config.assign_timeout,
+        config.poison_after,
+        config.quarantine_after,
+    )?;
     let queue = match &config.state_dir {
         Some(dir) => JobQueue::open(dir)
             .map_err(|e| ClusterError::Io(format!("state dir {} unusable: {e}", dir.display())))?,

@@ -1,16 +1,20 @@
-//! The shared spec-dispatch queue.
+//! The shared spec-dispatch queue and batch exchange.
 //!
-//! Extracted from the coordinator so both the static [`WorkerPool`]
+//! Extracted from the coordinator so both the one-shot [`WorkerPool`]
 //! (one queue for the whole run) and the service daemon (one queue per
 //! queued job) share the same crash-blame/poison/speculation semantics.
 //! [`Dispatch::pop_batch`] is the blocking form used by the pool's
 //! dedicated slot threads; [`Dispatch::try_pop_batch`] is the
 //! non-blocking form the daemon uses to pick work across many jobs
-//! without parking a session thread on one job's condvar.
+//! without parking a session thread on one job's condvar. Both then hand
+//! the popped [`Batch`] to [`exchange_batch`], the one `Assign` ->
+//! `Done`/`Ping` exchange with a worker.
 //!
 //! [`WorkerPool`]: crate::coordinator::WorkerPool
 
-use qismet_telemetry::{counter, event, gauge};
+use crate::protocol::{Assign, Done, Message, Outcome};
+use crate::transport::Transport;
+use qismet_telemetry::{counter, event, fleet_update, gauge};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -282,6 +286,100 @@ impl Dispatch {
         let state = self.state.lock().expect("dispatch mutex poisoned");
         state.poisoned.iter().copied().collect()
     }
+}
+
+/// Why [`exchange_batch`] stopped before every index was answered. The
+/// indices still outstanding stay in the caller's deque, which decides
+/// how to settle them.
+pub(crate) enum ExchangeEnd<E> {
+    /// The channel failed: a send or read error, or a read deadline that
+    /// expired without a frame.
+    Lost(String),
+    /// The worker sent something other than a `Ping` or a `Done` for an
+    /// outstanding index.
+    Violation(String),
+    /// The caller's result handler stopped the exchange.
+    Stopped(E),
+}
+
+/// Sends `batch` to a worker as one `Assign` and reads frames until every
+/// index is answered: each `Ping` gets a `Pong`, each `Done` folds its
+/// `stats` deltas into `slot`'s fleet-table row, and each `Done` for an
+/// index in `outstanding` is removed from it and handed to `on_result`.
+/// Worker stats are deltas, so plain addition aggregates correctly across
+/// respawns and reused sessions.
+///
+/// `outstanding` starts as the batch's indices; whatever it still holds
+/// when this returns an [`ExchangeEnd`] is unanswered work for the caller
+/// to settle back into its dispatch queue.
+pub(crate) fn exchange_batch<E>(
+    slot: u64,
+    transport: &mut dyn Transport,
+    batch: &Batch,
+    outstanding: &mut VecDeque<usize>,
+    mut on_result: impl FnMut(usize, u64, Outcome) -> Result<(), E>,
+) -> Result<(), ExchangeEnd<E>> {
+    let assign = Message::Assign(Assign {
+        indices: batch.indices.clone(),
+    });
+    if let Err(e) = transport.send(&assign) {
+        let indices = &batch.indices;
+        return Err(ExchangeEnd::Lost(format!(
+            "assigning batch {indices:?} failed: {e}"
+        )));
+    }
+    fleet_update(slot, |s| s.assigned += batch.indices.len() as u64);
+    counter!("cluster.specs_assigned").add(batch.indices.len() as u64);
+    while !outstanding.is_empty() {
+        let done = match transport.recv() {
+            Ok(Message::Done(done)) => done,
+            Ok(Message::Ping) => {
+                // The worker is alive, just still computing: answer and
+                // keep waiting (the read deadline restarts per frame).
+                fleet_update(slot, |s| s.pings += 1);
+                counter!("cluster.pings").inc();
+                if let Err(e) = transport.send(&Message::Pong) {
+                    return Err(ExchangeEnd::Lost(format!("heartbeat reply failed: {e}")));
+                }
+                continue;
+            }
+            Ok(other) => {
+                return Err(ExchangeEnd::Violation(format!(
+                    "expected Done, got {other:?}"
+                )))
+            }
+            Err(e) => {
+                return Err(ExchangeEnd::Lost(format!(
+                    "reading result of batch {outstanding:?} failed: {e}"
+                )))
+            }
+        };
+        let Done {
+            index,
+            seed,
+            outcome,
+            stats,
+        } = done;
+        if let Some(stats) = &stats {
+            fleet_update(slot, |s| {
+                s.worker_specs_done += stats.specs_done;
+                s.worker_eval_ns += stats.eval_ns;
+                s.worker_plan_hits += stats.plan_hits;
+                s.worker_plan_misses += stats.plan_misses;
+                s.rtt_count += stats.rtt_count;
+                s.rtt_ns_sum += stats.rtt_ns_sum;
+                s.rtt_ns_max = s.rtt_ns_max.max(stats.rtt_ns_max);
+            });
+        }
+        let Some(pos) = outstanding.iter().position(|&i| i == index) else {
+            return Err(ExchangeEnd::Violation(format!(
+                "got result for unassigned spec {index}"
+            )));
+        };
+        outstanding.remove(pos);
+        on_result(index, seed, outcome).map_err(ExchangeEnd::Stopped)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -15,26 +15,28 @@
 //!   blocking [`transport::Transport`]/[`transport::Listener`] trait pair
 //!   with child-process stdio-pipe and TCP (`TCP_NODELAY`, read timeouts,
 //!   graceful EOF -> worker-lost) implementations, plus the
-//!   [`transport::Connector`]s the coordinator uses to (re)establish
-//!   sessions.
+//!   [`transport::Connector`] the one-shot pool uses to (re)spawn worker
+//!   processes.
 //! * [`shard`] — deterministic partitioning of spec indices across workers
 //!   and the order-preserving merge of their results.
-//! * [`coordinator`] — [`coordinator::WorkerPool`], one connector per
-//!   worker slot (spawned processes, remote TCP daemons, or any mix),
-//!   streaming thread-count-sized `Assign` batches from a shared dispatch
-//!   queue. Crashed process workers respawn, dropped TCP workers
-//!   reconnect, and a slot that stays gone has its unfinished work
-//!   re-dispatched to the surviving workers.
+//! * [`coordinator`] — [`coordinator::WorkerPool`], the one-shot pool of
+//!   spawned worker processes (one connector per slot), streaming
+//!   thread-count-sized `Assign` batches from a shared dispatch queue.
+//!   Crashed workers respawn, and a slot that stays gone has its
+//!   unfinished work re-dispatched to the surviving workers.
 //! * [`journal`] — an append-only JSONL checkpoint keyed by (campaign
 //!   fingerprint, spec index, seed), each line checksummed, so an
 //!   interrupted campaign resumes instead of restarting — even past
 //!   corrupted lines.
 //! * [`chaos`] — deterministic fault injection: a seeded, serializable
-//!   [`chaos::FaultPlan`] executed by transport wrappers, so every fault
+//!   [`chaos::FaultPlan`] executed by a transport wrapper, so every fault
 //!   the coordinator must survive is reproducible on demand.
 //!
-//! On top of the one-shot pool sits the **campaign service**: a
-//! long-running daemon serving many campaigns to an elastic fleet.
+//! The one-shot pool is for single runs on one machine. Remote fleets go
+//! through the **campaign service**: a long-running daemon serving many
+//! campaigns to an elastic fleet of workers that register with it. The
+//! pool and the daemon share one dispatch queue and one batch exchange
+//! (`Assign` out; `Done`/`Ping` back).
 //!
 //! * [`registry`] — the dynamic worker slot table. Workers *register* at
 //!   the daemon's rendezvous address instead of being dialed; quarantine
@@ -50,7 +52,7 @@
 //!   via a [`daemon::JobPlanner`].
 //!
 //! The merged result is **bit-identical** to a sequential in-process run —
-//! whatever the worker topology: every record is produced by the same pure
+//! whatever the worker count or fleet: every record is produced by the same pure
 //! function of the same pure spec, and the JSON layer (`serde_json` shim)
 //! round-trips every finite `f64` bit-exactly.
 
@@ -68,10 +70,7 @@ pub mod registry;
 pub mod shard;
 pub mod transport;
 
-pub use chaos::{
-    Fault, FaultKind, FaultListener, FaultPlan, FaultTransport, DROP_AFTER_ENV, EXIT_AFTER_ENV,
-    MAX_SESSIONS_ENV,
-};
+pub use chaos::{Fault, FaultKind, FaultPlan, FaultTransport, DROP_AFTER_ENV, EXIT_AFTER_ENV};
 pub use coordinator::{ClusterError, ClusterOutcome, WorkerPool};
 pub use daemon::{serve, JobPlan, JobPlanner, ServiceConfig, ServiceSummary};
 pub use journal::{load_journal, JournalWriter, LoadedJournal};
@@ -84,8 +83,8 @@ pub use queue::{JobPhase, JobQueue, JobSpec, JobState, QueueError};
 pub use registry::{RegisterRefusal, RegisteredWorker, WorkerRegistry};
 pub use shard::{merge_indexed, shard_round_robin, MergeError};
 pub use transport::{
-    ChildTransport, Connector, Listener, ProcessConnector, StdioTransport, TcpConnector,
-    TcpTransport, TcpTransportListener, Transport, WorkerLaunch, WORKER_ID_ENV,
+    ChildTransport, Connector, Listener, ProcessConnector, StdioTransport, TcpTransport,
+    TcpTransportListener, Transport, WorkerLaunch, WORKER_ID_ENV,
 };
 
 /// Incremental FNV-1a content hash used to fingerprint campaign definitions.

@@ -6,9 +6,8 @@
 //!   (announcing its campaign [`fingerprint`](crate::Fingerprint), spec
 //!   count, and shared authentication token); the worker verifies the token
 //!   and replies with its own `Hello` (same fields, plus its thread count),
-//!   so a mis-launched worker (different grid flags, different binary) — or
-//!   an unauthorized coordinator dialing a serve daemon — is rejected
-//!   before any work is assigned.
+//!   so a mis-launched worker (different grid flags, different binary, a
+//!   different token) is rejected before any work is assigned.
 //! * [`Reject`](Message::Reject) (worker -> coordinator): the worker
 //!   refused the handshake (token mismatch). Carries the reason and never
 //!   echoes the worker's own token.
@@ -41,8 +40,8 @@
 //! with an extended vocabulary:
 //!
 //! * [`Register`] / [`RegisterAck`](Message::RegisterAck): an elastic
-//!   worker joins the fleet by *dialing the daemon* (inverting the static
-//!   pool's connect direction) and is assigned a dynamic slot id.
+//!   worker joins the fleet by *dialing the daemon* (where the one-shot
+//!   pool spawns its workers) and is assigned a dynamic slot id.
 //!   [`Deregister`](Message::Deregister) leaves voluntarily — no strike.
 //! * [`Ready`](Message::Ready) (worker -> daemon): the worker is idle and
 //!   pulls its next assignment. The daemon answers with [`JobOpen`] when
@@ -213,8 +212,8 @@ pub struct CheckpointEntry {
 
 /// An elastic worker's request to join a service daemon's fleet.
 ///
-/// Unlike the static pool's [`Hello`] (where the coordinator knows the
-/// campaign and dials the worker), a registering worker knows nothing
+/// Unlike the one-shot pool's [`Hello`] (where the coordinator knows the
+/// campaign and spawns the worker), a registering worker knows nothing
 /// about the jobs it will serve — campaigns are shipped later via
 /// [`JobOpen`]. The token is the fleet-side shared secret, distinct from
 /// the per-tenant submission tokens.

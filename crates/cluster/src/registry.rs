@@ -1,8 +1,8 @@
 //! The dynamic worker registry behind the service daemon.
 //!
-//! The static [`WorkerPool`](crate::coordinator::WorkerPool) owns a fixed
-//! slot table sized by CLI flags; the service daemon instead grows and
-//! shrinks its fleet as workers *register* at the rendezvous address. Each
+//! The one-shot [`WorkerPool`](crate::coordinator::WorkerPool) owns a
+//! fixed slot table sized by `--workers`; the service daemon instead grows
+//! and shrinks its fleet as workers *register* at the rendezvous address. Each
 //! accepted [`Register`](crate::protocol::Register) mints a fresh,
 //! monotonically-increasing slot id — sessions are disposable, so a
 //! reconnecting worker gets a new slot, never a recycled one.

@@ -13,13 +13,11 @@
 //!   vanished peer as worker-lost, not protocol corruption).
 //!   [`StdioTransport`] is the worker-side half of the pipe pair.
 //! * [`Listener`] — accepts inbound transports; [`TcpTransportListener`]
-//!   wraps `std::net::TcpListener` for the `campaign --serve` daemon.
-//! * [`Connector`] — how the coordinator obtains (and re-obtains, after a
-//!   crash or disconnect) the transport for one worker slot:
-//!   [`ProcessConnector`] spawns a local worker process,
-//!   [`TcpConnector`] dials a remote serve daemon. A
-//!   [`crate::coordinator::WorkerPool`] built from a mixed connector list
-//!   treats local and remote workers uniformly.
+//!   wraps `std::net::TcpListener` for the `campaign --daemon` service,
+//!   which remote workers dial with `--register`.
+//! * [`Connector`] — how the one-shot coordinator obtains (and re-obtains,
+//!   after a crash) the transport for one worker slot:
+//!   [`ProcessConnector`] spawns a local worker process.
 
 use crate::protocol::{read_message, write_message, Message};
 use std::io::{self, BufReader, Write};
@@ -91,9 +89,9 @@ pub trait Transport: Send {
     }
 }
 
-/// Accepts inbound [`Transport`] sessions (the worker-daemon side).
+/// Accepts inbound [`Transport`] sessions (the service-daemon side).
 pub trait Listener: Send {
-    /// Blocks until the next coordinator connects.
+    /// Blocks until the next peer connects.
     ///
     /// # Errors
     ///
@@ -367,7 +365,7 @@ impl Transport for TcpTransport {
     }
 }
 
-/// TCP listener for the `campaign --serve` worker daemon.
+/// TCP listener for the `campaign --daemon` service.
 #[derive(Debug)]
 pub struct TcpTransportListener {
     inner: TcpListener,
@@ -414,10 +412,9 @@ impl Listener for TcpTransportListener {
 /// How the coordinator obtains the transport for one worker slot.
 ///
 /// `connect` is called again after a channel loss — for a process worker
-/// that is a respawn, for a TCP worker a reconnect to the same daemon. A
-/// slot whose connector keeps failing past the pool's respawn budget is
-/// declared lost and its unfinished work re-dispatched to the surviving
-/// slots.
+/// that is a respawn. A slot whose connector keeps failing past the pool's
+/// respawn budget is declared lost and its unfinished work re-dispatched
+/// to the surviving slots.
 pub trait Connector: Send + Sync {
     /// Establishes (or re-establishes) the session for pool slot `worker`.
     ///
@@ -445,45 +442,6 @@ impl Connector for ProcessConnector {
 
     fn describe(&self) -> String {
         format!("process worker ({})", self.launch.program.display())
-    }
-}
-
-/// Dials a remote `campaign --serve` daemon per session.
-#[derive(Debug, Clone)]
-pub struct TcpConnector {
-    /// Daemon address (`host:port`).
-    pub addr: String,
-    /// Bound on each connection attempt.
-    pub connect_timeout: Duration,
-}
-
-impl TcpConnector {
-    /// A connector for `addr` with a 5-second connect timeout.
-    pub fn new(addr: impl Into<String>) -> Self {
-        TcpConnector {
-            addr: addr.into(),
-            connect_timeout: Duration::from_secs(5),
-        }
-    }
-
-    /// Replaces the per-attempt connect timeout.
-    #[must_use]
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Self {
-        self.connect_timeout = timeout;
-        self
-    }
-}
-
-impl Connector for TcpConnector {
-    fn connect(&self, _worker: usize) -> io::Result<Box<dyn Transport>> {
-        Ok(Box::new(TcpTransport::connect(
-            &self.addr,
-            self.connect_timeout,
-        )?))
-    }
-
-    fn describe(&self) -> String {
-        format!("tcp worker ({})", self.addr)
     }
 }
 
@@ -571,8 +529,5 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         drop(listener);
         assert!(TcpTransport::connect(&addr, Duration::from_millis(500)).is_err());
-        let connector = TcpConnector::new(addr);
-        assert!(connector.connect(0).is_err());
-        assert!(connector.describe().contains("tcp worker"));
     }
 }

@@ -449,7 +449,7 @@ fn rogue_results_for_unassigned_specs_are_a_fatal_protocol_error() {
 
 // ===========================================================================
 // Campaign-service tests: the same scripted-worker idea pointed at the
-// dynamic registry and service daemon instead of the static pool. Workers
+// dynamic registry and service daemon instead of the one-shot pool. Workers
 // here *register* over in-memory duplex channels, join late, leave
 // voluntarily, or crash to accrue name-keyed strikes — and every settled
 // job's finalize payload must equal the sequential reference, whatever the
@@ -895,9 +895,10 @@ fn elastic_fleet_serves_two_tenants_and_settles_reference_identical_reports() {
     assert_eq!(alice_view.jobs[0].job_id, job_a);
     assert_eq!(alice_view.jobs[0].tenant, "alice");
     assert_eq!(status(&harness, "fleet").jobs.len(), 2);
-    // Elastic fleet: one steady worker, one that leaves after two batches,
-    // one that joins late — all while both jobs are in flight.
-    let steady = fleet_worker(&harness, "steady", "fleet", 2, FleetScript::Serve);
+    // Elastic fleet: a worker that serves two batches alone and leaves,
+    // then a steady worker and a late joiner that finish both jobs. The
+    // transient worker leaves before the others register, so its two
+    // batches (4 of the 21 specs) cannot be taken from it.
     let transient = fleet_worker(
         &harness,
         "transient",
@@ -905,15 +906,24 @@ fn elastic_fleet_serves_two_tenants_and_settles_reference_identical_reports() {
         2,
         FleetScript::DeregisterAfter(2),
     );
-    std::thread::sleep(Duration::from_millis(50));
-    let late = fleet_worker(&harness, "late", "fleet", 3, FleetScript::Serve);
-    let drained = drain(&harness, "fleet");
-    assert_eq!(drained.jobs_completed, 2);
-    assert_eq!(drained.jobs_failed, 0);
     assert_eq!(
         transient.join().expect("transient exits").expect("served"),
         2
     );
+    let midway = status(&harness, "fleet");
+    assert_eq!(midway.jobs.len(), 2);
+    for job in &midway.jobs {
+        assert!(
+            job.done < job.total && job.phase != "completed",
+            "job {} settled before the rest of the fleet joined: {job:?}",
+            job.job_id
+        );
+    }
+    let steady = fleet_worker(&harness, "steady", "fleet", 2, FleetScript::Serve);
+    let late = fleet_worker(&harness, "late", "fleet", 3, FleetScript::Serve);
+    let drained = drain(&harness, "fleet");
+    assert_eq!(drained.jobs_completed, 2);
+    assert_eq!(drained.jobs_failed, 0);
     steady.join().expect("steady exits").expect("served");
     late.join().expect("late exits").expect("served");
     let finals = harness.finals();

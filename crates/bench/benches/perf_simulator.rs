@@ -14,8 +14,8 @@ use qismet_bench::{Campaign, ScenarioSpec, Scheme, SweepExecutor};
 use qismet_mathkit::rng_from_seed;
 use qismet_optim::{GainSchedule, Proposer, Spsa};
 use qismet_qsim::{
-    statevector, Backend, CachedStatevectorBackend, Circuit, CompiledCircuit, CompiledObservable,
-    DensityMatrix, KrausChannel, StateVector,
+    statevector, Backend, Circuit, CompiledCircuit, CompiledObservable, DensityMatrix,
+    KrausChannel, StateVector, StatevectorBackend,
 };
 use qismet_vqa::{Ansatz, AnsatzKind, Boundary, Entanglement, Tfim};
 use std::time::Instant;
@@ -177,7 +177,7 @@ fn bench_compiled_vs_interpreted(c: &mut Criterion) {
         // single-sweep expectation.
         let mut plan = CompiledCircuit::compile(ansatz.circuit());
         let obs = CompiledObservable::compile(&h);
-        let mut backend = CachedStatevectorBackend::new();
+        let mut backend = StatevectorBackend::new();
         group.bench_function(format!("compiled_{n}q"), |b| {
             b.iter(|| backend.evaluate_plan(&mut plan, &params, &obs).unwrap())
         });

@@ -39,20 +39,7 @@ use qismet::{
 };
 use qismet_filters::{KalmanFilter, OnlyTransientsPolicy};
 use qismet_optim::{BlockingPolicy, GainSchedule, SecondOrderSpsa, Spsa};
-use qismet_qsim::BackendPool;
 use qismet_vqa::{run_tuning, AppInstance, AppSpec, NoisyObjective, TuningScheme};
-use std::cell::RefCell;
-
-thread_local! {
-    // One backend pool per worker thread (the sweep executor's workers are
-    // plain scoped threads, so `thread_local!` is exactly per-worker): every
-    // run on a worker shares one scratch statevector and one compiled-plan
-    // cache per qubit count, instead of allocating a fresh
-    // CachedStatevectorBackend per run (ROADMAP "cross-run backend
-    // sharing"). Results are unchanged by the sharing — the Backend
-    // contract — which `campaign_engine` pins by test.
-    static WORKER_BACKENDS: RefCell<BackendPool> = RefCell::new(BackendPool::new());
-}
 
 /// Scale factor for iteration counts, read from `QISMET_BENCH_SCALE`
 /// (e.g. `0.1` for a 10x faster smoke run). Defaults to 1.
@@ -134,9 +121,7 @@ pub struct SchemeOutcome {
 
 fn fresh_app(spec: &AppSpec, iterations: usize, magnitude: Option<f64>, seed: u64) -> AppInstance {
     // Trace capacity: every iteration may burn 1 + retry_budget jobs.
-    let capacity = iterations * 7 + 16;
-    let backend = WORKER_BACKENDS.with(|pool| pool.borrow_mut().backend_for(spec.n_qubits));
-    spec.build_with_backend(capacity, magnitude, seed, backend)
+    spec.build(iterations * 7 + 16, magnitude, seed)
 }
 
 fn spsa_for(app: &AppInstance, seed: u64) -> Spsa {

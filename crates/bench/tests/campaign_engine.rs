@@ -55,9 +55,6 @@ fn parallel_and_sequential_records_are_bit_identical() {
 
 #[test]
 fn rerunning_a_campaign_is_deterministic() {
-    // Two sequential runs on this thread share the worker backend pool, so
-    // equality here also pins that cross-run backend sharing (reused
-    // scratch state + compiled plans) leaves results untouched.
     let campaign = small_campaign();
     let a = run_campaign(&campaign);
     let b = run_campaign(&campaign);
@@ -65,18 +62,17 @@ fn rerunning_a_campaign_is_deterministic() {
 }
 
 #[test]
-fn pooled_worker_backends_match_fresh_backends() {
+fn worker_backends_match_fresh_backends() {
     use qismet_optim::{GainSchedule, Spsa};
     use qismet_vqa::{run_tuning, TuningScheme};
 
-    // `run_scheme` draws its backend from the per-worker pool; replicate the
-    // Baseline scheme by hand on an app built with a fresh, unpooled
-    // backend and require bitwise-identical series.
+    // Replicate `run_scheme`'s Baseline scheme by hand on an app built
+    // with a fresh backend and require bitwise-identical series.
     let spec = AppSpec::by_id(1).unwrap();
     let (iterations, seed) = (30usize, 123u64);
-    let pooled = qismet_bench::run_scheme(&spec, Scheme::Baseline, iterations, None, seed);
+    let worker = qismet_bench::run_scheme(&spec, Scheme::Baseline, iterations, None, seed);
 
-    let mut app = spec.build(iterations * 7 + 16, None, seed); // fresh CachedStatevectorBackend
+    let mut app = spec.build(iterations * 7 + 16, None, seed);
     let mut spsa = Spsa::new(
         app.theta0.len(),
         GainSchedule::vqa_paper(),
@@ -89,21 +85,20 @@ fn pooled_worker_backends_match_fresh_backends() {
         iterations,
         TuningScheme::Baseline,
     );
-    assert_eq!(pooled.series.len(), rec.measured.len());
-    for (i, (a, b)) in pooled.series.iter().zip(&rec.measured).enumerate() {
+    assert_eq!(worker.series.len(), rec.measured.len());
+    for (i, (a, b)) in worker.series.iter().zip(&rec.measured).enumerate() {
         assert_eq!(
             a.to_bits(),
             b.to_bits(),
-            "iteration {i}: pooled {a} vs fresh {b}"
+            "iteration {i}: worker {a} vs fresh {b}"
         );
     }
-    assert_eq!(pooled.jobs, rec.jobs);
-    assert_eq!(pooled.evals, rec.evals);
+    assert_eq!(worker.jobs, rec.jobs);
+    assert_eq!(worker.evals, rec.evals);
 
-    // And a pooled rerun of the same spec (second hit on the shared
-    // backend) stays bitwise identical.
+    // And a rerun of the same spec stays bitwise identical.
     let again = qismet_bench::run_scheme(&spec, Scheme::Baseline, iterations, None, seed);
-    for (a, b) in pooled.series.iter().zip(&again.series) {
+    for (a, b) in worker.series.iter().zip(&again.series) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
 }

@@ -3,7 +3,7 @@
 //! [`WorkerPool::run`] drives one [`crate::transport::Connector`] per
 //! worker slot (in production, a spawned `campaign --worker` process)
 //! through the same lifecycle: connect, exchange the mutual
-//! [`Hello`](crate::protocol::Hello) handshake (campaign fingerprint, spec
+//! [`Hello`] handshake (campaign fingerprint, spec
 //! count, shared token), then stream [`Assign`](crate::protocol::Assign)
 //! batches sized to the worker's advertised thread count from a shared
 //! dispatch queue. Each [`Done`](crate::protocol::Done) is surfaced to the caller's `on_done` sink (where the journal

@@ -66,10 +66,11 @@
 //! TCP sockets (see [`crate::transport`]).
 
 use serde::{Deserialize, Serialize, Value};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
-/// Upper bound on a single framed message body (guards against parsing a
-/// corrupted length header into a giant allocation).
+/// Upper bound on a single framed message body: a corrupted length header
+/// above it is refused before any body byte is read. (The body buffer grows
+/// only with bytes that arrive, never to the claimed length up front.)
 const MAX_FRAME_BYTES: usize = 1 << 30;
 
 /// Longest valid length header: the decimal digits of [`MAX_FRAME_BYTES`]
@@ -126,9 +127,9 @@ pub struct WorkerStats {
     pub specs_done: u64,
     /// Wall time spent executing specs.
     pub eval_ns: u64,
-    /// Compiled-plan cache hits in the worker's qsim backends.
+    /// Compiled-plan evaluations in the worker (`qsim.plan_cache.hits`).
     pub plan_hits: u64,
-    /// Compiled-plan cache misses (compilations).
+    /// Plan compilations in the worker (`qsim.plan_cache.misses`).
     pub plan_misses: u64,
     /// Heartbeat round trips (ping send -> pong read) since the previous
     /// `Done`.
@@ -486,8 +487,16 @@ pub fn read_message<R: BufRead>(r: &mut R) -> io::Result<Message> {
             format!("frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"),
         ));
     }
-    let mut body = vec![0u8; len + 1];
-    r.read_exact(&mut body)?;
+    // The length is untrusted: it bounds the read but never sizes an
+    // allocation, so the buffer grows only with bytes that actually arrive.
+    let mut body = Vec::new();
+    io::Read::take(&mut *r, len as u64 + 1).read_to_end(&mut body)?;
+    if body.len() <= len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame body truncated at {} of {len} bytes", body.len()),
+        ));
+    }
     if body[len] != b'\n' {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,

@@ -1,30 +1,27 @@
-//! The pluggable circuit-execution layer.
+//! The circuit-execution layer.
 //!
 //! Everything above this crate evaluates circuits through the [`Backend`]
-//! trait instead of constructing simulators directly, which gives the
-//! workspace one seam for every execution strategy: the straightforward
-//! statevector path, the buffer-reusing cached path, and the mutex-shared
-//! and per-width pooled handles campaign executors hand to their runs.
-//! QISMET's job structure (paper Fig. 7) maps naturally onto
-//! [`Backend::evaluate_batch`]: every circuit of one quantum job is handed
-//! to the engine as a single batch.
+//! trait instead of constructing simulators directly. Its one
+//! implementation, [`StatevectorBackend`], runs compiled plans
+//! ([`crate::CompiledCircuit`] / [`crate::CompiledObservable`]) on a reused
+//! scratch statevector. QISMET's job structure (paper Fig. 7) maps onto
+//! [`Backend::evaluate_plan_batch`]: every parameter point of one quantum
+//! job is handed to the engine as a single batch.
 //!
-//! Both statevector backends execute through compiled plans
-//! ([`crate::CompiledCircuit`] / [`crate::CompiledObservable`]): each keeps
-//! a small plan cache keyed by circuit *structure*, so a tuning loop that
-//! evaluates the same ansatz at thousands of angle points compiles once and
-//! only rebinds thereafter. Callers that already hold a plan skip the cache
-//! entirely via [`Backend::evaluate_plan`], the allocation-free hot path.
+//! The hot path is [`Backend::evaluate_plan`]: the caller compiles its
+//! ansatz and observable once and holds the plans, and each call rebinds
+//! the plan in place and runs it without allocating. [`Backend::evaluate`]
+//! takes a bound [`Circuit`] instead and compiles it on every call.
 //!
 //! # Examples
 //!
 //! ```
-//! use qismet_qsim::{Backend, CachedStatevectorBackend, Circuit, PauliSum};
+//! use qismet_qsim::{Backend, Circuit, PauliSum, StatevectorBackend};
 //!
 //! let h = PauliSum::from_labels(&[(-1.0, "ZZ"), (-0.5, "XI")]).unwrap();
 //! let mut c = Circuit::new(2);
 //! c.ry(0.3, 0).ry(0.7, 1).cx(0, 1);
-//! let mut backend = CachedStatevectorBackend::new();
+//! let mut backend = StatevectorBackend::new();
 //! let single = backend.evaluate(&c, &h).unwrap();
 //! let batch = backend.evaluate_batch(std::slice::from_ref(&c), &h).unwrap();
 //! assert_eq!(single.to_bits(), batch[0].to_bits());
@@ -35,9 +32,7 @@ use crate::compile::{CompiledCircuit, CompiledObservable};
 use crate::gate::GateError;
 use crate::pauli::PauliSum;
 use crate::statevector::StateVector;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 /// A circuit-execution engine producing expectation values.
 ///
@@ -46,21 +41,32 @@ use std::sync::{Arc, Mutex};
 /// results* — the value returned for a `(circuit, observable)` pair may not
 /// depend on prior calls. That invariant is what lets callers batch freely:
 /// [`Backend::evaluate_batch`] must agree bit-for-bit with a loop of
-/// [`Backend::evaluate`] calls, and pooled/shared backends must agree with
-/// fresh ones.
+/// [`Backend::evaluate`] calls, and a reused backend with a fresh one.
 pub trait Backend: Send {
     /// Evaluates `<0| C† H C |0>` for a bound circuit.
+    ///
+    /// The provided implementation compiles `circuit` as a template plan
+    /// (every angle a rebindable slot) and `observable` alongside it, then
+    /// runs them through [`Backend::evaluate_plan`] at the circuit's own
+    /// angles, so the result is bitwise equal to the plan path. It compiles
+    /// on every call: loops should hold a plan instead.
     ///
     /// # Errors
     ///
     /// [`GateError::UnboundParameter`] if the circuit has free parameters.
-    fn evaluate(&mut self, circuit: &Circuit, observable: &PauliSum) -> Result<f64, GateError>;
+    fn evaluate(&mut self, circuit: &Circuit, observable: &PauliSum) -> Result<f64, GateError> {
+        let mut angles = Vec::new();
+        // Extract angles first so unbound circuits error before compiling.
+        CompiledCircuit::extract_angles(circuit, &mut angles)?;
+        let mut plan = CompiledCircuit::compile_template(circuit);
+        self.evaluate_plan(&mut plan, &angles, &CompiledObservable::compile(observable))
+    }
 
     /// Evaluates a batch of circuits against one observable, in order.
     ///
     /// The default implementation loops over [`Backend::evaluate`];
-    /// implementations may override it to amortize setup or fan out across
-    /// threads, but the results must stay bitwise identical to the loop.
+    /// implementations may override it to amortize setup, but the results
+    /// must stay bitwise identical to the loop.
     ///
     /// # Errors
     ///
@@ -79,10 +85,9 @@ pub trait Backend: Send {
     /// Evaluates a pre-compiled plan at one parameter point: the plan is
     /// rebound in place to `params` and executed against the compiled
     /// observable. This is the hot path — no `Circuit` is bound, no gate
-    /// matrices are heap-allocated, no per-term state sweeps run; with a
-    /// scratch-reusing implementation ([`CachedStatevectorBackend`],
-    /// [`SharedBackend`]) it performs no allocation at all. The default
-    /// implementation still allocates one fresh state per call.
+    /// matrices are heap-allocated, no per-term state sweeps run, and
+    /// [`StatevectorBackend`] performs no allocation at all once its
+    /// scratch state has the plan's width.
     ///
     /// Results must be bitwise identical across implementations for the
     /// same plan and parameters (plan execution is deterministic).
@@ -96,11 +101,7 @@ pub trait Backend: Send {
         plan: &mut CompiledCircuit,
         params: &[f64],
         observable: &CompiledObservable,
-    ) -> Result<f64, GateError> {
-        plan.rebind(params)?;
-        let mut sv = StateVector::new(plan.n_qubits());
-        plan.run_expectation(&mut sv, observable)
-    }
+    ) -> Result<f64, GateError>;
 
     /// Evaluates a plan at many parameter points, in order. The plan's
     /// residual binding after the call is unspecified. Results are bitwise
@@ -141,117 +142,20 @@ impl fmt::Debug for dyn Backend {
     }
 }
 
-/// Plans and compiled observables retained per backend. Small and scanned
-/// linearly: a campaign touches one or two circuit structures and one
-/// Hamiltonian, so the match test (an angle-blind structural compare, no
-/// allocation) is trivial next to a `2^n` state sweep.
-const PLAN_CACHE_CAP: usize = 8;
-
-/// The compile-once, rebind-forever cache both statevector backends share:
-/// template plans keyed by circuit structure, compiled observables keyed by
-/// the source Hamiltonian, and a reused angle-extraction buffer.
-#[derive(Debug, Clone, Default)]
-struct PlanCache {
-    plans: Vec<CompiledCircuit>,
-    observables: Vec<(PauliSum, CompiledObservable)>,
-    angles: Vec<f64>,
-}
-
-impl PlanCache {
-    /// Index of a template plan matching `circuit`'s structure, compiled on
-    /// first sight and rebound to the circuit's concrete angles.
-    fn plan_for(&mut self, circuit: &Circuit) -> Result<usize, GateError> {
-        // Extract angles first so unbound circuits error before any caching.
-        CompiledCircuit::extract_angles(circuit, &mut self.angles)?;
-        let idx = match self.plans.iter().position(|p| p.matches_structure(circuit)) {
-            Some(i) => {
-                qismet_telemetry::counter!("qsim.plan_cache.hits").inc();
-                i
-            }
-            None => {
-                // The miss is booked by the compile itself (see
-                // `CompiledCircuit::lower`), keeping one taxonomy: a hit is
-                // a compiled plan reused, a miss is a plan built.
-                if self.plans.len() >= PLAN_CACHE_CAP {
-                    self.plans.remove(0);
-                }
-                self.plans.push(CompiledCircuit::compile_template(circuit));
-                self.plans.len() - 1
-            }
-        };
-        self.plans[idx].rebind(&self.angles)?;
-        Ok(idx)
-    }
-
-    /// Index of the compiled observable for `h`, compiling on first sight.
-    fn observable_for(&mut self, h: &PauliSum) -> usize {
-        match self.observables.iter().position(|(k, _)| k == h) {
-            Some(i) => i,
-            None => {
-                if self.observables.len() >= PLAN_CACHE_CAP {
-                    self.observables.remove(0);
-                }
-                self.observables
-                    .push((h.clone(), CompiledObservable::compile(h)));
-                self.observables.len() - 1
-            }
-        }
-    }
-}
-
-/// The reference backend: a fresh [`StateVector`] per evaluation (no scratch
-/// reuse), executing through the same compiled plans as the cached path so
-/// the two agree bit for bit.
-///
-/// Exists as the semantics baseline; prefer [`CachedStatevectorBackend`] in
-/// loops.
+/// The statevector backend: compiled plans run on one scratch
+/// [`StateVector`], allocated on the first evaluation and replaced when the
+/// width changes, so a tuning loop performs no amplitude allocation after
+/// its first call. Every plan run resets the scratch state, so results
+/// never depend on prior calls.
 #[derive(Debug, Clone, Default)]
 pub struct StatevectorBackend {
-    cache: PlanCache,
+    scratch: Option<StateVector>,
 }
 
 impl StatevectorBackend {
-    /// Creates the backend.
+    /// Creates the backend; the scratch state is allocated lazily.
     pub fn new() -> Self {
         StatevectorBackend::default()
-    }
-}
-
-impl Backend for StatevectorBackend {
-    fn evaluate(&mut self, circuit: &Circuit, observable: &PauliSum) -> Result<f64, GateError> {
-        let p = self.cache.plan_for(circuit)?;
-        let o = self.cache.observable_for(observable);
-        let mut sv = StateVector::new(circuit.n_qubits());
-        self.cache.plans[p].run_expectation(&mut sv, &self.cache.observables[o].1)
-    }
-
-    fn clone_box(&self) -> Box<dyn Backend> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "statevector"
-    }
-}
-
-/// The cached fast path: one scratch [`StateVector`] reused (reset in
-/// place) across evaluations plus the shared plan cache, so a VQA tuning
-/// loop performs zero amplitude allocations and zero recompilations after
-/// the first call at a given width.
-///
-/// Plan execution is the exact kernel sequence of [`StatevectorBackend`],
-/// so results agree bitwise with it.
-#[derive(Debug, Clone, Default)]
-pub struct CachedStatevectorBackend {
-    scratch: Option<StateVector>,
-    cache: PlanCache,
-}
-
-impl CachedStatevectorBackend {
-    /// Creates the backend; the scratch buffer is allocated lazily on the
-    /// first evaluation.
-    pub fn new() -> Self {
-        CachedStatevectorBackend::default()
     }
 }
 
@@ -273,39 +177,7 @@ fn record_op_classes(plan: &CompiledCircuit) {
     qismet_telemetry::counter!("qsim.ops.table").add(counts[7]);
 }
 
-/// Runs a bound plan on the scratch state (reset by the plan run itself,
-/// which lets real-amplitude plans take their `f64` fast path) and
-/// evaluates the compiled observable.
-fn execute(
-    plan: &CompiledCircuit,
-    observable: &CompiledObservable,
-    scratch: &mut StateVector,
-) -> Result<f64, GateError> {
-    record_op_classes(plan);
-    plan.run_expectation(scratch, observable)
-}
-
-/// The scratch state for `n_qubits`, reusing the buffer when the width
-/// matches (no reset — [`execute`] runs plans through
-/// [`CompiledCircuit::run`], which resets). A free function over the slot
-/// (not a method) so callers can keep disjoint borrows of the backend's
-/// plan cache alive.
-fn scratch_for(slot: &mut Option<StateVector>, n_qubits: usize) -> &mut StateVector {
-    match slot {
-        Some(sv) if sv.n_qubits() == n_qubits => {}
-        _ => *slot = Some(StateVector::new(n_qubits)),
-    }
-    slot.as_mut().expect("scratch populated above")
-}
-
-impl Backend for CachedStatevectorBackend {
-    fn evaluate(&mut self, circuit: &Circuit, observable: &PauliSum) -> Result<f64, GateError> {
-        let p = self.cache.plan_for(circuit)?;
-        let o = self.cache.observable_for(observable);
-        let scratch = scratch_for(&mut self.scratch, circuit.n_qubits());
-        execute(&self.cache.plans[p], &self.cache.observables[o].1, scratch)
-    }
-
+impl Backend for StatevectorBackend {
     fn evaluate_plan(
         &mut self,
         plan: &mut CompiledCircuit,
@@ -313,10 +185,19 @@ impl Backend for CachedStatevectorBackend {
         observable: &CompiledObservable,
     ) -> Result<f64, GateError> {
         let _span = qismet_telemetry::span!("qsim.evaluate_plan");
+        // A hit is an evaluation of an already compiled plan; the miss is
+        // booked by the compile itself (see `CompiledCircuit::lower`).
         qismet_telemetry::counter!("qsim.plan_cache.hits").inc();
         plan.rebind(params)?;
-        let scratch = scratch_for(&mut self.scratch, plan.n_qubits());
-        execute(plan, observable, scratch)
+        record_op_classes(plan);
+        let n = plan.n_qubits();
+        // No reset on reuse: the plan run resets the state itself, which
+        // lets real-amplitude plans take their `f64` fast path.
+        let scratch = match &mut self.scratch {
+            Some(sv) if sv.n_qubits() == n => sv,
+            slot => slot.insert(StateVector::new(n)),
+        };
+        plan.run_expectation(scratch, observable)
     }
 
     fn clone_box(&self) -> Box<dyn Backend> {
@@ -324,101 +205,26 @@ impl Backend for CachedStatevectorBackend {
     }
 
     fn name(&self) -> &'static str {
-        "cached-statevector"
+        "statevector"
     }
 }
 
-/// A handle to one backend shared behind a mutex: cloning the handle (and
-/// [`Backend::clone_box`]) shares the underlying scratch state and plan
-/// cache instead of duplicating them. This is what a worker-thread pool
-/// hands to the objectives it hosts — every run on the worker reuses the
-/// same amplitude buffer and compiled plans. Results are unaffected by the
-/// sharing (the [`Backend`] contract: values never depend on prior calls).
+/// Hands out a new [`StatevectorBackend`] per call. Kept only because the
+/// campaign benchmark (`perfbench/`) calls it; everything else uses
+/// [`StatevectorBackend::new`].
 #[derive(Debug, Clone, Default)]
-pub struct SharedBackend {
-    inner: Arc<Mutex<CachedStatevectorBackend>>,
-}
-
-impl SharedBackend {
-    /// Creates a handle to a fresh cached backend.
-    pub fn new() -> Self {
-        SharedBackend::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, CachedStatevectorBackend> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl Backend for SharedBackend {
-    fn evaluate(&mut self, circuit: &Circuit, observable: &PauliSum) -> Result<f64, GateError> {
-        self.lock().evaluate(circuit, observable)
-    }
-
-    fn evaluate_batch(
-        &mut self,
-        circuits: &[Circuit],
-        observable: &PauliSum,
-    ) -> Result<Vec<f64>, GateError> {
-        self.lock().evaluate_batch(circuits, observable)
-    }
-
-    fn evaluate_plan(
-        &mut self,
-        plan: &mut CompiledCircuit,
-        params: &[f64],
-        observable: &CompiledObservable,
-    ) -> Result<f64, GateError> {
-        self.lock().evaluate_plan(plan, params, observable)
-    }
-
-    fn evaluate_plan_batch(
-        &mut self,
-        plan: &mut CompiledCircuit,
-        points: &[Vec<f64>],
-        observable: &CompiledObservable,
-    ) -> Result<Vec<f64>, GateError> {
-        self.lock().evaluate_plan_batch(plan, points, observable)
-    }
-
-    fn clone_box(&self) -> Box<dyn Backend> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "shared-cached-statevector"
-    }
-}
-
-/// A pool of [`SharedBackend`]s keyed by qubit count, so alternating
-/// workloads (4q and 6q runs in one campaign) each keep a stable scratch
-/// buffer instead of thrashing a single slot. Campaign executors hold one
-/// pool per worker thread (ROADMAP: "cross-run backend sharing").
-#[derive(Debug, Clone, Default)]
-pub struct BackendPool {
-    slots: HashMap<usize, SharedBackend>,
-}
+pub struct BackendPool;
 
 impl BackendPool {
-    /// Creates an empty pool.
+    /// Creates the pool.
     pub fn new() -> Self {
-        BackendPool::default()
+        BackendPool
     }
 
-    /// A backend handle for `n_qubits`-wide circuits; all handles for one
-    /// width share scratch state and plan cache.
-    pub fn backend_for(&mut self, n_qubits: usize) -> Box<dyn Backend> {
-        Box::new(self.slots.entry(n_qubits).or_default().clone())
-    }
-
-    /// Number of distinct widths the pool currently serves.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// `true` when no backend has been requested yet.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+    /// A new backend. The width is unused: the backend sizes its scratch
+    /// state to each plan.
+    pub fn backend_for(&self, _n_qubits: usize) -> Box<dyn Backend> {
+        Box::new(StatevectorBackend::new())
     }
 }
 
@@ -459,31 +265,31 @@ mod tests {
     }
 
     #[test]
-    fn cached_matches_from_circuit_exactly() {
+    fn matches_from_circuit_exactly() {
         let h = observable(5);
-        let mut cached = CachedStatevectorBackend::new();
+        let mut backend = StatevectorBackend::new();
         for seed in 0..8 {
             let c = random_circuit(5, seed);
             let reference = StateVector::from_circuit(&c).unwrap().expectation(&h);
-            let fast = cached.evaluate(&c, &h).unwrap();
+            let fast = backend.evaluate(&c, &h).unwrap();
             assert!(
                 (reference - fast).abs() < 1e-12,
-                "seed {seed}: reference {reference} vs cached {fast}"
+                "seed {seed}: reference {reference} vs backend {fast}"
             );
         }
     }
 
     #[test]
-    fn cached_is_bitwise_identical_to_fresh() {
-        // Same compiled-plan execution => same floating-point results,
-        // not merely close ones.
+    fn reused_is_bitwise_identical_to_fresh() {
+        // A backend reused across calls (scratch state carried over) gives
+        // the same floating-point results as a new backend per call, not
+        // merely close ones.
         let h = observable(4);
-        let mut cached = CachedStatevectorBackend::new();
-        let mut fresh = StatevectorBackend::new();
+        let mut reused = StatevectorBackend::new();
         for seed in 10..18 {
             let c = random_circuit(4, seed);
-            let a = fresh.evaluate(&c, &h).unwrap();
-            let b = cached.evaluate(&c, &h).unwrap();
+            let a = StatevectorBackend::new().evaluate(&c, &h).unwrap();
+            let b = reused.evaluate(&c, &h).unwrap();
             assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}");
         }
     }
@@ -492,25 +298,19 @@ mod tests {
     fn batch_agrees_bitwise_with_singles() {
         let h = observable(4);
         let circuits: Vec<Circuit> = (0..7).map(|s| random_circuit(4, 100 + s)).collect();
-        for backend in [
-            Box::new(StatevectorBackend::new()) as Box<dyn Backend>,
-            Box::new(CachedStatevectorBackend::new()) as Box<dyn Backend>,
-            Box::new(SharedBackend::new()) as Box<dyn Backend>,
-        ] {
-            let mut one_at_a_time = backend.clone();
-            let singles: Vec<f64> = circuits
-                .iter()
-                .map(|c| one_at_a_time.evaluate(c, &h).unwrap())
-                .collect();
-            let mut batched = backend.clone();
-            let batch = batched.evaluate_batch(&circuits, &h).unwrap();
+        let singles: Vec<f64> = circuits
+            .iter()
+            .map(|c| StatevectorBackend::new().evaluate(c, &h).unwrap())
+            .collect();
+        let mut reused: Box<dyn Backend> = Box::new(StatevectorBackend::new());
+        for pass in 0..2 {
+            let batch = reused.evaluate_batch(&circuits, &h).unwrap();
             assert_eq!(batch.len(), singles.len());
             for (i, (a, b)) in singles.iter().zip(&batch).enumerate() {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
-                    "{} circuit {i}: {a} vs {b}",
-                    batched.name()
+                    "pass {pass} circuit {i}: {a} vs {b}"
                 );
             }
         }
@@ -534,19 +334,20 @@ mod tests {
             }
         }
         let mut plan = CompiledCircuit::compile(&ansatz);
-        let mut cached = CachedStatevectorBackend::new();
-        let mut fresh = StatevectorBackend::new();
+        let mut reused = StatevectorBackend::new();
         let mut rng = rng_from_seed(5);
         for _ in 0..6 {
             let params: Vec<f64> = (0..k).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
-            let via_plan = cached.evaluate_plan(&mut plan, &params, &obs).unwrap();
-            let via_default = fresh.evaluate_plan(&mut plan, &params, &obs).unwrap();
-            // Cached (scratch-reusing) and default (fresh-state) plan paths
-            // are bitwise identical.
-            assert_eq!(via_plan.to_bits(), via_default.to_bits());
-            // And both agree with the circuit-based cache path.
+            let via_plan = reused.evaluate_plan(&mut plan, &params, &obs).unwrap();
+            let via_fresh = StatevectorBackend::new()
+                .evaluate_plan(&mut plan, &params, &obs)
+                .unwrap();
+            // Reused and fresh scratch states give bitwise identical plan
+            // results.
+            assert_eq!(via_plan.to_bits(), via_fresh.to_bits());
+            // And both agree with the circuit path.
             let bound = ansatz.bind(&params).unwrap();
-            let via_circuit = cached.evaluate(&bound, &h).unwrap();
+            let via_circuit = reused.evaluate(&bound, &h).unwrap();
             assert_eq!(via_plan.to_bits(), via_circuit.to_bits());
         }
     }
@@ -566,7 +367,7 @@ mod tests {
             .map(|_| (0..3).map(|_| rng.gen::<f64>() * 3.0 - 1.5).collect())
             .collect();
         let mut plan = CompiledCircuit::compile(&ansatz);
-        let mut backend = CachedStatevectorBackend::new();
+        let mut backend = StatevectorBackend::new();
         let singles: Vec<f64> = points
             .iter()
             .map(|p| backend.evaluate_plan(&mut plan, p, &obs).unwrap())
@@ -591,84 +392,28 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_reuses_across_angle_points() {
-        let h = observable(4);
-        let mut backend = CachedStatevectorBackend::new();
-        for seed in 0..12 {
-            // Same structure every time: one template plan serves all calls.
-            let c = random_circuit(4, 300 + seed);
-            backend.evaluate(&c, &h).unwrap();
+    fn reused_backend_adapts_to_width_changes() {
+        // One backend goes through widths 3 -> 5 -> 3 -> 6, first by circuit
+        // and then by plan, and matches a new backend bitwise at each step.
+        let widths = [3usize, 5, 3, 6];
+        let mut reused = StatevectorBackend::new();
+        for (step, &n) in widths.iter().enumerate() {
+            let c = random_circuit(n, step as u64);
+            let h = observable(n);
+            let fresh = StatevectorBackend::new().evaluate(&c, &h).unwrap();
+            let got = reused.evaluate(&c, &h).unwrap();
+            assert_eq!(fresh.to_bits(), got.to_bits(), "evaluate step {step}");
         }
-        assert_eq!(backend.cache.plans.len(), 1);
-        assert_eq!(backend.cache.observables.len(), 1);
-        // A structurally different circuit adds a second plan.
-        let mut other = Circuit::new(4);
-        other.h(0).cx(0, 1);
-        backend.evaluate(&other, &h).unwrap();
-        assert_eq!(backend.cache.plans.len(), 2);
-    }
-
-    #[test]
-    fn plan_cache_evicts_at_capacity() {
-        let h = observable(2);
-        let mut backend = CachedStatevectorBackend::new();
-        for depth in 0..(PLAN_CACHE_CAP + 3) {
-            let mut c = Circuit::new(2);
-            for _ in 0..=depth {
-                c.h(0);
-            }
-            c.cx(0, 1);
-            backend.evaluate(&c, &h).unwrap();
+        for (step, &n) in widths.iter().enumerate() {
+            let c = random_circuit(n, 10 + step as u64);
+            let obs = CompiledObservable::compile(&observable(n));
+            let mut plan = CompiledCircuit::compile(&c);
+            let fresh = StatevectorBackend::new()
+                .evaluate_plan(&mut plan, &[], &obs)
+                .unwrap();
+            let got = reused.evaluate_plan(&mut plan, &[], &obs).unwrap();
+            assert_eq!(fresh.to_bits(), got.to_bits(), "evaluate_plan step {step}");
         }
-        assert!(backend.cache.plans.len() <= PLAN_CACHE_CAP);
-    }
-
-    #[test]
-    fn shared_backend_shares_state_across_clones() {
-        let h = observable(3);
-        let mut a = SharedBackend::new();
-        let mut b = a.clone();
-        let c = random_circuit(3, 41);
-        let va = a.evaluate(&c, &h).unwrap();
-        let vb = b.evaluate(&c, &h).unwrap();
-        assert_eq!(va.to_bits(), vb.to_bits());
-        // Both handles hit the same plan cache.
-        assert_eq!(a.lock().cache.plans.len(), 1);
-    }
-
-    #[test]
-    fn backend_pool_hands_out_per_width_backends() {
-        let mut pool = BackendPool::new();
-        assert!(pool.is_empty());
-        let mut b3 = pool.backend_for(3);
-        let mut b5 = pool.backend_for(5);
-        let mut b3_again = pool.backend_for(3);
-        assert_eq!(pool.len(), 2);
-        let h3 = observable(3);
-        let h5 = observable(5);
-        let c3 = random_circuit(3, 1);
-        let c5 = random_circuit(5, 2);
-        let first = b3.evaluate(&c3, &h3).unwrap();
-        let again = b3_again.evaluate(&c3, &h3).unwrap();
-        assert_eq!(first.to_bits(), again.to_bits());
-        assert!(b5.evaluate(&c5, &h5).unwrap().is_finite());
-        // Pool-served results match a fresh unpooled backend bitwise.
-        let fresh = CachedStatevectorBackend::new().evaluate(&c3, &h3).unwrap();
-        assert_eq!(first.to_bits(), fresh.to_bits());
-    }
-
-    #[test]
-    fn cached_backend_adapts_to_width_changes() {
-        let mut cached = CachedStatevectorBackend::new();
-        let h3 = observable(3);
-        let h5 = observable(5);
-        let c3 = random_circuit(3, 1);
-        let c5 = random_circuit(5, 2);
-        let a3 = cached.evaluate(&c3, &h3).unwrap();
-        let a5 = cached.evaluate(&c5, &h5).unwrap();
-        let b3 = cached.evaluate(&c3, &h3).unwrap();
-        assert_eq!(a3.to_bits(), b3.to_bits());
-        assert!(a5.is_finite());
     }
 
     #[test]
@@ -678,14 +423,13 @@ mod tests {
         c.ry(Param::Free(0), 0);
         let h = observable(2);
         assert!(StatevectorBackend::new().evaluate(&c, &h).is_err());
-        assert!(CachedStatevectorBackend::new().evaluate(&c, &h).is_err());
-        assert!(CachedStatevectorBackend::new()
+        assert!(StatevectorBackend::new()
             .evaluate_batch(std::slice::from_ref(&c), &h)
             .is_err());
         // Short parameter vectors error through the plan path.
         let obs = CompiledObservable::compile(&h);
         let mut plan = CompiledCircuit::compile(&c);
-        assert!(CachedStatevectorBackend::new()
+        assert!(StatevectorBackend::new()
             .evaluate_plan(&mut plan, &[], &obs)
             .is_err());
     }
@@ -693,17 +437,16 @@ mod tests {
     #[test]
     fn empty_batch_is_empty() {
         let h = observable(2);
-        let out = CachedStatevectorBackend::new()
-            .evaluate_batch(&[], &h)
-            .unwrap();
+        let out = StatevectorBackend::new().evaluate_batch(&[], &h).unwrap();
         assert!(out.is_empty());
     }
 
     #[test]
     fn boxed_backend_clones_and_debugs() {
-        let backend: Box<dyn Backend> = Box::new(CachedStatevectorBackend::new());
+        let backend: Box<dyn Backend> = Box::new(StatevectorBackend::new());
         let clone = backend.clone();
-        assert_eq!(clone.name(), "cached-statevector");
-        assert_eq!(format!("{:?}", &*backend), "Backend(cached-statevector)");
+        assert_eq!(clone.name(), "statevector");
+        assert_eq!(format!("{:?}", &*backend), "Backend(statevector)");
+        assert_eq!(BackendPool::new().backend_for(3).name(), "statevector");
     }
 }

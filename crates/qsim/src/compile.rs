@@ -517,28 +517,6 @@ fn write_one_q(op: &mut PlanOp, u: &Mat2) {
     }
 }
 
-fn kind_tag(g: Gate) -> u8 {
-    match g {
-        Gate::H => 0,
-        Gate::X => 1,
-        Gate::Y => 2,
-        Gate::Z => 3,
-        Gate::S => 4,
-        Gate::Sdg => 5,
-        Gate::T => 6,
-        Gate::Tdg => 7,
-        Gate::Sx => 8,
-        Gate::Rx(_) => 9,
-        Gate::Ry(_) => 10,
-        Gate::Rz(_) => 11,
-        Gate::Phase(_) => 12,
-        Gate::Cx => 13,
-        Gate::Cz => 14,
-        Gate::Swap => 15,
-        Gate::Rzz(_) => 16,
-    }
-}
-
 /// A [`Circuit`] lowered into a flat, rebindable execution plan.
 ///
 /// Compilation fuses runs of adjacent single-qubit gates on the same wire
@@ -579,10 +557,6 @@ pub struct CompiledCircuit {
     slots: Vec<Slot>,
     bound: bool,
     source_len: usize,
-    /// Structural fingerprint of the source circuit: (kind, q0, q1) per op,
-    /// angle-blind. Used by backend plan caches to match circuits that share
-    /// a structure.
-    key: Vec<(u8, u8, u8)>,
     /// Every op preserves real amplitude vectors **for any parameter
     /// binding** (real 1q segments, CX/CZ/SWAP, real superops, RZZ-free
     /// tables). [`CompiledCircuit::run`] then evolves an `f64` scratch state
@@ -980,7 +954,8 @@ impl CompiledCircuit {
     /// Lowers a circuit treating **every** gate angle — fixed or free — as a
     /// rebindable slot, numbered in traversal order. Combined with
     /// [`CompiledCircuit::extract_angles`] this lets one plan serve every
-    /// bound circuit that shares a structure (the backend plan-cache path).
+    /// bound circuit that shares a structure (the path
+    /// [`crate::Backend::evaluate`] takes).
     pub fn compile_template(circuit: &Circuit) -> Self {
         Self::lower(circuit, true)
     }
@@ -1008,13 +983,11 @@ impl CompiledCircuit {
 
     fn lower(circuit: &Circuit, template: bool) -> Self {
         // One taxonomy across every evaluation path: compiling a plan is
-        // the plan-cache *miss*; evaluating a previously compiled plan
-        // (structure-cache match or `evaluate_plan` on an externally held
-        // plan) is the *hit*.
+        // the plan-cache *miss*; evaluating a compiled plan
+        // (`Backend::evaluate_plan`) is the *hit*.
         qismet_telemetry::counter!("qsim.plans_compiled").inc();
         qismet_telemetry::counter!("qsim.plan_cache.misses").inc();
         let n = circuit.n_qubits();
-        let mut key = Vec::with_capacity(circuit.len());
         let mut next_slot = 0usize;
         // In template mode every parameterized gate's angle becomes the next
         // numbered slot; otherwise free indices pass through unchanged.
@@ -1040,7 +1013,6 @@ impl CompiledCircuit {
         let mut lw = Lowering::new(n);
         for op in circuit.ops() {
             let g = remap(op.gate);
-            key.push((kind_tag(g), op.qubits[0] as u8, op.qubits[1] as u8));
             if g.arity() == 1 {
                 lw.one_q(g, op.qubits[0]);
             } else {
@@ -1075,7 +1047,6 @@ impl CompiledCircuit {
             supers,
             tables,
             slots,
-            key,
             real_run,
         }
     }
@@ -1110,20 +1081,6 @@ impl CompiledCircuit {
     /// successful [`CompiledCircuit::rebind`]).
     pub fn is_bound(&self) -> bool {
         self.bound
-    }
-
-    /// `true` when `circuit` has the same structure (gate kinds and
-    /// operands, angles ignored) as the circuit this plan was compiled
-    /// from — i.e. a template-mode plan can serve it via
-    /// [`CompiledCircuit::rebind`] with its extracted angles.
-    pub fn matches_structure(&self, circuit: &Circuit) -> bool {
-        circuit.n_qubits() == self.n_qubits
-            && circuit.len() == self.key.len()
-            && circuit
-                .ops()
-                .iter()
-                .zip(&self.key)
-                .all(|(op, k)| *k == (kind_tag(op.gate), op.qubits[0] as u8, op.qubits[1] as u8))
     }
 
     /// Collects the concrete angle of every parameterized gate of `circuit`
@@ -1984,18 +1941,6 @@ mod tests {
         assert_eq!(plan.state().unwrap_err(), GateError::UnboundParameter);
         let mut plan = CompiledCircuit::compile(&c);
         assert_eq!(plan.rebind(&[]).unwrap_err(), GateError::UnboundParameter);
-    }
-
-    #[test]
-    fn template_matches_structure_not_angles() {
-        let a = random_circuit(3, 1);
-        let b = random_circuit(3, 2); // same structure, different angles
-        let plan = CompiledCircuit::compile_template(&a);
-        assert!(plan.matches_structure(&a));
-        assert!(plan.matches_structure(&b));
-        let mut different = Circuit::new(3);
-        different.h(0);
-        assert!(!plan.matches_structure(&different));
     }
 
     #[test]

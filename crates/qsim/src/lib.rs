@@ -13,6 +13,9 @@
 //!   rebind-forever execution plans behind the allocation-free objective
 //!   hot path (fused single-qubit runs, single-sweep diagonal expectation,
 //!   Hermitian pair-skipping for off-diagonal terms).
+//! * [`Backend`] — the execution seam every objective evaluates through.
+//!   Its one implementation, [`StatevectorBackend`], runs compiled plans on
+//!   a scratch statevector reused across calls.
 //! * [`DensityMatrix`] + [`KrausChannel`] — mixed-state evolution under the
 //!   standard NISQ error channels (amplitude/phase damping, depolarizing),
 //!   used for circuit-fidelity studies (paper Fig. 4) and for validating the
@@ -56,9 +59,7 @@ mod kraus;
 mod pauli;
 pub mod statevector;
 
-pub use backend::{
-    Backend, BackendPool, CachedStatevectorBackend, SharedBackend, StatevectorBackend,
-};
+pub use backend::{Backend, BackendPool, StatevectorBackend};
 pub use circuit::{Circuit, CircuitError, Op};
 pub use compile::{CompiledCircuit, CompiledObservable};
 pub use counts::Counts;

@@ -343,7 +343,7 @@ impl PauliSum {
             .sum()
     }
 
-    /// Sum of |coefficients| — an upper bound on |<H>| useful for sanity
+    /// Sum of |coefficients| — an upper bound on `|<H>|` useful for sanity
     /// checks and normalization.
     pub fn one_norm(&self) -> f64 {
         self.terms.iter().map(|(c, _)| c.abs()).sum()

@@ -2,15 +2,16 @@
 //! kernels: random circuits and random `PauliSum`s must evaluate identically
 //! (to <= 1e-12) through every path — interpreted gate dispatch with the
 //! legacy per-term expectation sweeps, compiled plans with the fused
-//! observable kernel, and the backend plan caches — in-place rebinding
-//! must equal a fresh compile-and-bind, and a plan batch must equal a loop
-//! of single plan evaluations bit for bit.
+//! observable kernel, and the statevector backend — in-place rebinding
+//! must equal a fresh compile-and-bind, a reused backend must equal a new
+//! one, and a plan batch must equal a loop of single plan evaluations bit
+//! for bit.
 
 use proptest::prelude::*;
 use qismet_qsim::statevector::reference;
 use qismet_qsim::{
-    Backend, CachedStatevectorBackend, Circuit, CompiledCircuit, CompiledObservable, Gate, Param,
-    PauliString, PauliSum, StateVector, StatevectorBackend,
+    Backend, Circuit, CompiledCircuit, CompiledObservable, Gate, Param, PauliString, PauliSum,
+    StateVector, StatevectorBackend,
 };
 
 const TOL: f64 = 1e-12;
@@ -146,8 +147,9 @@ proptest! {
         prop_assert!((want - got).abs() < TOL, "reference {want} vs compiled {got}");
     }
 
-    // End-to-end through the backend plan caches: both backends agree with
-    // the reference kernels and bitwise with each other.
+    // End-to-end through the backend: a new backend agrees with the
+    // reference kernels, and a reused one (its scratch state last sized to
+    // another width, then to this circuit) agrees with it bitwise.
     #[test]
     fn backends_match_reference_and_each_other(
         n in 1usize..6,
@@ -159,9 +161,15 @@ proptest! {
         let sv = StateVector::from_circuit(&c).unwrap();
         let want = reference::expectation(&sv, &h);
         let fresh = StatevectorBackend::new().evaluate(&c, &h).unwrap();
-        let cached = CachedStatevectorBackend::new().evaluate(&c, &h).unwrap();
         prop_assert!((want - fresh).abs() < TOL, "reference {want} vs backend {fresh}");
-        prop_assert_eq!(fresh.to_bits(), cached.to_bits());
+        let mut reused = StatevectorBackend::new();
+        reused
+            .evaluate(&build_circuit(n + 1, &gates), &build_pauli_sum(n + 1, &terms))
+            .unwrap();
+        for pass in 0..2 {
+            let got = reused.evaluate(&c, &h).unwrap();
+            prop_assert_eq!(fresh.to_bits(), got.to_bits(), "reused pass {}", pass);
+        }
     }
 
     // The single-string fast path (hoisted i^y, no zero-skip) agrees with
@@ -203,8 +211,9 @@ proptest! {
         }
     }
 
-    // The backend seam: evaluate_plan_batch on the cached and fresh backends
-    // agrees bitwise with a loop of evaluate_plan calls at any point count.
+    // The backend seam: evaluate_plan_batch on a reused backend, and on a
+    // new one, agrees bitwise with a loop of evaluate_plan calls, each on a
+    // new backend, at any point count.
     // `real_only` restricts the gates to ry/cx/cz/swap, so wide enough
     // plans take the real-amplitude run mode.
     #[test]
@@ -224,17 +233,20 @@ proptest! {
         let h = build_pauli_sum(n, &[(-1.0, 0b1111), (0.7, 0b0101), (-0.4, 0b1001)]);
         let obs = CompiledObservable::compile(&h);
         let points = random_points(c.n_params(), count, p_seed);
-        let mut cached = CachedStatevectorBackend::new();
-        let mut fresh = StatevectorBackend::new();
+        let mut reused = StatevectorBackend::new();
         let mut plan = CompiledCircuit::compile(&c);
         let singles: Vec<f64> = points
             .iter()
-            .map(|p| cached.evaluate_plan(&mut plan, p, &obs).unwrap())
+            .map(|p| StatevectorBackend::new().evaluate_plan(&mut plan, p, &obs).unwrap())
             .collect();
-        let via_cached = cached.evaluate_plan_batch(&mut plan, &points, &obs).unwrap();
-        let via_fresh = fresh.evaluate_plan_batch(&mut plan, &points, &obs).unwrap();
+        let via_reused = reused.evaluate_plan_batch(&mut plan, &points, &obs).unwrap();
+        let via_reused_again = reused.evaluate_plan_batch(&mut plan, &points, &obs).unwrap();
+        let via_fresh = StatevectorBackend::new()
+            .evaluate_plan_batch(&mut plan, &points, &obs)
+            .unwrap();
         for (i, s) in singles.iter().enumerate() {
-            prop_assert_eq!(s.to_bits(), via_cached[i].to_bits(), "cached point {}", i);
+            prop_assert_eq!(s.to_bits(), via_reused[i].to_bits(), "reused point {}", i);
+            prop_assert_eq!(s.to_bits(), via_reused_again[i].to_bits(), "reused again point {}", i);
             prop_assert_eq!(s.to_bits(), via_fresh[i].to_bits(), "fresh point {}", i);
         }
     }
@@ -272,7 +284,7 @@ fn plan_path_agrees_with_interpreted_objective_evaluation() {
     .unwrap();
     let mut plan = CompiledCircuit::compile(&ansatz);
     let obs = CompiledObservable::compile(&h);
-    let mut backend = CachedStatevectorBackend::new();
+    let mut backend = StatevectorBackend::new();
     for seed in 0..8u64 {
         let mut rng = qismet_mathkit::rng_from_seed(seed);
         let params: Vec<f64> = (0..k)
@@ -297,7 +309,7 @@ fn rebind_then_evaluate_matches_bind_then_evaluate_through_backend() {
     let h = PauliSum::from_labels(&[(0.8, "ZZI"), (-0.6, "IXX"), (0.3, "YIY")]).unwrap();
     let mut plan = CompiledCircuit::compile(&c);
     let obs = CompiledObservable::compile(&h);
-    let mut backend = CachedStatevectorBackend::new();
+    let mut backend = StatevectorBackend::new();
     for seed in 0..6u64 {
         let mut rng = qismet_mathkit::rng_from_seed(100 + seed);
         let params: Vec<f64> = (0..4)

@@ -76,7 +76,7 @@ pub fn set_enabled(on: bool) {
 
 /// Zero every counter, gauge, and histogram, and clear events, the fleet
 /// table, and the trace buffer. Handles previously returned by
-/// [`counter`]/[`gauge`]/[`histogram`] remain valid (they are zeroed in
+/// [`counter()`]/[`gauge()`]/[`histogram()`] remain valid (they are zeroed in
 /// place), so call-site caches survive a reset.
 pub fn reset() {
     metrics::reset_metrics();

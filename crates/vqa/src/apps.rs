@@ -17,7 +17,7 @@ use crate::objective::{NoisyObjective, NoisyObjectiveConfig};
 use crate::tfim::Tfim;
 use qismet_mathkit::derive_seed;
 use qismet_qnoise::Machine;
-use qismet_qsim::{Backend, CachedStatevectorBackend};
+use qismet_qsim::{Backend, StatevectorBackend};
 
 /// One row of Table 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,15 +131,13 @@ impl AppSpec {
             job_capacity,
             magnitude,
             master_seed,
-            Box::new(CachedStatevectorBackend::new()),
+            Box::new(StatevectorBackend::new()),
         )
     }
 
     /// Like [`AppSpec::build`] but running the objective on an explicit
-    /// circuit-execution [`Backend`] — the hook campaign executors use to
-    /// share one pooled backend (scratch state + compiled plans) across all
-    /// runs on a worker thread. Results are identical to [`AppSpec::build`]
-    /// by the [`Backend`] contract.
+    /// circuit-execution [`Backend`]. Results are identical to
+    /// [`AppSpec::build`] by the [`Backend`] contract.
     ///
     /// The exact ground energy comes from [`Tfim::exact_ground_energy`],
     /// which is memoized process-wide by `(n, j, h, boundary)`: only the

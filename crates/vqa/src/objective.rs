@@ -19,7 +19,7 @@ use crate::ansatz::{Ansatz, CompiledAnsatz};
 use crate::job::{JobLayout, JobRequest, JobResult};
 use qismet_mathkit::{normal, rng_from_seed};
 use qismet_qnoise::{StaticNoiseModel, TransientTrace};
-use qismet_qsim::{Backend, CachedStatevectorBackend, CompiledObservable, PauliSum};
+use qismet_qsim::{Backend, CompiledObservable, PauliSum, StatevectorBackend};
 use rand::rngs::StdRng;
 use std::cell::RefCell;
 use std::fmt;
@@ -59,8 +59,8 @@ impl std::error::Error for ObjectiveError {}
 /// into a [`CompiledObservable`] at construction; each evaluation then
 /// rebinds the plan in place and executes it through the pluggable
 /// [`Backend`] — no circuit binding, no gate re-dispatch, no per-term state
-/// sweeps, and (with the default buffer-reusing
-/// [`CachedStatevectorBackend`]) no allocation at all per parameter point.
+/// sweeps, and (with the default [`StatevectorBackend`], which reuses its
+/// scratch state) no allocation at all per parameter point.
 pub struct ExactObjective {
     ansatz: Ansatz,
     hamiltonian: PauliSum,
@@ -92,17 +92,13 @@ impl fmt::Debug for ExactObjective {
 }
 
 impl ExactObjective {
-    /// Creates the evaluator on the default cached statevector backend.
+    /// Creates the evaluator on a new [`StatevectorBackend`].
     ///
     /// # Panics
     ///
     /// Panics on qubit-width mismatch.
     pub fn new(ansatz: Ansatz, hamiltonian: PauliSum) -> Self {
-        Self::with_backend(
-            ansatz,
-            hamiltonian,
-            Box::new(CachedStatevectorBackend::new()),
-        )
+        Self::with_backend(ansatz, hamiltonian, Box::new(StatevectorBackend::new()))
     }
 
     /// Creates the evaluator on an explicit execution backend.
@@ -238,8 +234,8 @@ pub struct NoisyObjective {
 }
 
 impl NoisyObjective {
-    /// Builds the noisy evaluator on the default cached statevector
-    /// backend. The static attenuation factor is computed once from the
+    /// Builds the noisy evaluator on a new [`StatevectorBackend`]. The
+    /// static attenuation factor is computed once from the
     /// ansatz shape (gate counts and durations do not depend on the bound
     /// angles).
     pub fn new(ansatz: Ansatz, hamiltonian: PauliSum, cfg: NoisyObjectiveConfig) -> Self {
@@ -247,7 +243,7 @@ impl NoisyObjective {
             ansatz,
             hamiltonian,
             cfg,
-            Box::new(CachedStatevectorBackend::new()),
+            Box::new(StatevectorBackend::new()),
         )
     }
 
@@ -684,32 +680,36 @@ mod tests {
         use qismet_qsim::StatevectorBackend;
         let tfim = Tfim::paper_6q();
         let ansatz = Ansatz::new(AnsatzKind::RealAmplitudes, 6, 2, Entanglement::Linear);
-        let cached = ExactObjective::new(ansatz.clone(), tfim.hamiltonian());
-        let fresh = ExactObjective::with_backend(
-            ansatz,
-            tfim.hamiltonian(),
-            Box::new(StatevectorBackend::new()),
-        );
-        assert_eq!(cached.backend_name(), "cached-statevector");
-        assert_eq!(fresh.backend_name(), "statevector");
-        let params = cached.ansatz().initial_params(12);
+        // The default objective reuses one backend across calls; the
+        // reference gets a new explicit backend per call.
+        let reused = ExactObjective::new(ansatz.clone(), tfim.hamiltonian());
+        let fresh = || {
+            ExactObjective::with_backend(
+                ansatz.clone(),
+                tfim.hamiltonian(),
+                Box::new(StatevectorBackend::new()),
+            )
+        };
+        assert_eq!(reused.backend_name(), "statevector");
+        assert_eq!(fresh().backend_name(), "statevector");
+        let params = reused.ansatz().initial_params(12);
         assert_eq!(
-            cached.eval(&params).to_bits(),
-            fresh.eval(&params).to_bits()
+            reused.eval(&params).to_bits(),
+            fresh().eval(&params).to_bits()
         );
-        let batch = vec![params.clone(), cached.ansatz().initial_params(13)];
-        let a = cached.eval_batch(&batch);
-        let b = fresh.eval_batch(&batch);
+        let batch = vec![params.clone(), reused.ansatz().initial_params(13)];
+        let a = reused.eval_batch(&batch);
+        let b = fresh().eval_batch(&batch);
         assert_eq!(a.len(), 2);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
         // Cloning an objective clones its backend.
-        let cloned = cached.clone();
-        assert_eq!(cloned.backend_name(), "cached-statevector");
+        let cloned = reused.clone();
+        assert_eq!(cloned.backend_name(), "statevector");
         assert_eq!(
             cloned.eval(&params).to_bits(),
-            cached.eval(&params).to_bits()
+            fresh().eval(&params).to_bits()
         );
     }
 

@@ -1,13 +1,35 @@
 //! Integration: the pluggable `Backend` seam end-to-end — a full QISMET run
-//! must be invariant to the execution engine behind the objective, and the
-//! batched job path must reproduce the per-call series exactly.
+//! must not depend on the scratch state a backend carries between calls.
 
 use qismet::{run_qismet, QismetConfig};
 use qismet_mathkit::rng_from_seed;
 use qismet_optim::{GainSchedule, Spsa};
 use qismet_qnoise::{StaticNoiseModel, TransientModel};
-use qismet_qsim::{Backend, CachedStatevectorBackend, StatevectorBackend};
+use qismet_qsim::{Backend, CompiledCircuit, CompiledObservable, GateError, StatevectorBackend};
 use qismet_vqa::{Ansatz, AnsatzKind, Entanglement, NoisyObjective, NoisyObjectiveConfig, Tfim};
+
+/// The fresh-state reference: a new [`StatevectorBackend`] for every
+/// evaluation, so no scratch state survives from one call to the next.
+struct FreshPerCall;
+
+impl Backend for FreshPerCall {
+    fn evaluate_plan(
+        &mut self,
+        plan: &mut CompiledCircuit,
+        params: &[f64],
+        observable: &CompiledObservable,
+    ) -> Result<f64, GateError> {
+        StatevectorBackend::new().evaluate_plan(plan, params, observable)
+    }
+
+    fn clone_box(&self) -> Box<dyn Backend> {
+        Box::new(FreshPerCall)
+    }
+
+    fn name(&self) -> &'static str {
+        "fresh-per-call"
+    }
+}
 
 fn objective_on(backend: Box<dyn Backend>, seed: u64) -> NoisyObjective {
     let tfim = Tfim::paper_6q();
@@ -25,9 +47,9 @@ fn objective_on(backend: Box<dyn Backend>, seed: u64) -> NoisyObjective {
     NoisyObjective::with_backend(ansatz, tfim.hamiltonian(), cfg, backend)
 }
 
-/// The cached fast path and the fresh-allocation reference backend must
-/// drive `run_qismet` to bit-identical records: same seeds, same measured
-/// series, same skip decisions.
+/// One reused backend and a new backend per evaluation must drive
+/// `run_qismet` to bit-identical records: same seeds, same measured series,
+/// same skip decisions.
 #[test]
 fn qismet_run_is_backend_invariant() {
     let run = |backend: Box<dyn Backend>| {
@@ -42,11 +64,11 @@ fn qismet_run_is_backend_invariant() {
             QismetConfig::paper_default(),
         )
     };
-    let cached = run(Box::new(CachedStatevectorBackend::new()));
-    let fresh = run(Box::new(StatevectorBackend::new()));
-    assert_eq!(cached.record, fresh.record);
-    assert_eq!(cached.decisions, fresh.decisions);
-    for (a, b) in cached.record.measured.iter().zip(&fresh.record.measured) {
+    let reused = run(Box::new(StatevectorBackend::new()));
+    let fresh = run(Box::new(FreshPerCall));
+    assert_eq!(reused.record, fresh.record);
+    assert_eq!(reused.decisions, fresh.decisions);
+    for (a, b) in reused.record.measured.iter().zip(&fresh.record.measured) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
 }
@@ -55,7 +77,7 @@ fn qismet_run_is_backend_invariant() {
 #[test]
 fn umbrella_reexports_backend_layer() {
     let mut backend: Box<dyn qismet_repro::qsim::Backend> =
-        Box::new(qismet_repro::qsim::CachedStatevectorBackend::new());
+        Box::new(qismet_repro::qsim::StatevectorBackend::new());
     let h = qismet_repro::qsim::PauliSum::from_labels(&[(-1.0, "ZZ")]).unwrap();
     let mut c = qismet_repro::qsim::Circuit::new(2);
     c.ry(0.4, 0).cx(0, 1);

@@ -5,8 +5,11 @@
 //! and Fig. 19 naming thresholds by the |Tm| percentile they correspond to
 //! (99p / 90p / 75p). The calibrator keeps an online history of |Tm|
 //! estimates and exposes the configured percentile as the controller's
-//! threshold.
+//! threshold. The history is a sorted 4096-sample FIFO window
+//! ([`SortedWindow`]), so recording an estimate costs an O(log n) search
+//! plus one shift, and reading a percentile needs no sort.
 
+use qismet_mathkit::SortedWindow;
 use serde::{Deserialize, Serialize};
 
 /// Skip-rate presets from the paper's evaluation.
@@ -48,12 +51,14 @@ impl SkipTarget {
 /// skipped attempt nudges the threshold up (we are skipping, so demand more
 /// evidence), every accepted one nudges it down, with step sizes balanced so
 /// the long-run skip fraction settles at the target.
+///
+/// The |Tm| history holds the latest 4096 estimates in a sorted FIFO window,
+/// so each attempt costs an O(log n) search plus one shift, not a sort.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThresholdCalibrator {
     target: SkipTarget,
-    history: Vec<f64>,
+    history: SortedWindow,
     warmup: usize,
-    capacity: usize,
     adaptive: Option<f64>,
 }
 
@@ -63,9 +68,8 @@ impl ThresholdCalibrator {
     pub fn new(target: SkipTarget, warmup: usize) -> Self {
         ThresholdCalibrator {
             target,
-            history: Vec::new(),
+            history: SortedWindow::new(4096),
             warmup: warmup.max(2),
-            capacity: 4096,
             adaptive: None,
         }
     }
@@ -83,9 +87,6 @@ impl ThresholdCalibrator {
     /// Records one |Tm| observation.
     pub fn observe(&mut self, tm: f64) {
         self.history.push(tm.abs());
-        if self.history.len() > self.capacity {
-            self.history.remove(0);
-        }
     }
 
     /// Feeds back the controller's decision for the current attempt so the
@@ -96,7 +97,7 @@ impl ThresholdCalibrator {
         };
         let target = self.target_fraction();
         // Quantile-tracking step: scale relative to the |Tm| spread.
-        let scale = qismet_mathkit::percentile(&self.history, 75.0).max(1e-9);
+        let scale = self.history.percentile(75.0).max(1e-9);
         let eta = 0.05 * scale;
         let next = if skipped {
             thr + eta * (1.0 - target)
@@ -112,10 +113,7 @@ impl ThresholdCalibrator {
         }
         if self.adaptive.is_none() {
             // Seed from the |Tm| percentile the paper names (99p/90p/75p).
-            self.adaptive = Some(qismet_mathkit::percentile(
-                &self.history,
-                self.target.percentile(),
-            ));
+            self.adaptive = Some(self.history.percentile(self.target.percentile()));
         }
         self.adaptive
     }
@@ -233,10 +231,16 @@ mod tests {
 
     #[test]
     fn history_is_bounded() {
+        // Every 1.0 must be evicted by the 4096 later 2.0s; evicting the
+        // newest sample instead of the oldest would keep a 1.0.
         let mut c = ThresholdCalibrator::new(SkipTarget::Best, 4);
-        for _ in 0..10_000 {
+        for _ in 0..5000 {
             c.observe(1.0);
         }
-        assert!(c.observations() <= 4096);
+        for _ in 0..4096 {
+            c.observe(2.0);
+        }
+        assert_eq!(c.observations(), 4096);
+        assert_eq!(c.history.percentile(0.0), 2.0);
     }
 }

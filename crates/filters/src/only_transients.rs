@@ -5,16 +5,22 @@
 //! gradient direction**. The paper shows every threshold setting of this
 //! policy lands *below* the baseline because constructive transients get
 //! skipped too, wasting iterations and stalling convergence.
+//!
+//! The |Tm| history is a sorted 4096-sample FIFO window ([`SortedWindow`]),
+//! so each decision costs an O(log n) search plus one shift, not a sort.
+
+use qismet_mathkit::SortedWindow;
 
 /// Threshold policy over |Tm| with an online percentile calibration.
 ///
 /// The paper names configurations by the percentile that sets the
 /// threshold: `99p` skips at most ~1% of iterations, `50p` up to half.
+/// The history holds the latest 4096 estimates in a sorted FIFO window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlyTransientsPolicy {
     /// Percentile (0-100) of observed |Tm| history used as the threshold.
     pub percentile: f64,
-    history: Vec<f64>,
+    history: SortedWindow,
     /// Minimum history before the threshold activates.
     warmup: usize,
 }
@@ -32,7 +38,7 @@ impl OnlyTransientsPolicy {
         );
         OnlyTransientsPolicy {
             percentile,
-            history: Vec::new(),
+            history: SortedWindow::new(4096),
             warmup: 16,
         }
     }
@@ -55,22 +61,16 @@ impl OnlyTransientsPolicy {
         if self.history.len() < self.warmup {
             return f64::NAN;
         }
-        qismet_mathkit::percentile(&self.history, self.percentile)
+        self.history.percentile(self.percentile)
     }
 
     /// Records a transient estimate and decides whether to skip the
     /// iteration. During warmup nothing is skipped.
     pub fn observe_and_decide(&mut self, tm: f64) -> bool {
         let mag = tm.abs();
-        let skip = if self.threshold().is_finite() {
-            mag > self.threshold()
-        } else {
-            false
-        };
+        let threshold = self.threshold();
+        let skip = threshold.is_finite() && mag > threshold;
         self.history.push(mag);
-        if self.history.len() > 4096 {
-            self.history.remove(0);
-        }
         skip
     }
 
@@ -146,6 +146,21 @@ mod tests {
         // A huge transient now gets skipped, a small one passes.
         assert!(p.observe_and_decide(10.0));
         assert!(!p.observe_and_decide(0.005));
+    }
+
+    #[test]
+    fn history_is_bounded() {
+        // Every 1.0 must be evicted by the 4096 later 2.0s; evicting the
+        // newest sample instead of the oldest would keep a 1.0.
+        let mut p = OnlyTransientsPolicy::new(90.0);
+        for _ in 0..5000 {
+            p.observe_and_decide(1.0);
+        }
+        for _ in 0..4096 {
+            p.observe_and_decide(2.0);
+        }
+        assert_eq!(p.observations(), 4096);
+        assert_eq!(p.history.percentile(0.0), 2.0);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! * [`solve`] / [`invert`] — LU-based linear algebra for readout-error
 //!   calibration matrices.
 //! * [`percentile`], [`geomean`], ... — the statistics the paper's evaluation
-//!   quotes (percentile thresholds, geometric-mean improvements).
+//!   quotes (percentile thresholds, geometric-mean improvements), and
+//!   [`SortedWindow`], the sliding |Tm| history behind the online thresholds.
 //! * [`erf`], [`boys_f0`] — special functions for closed-form Gaussian
 //!   integrals in the H2 chemistry substrate.
 //! * [`derive_seed`], [`standard_normal`], ... — deterministic seeding and
@@ -62,6 +63,6 @@ pub use rng::{
 };
 pub use special::{boys_f0, erf, erfc};
 pub use stats::{
-    geomean, max, mean, median, min, moving_average, pearson, percentile, running_min, stddev,
-    variance, variance_population,
+    geomean, max, mean, median, min, moving_average, pearson, percentile, percentile_sorted,
+    running_min, stddev, variance, variance_population, SortedWindow,
 };

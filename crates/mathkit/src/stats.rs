@@ -1,6 +1,15 @@
 //! Descriptive statistics used by the evaluation harnesses: means, variances,
 //! percentiles (the `99p`/`90p`/`75p` thresholds of the paper), and the
 //! geometric mean used in Figs. 13 and 17.
+//!
+//! [`percentile`] sorts a copy of its input and hands it to
+//! [`percentile_sorted`], the one home of the interpolation formula. Online
+//! thresholds that re-read a percentile after every sample keep their history
+//! in a [`SortedWindow`] instead: a bounded FIFO window that stays sorted, so
+//! a push costs a binary search plus one shift and a percentile read costs
+//! no sort at all.
+
+use std::collections::VecDeque;
 
 /// Arithmetic mean. Returns `0.0` for an empty slice.
 ///
@@ -58,12 +67,30 @@ pub fn variance_population(xs: &[f64]) -> f64 {
 /// assert_eq!(percentile(&xs, 100.0), 4.0);
 /// ```
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
-    if xs.is_empty() {
-        return f64::NAN;
-    }
     let mut sorted = xs.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+    percentile_sorted(&sorted, p)
+}
+
+/// [`percentile`] of a slice that is already sorted ascending.
+///
+/// Returns `NaN` for an empty slice.
+///
+/// # Panics
+///
+/// Panics if `p` is outside `[0, 100]`.
+///
+/// # Examples
+///
+/// ```
+/// use qismet_mathkit::percentile_sorted;
+/// assert_eq!(percentile_sorted(&[10.0, 20.0, 30.0, 40.0, 50.0], 90.0), 46.0);
+/// ```
+pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+    assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
+    if sorted.is_empty() {
+        return f64::NAN;
+    }
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
@@ -72,6 +99,90 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     } else {
         let frac = rank - lo as f64;
         sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    }
+}
+
+/// The last `capacity` samples of a stream, kept both in arrival order and
+/// sorted, so percentiles of a sliding window need no per-read sort.
+///
+/// The sorted copy is exactly what a stable sort of the window would give:
+/// equal values (including `-0.0` and `0.0`) stay in arrival order. So
+/// [`SortedWindow::percentile`] is bit-identical to [`percentile`] over the
+/// window's samples in arrival order. A push is a binary search plus one
+/// shift of the sorted copy; once the window is full it allocates nothing.
+///
+/// # Examples
+///
+/// ```
+/// use qismet_mathkit::SortedWindow;
+/// let mut w = SortedWindow::new(3);
+/// for x in [5.0, 1.0, 4.0, 2.0] {
+///     w.push(x);
+/// }
+/// // The window now holds 1, 4, 2 (5 was evicted).
+/// assert_eq!(w.len(), 3);
+/// assert_eq!(w.percentile(50.0), 2.0);
+/// assert_eq!(w.percentile(100.0), 4.0);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct SortedWindow {
+    fifo: VecDeque<f64>,
+    sorted: Vec<f64>,
+    capacity: usize,
+}
+
+impl SortedWindow {
+    /// An empty window that holds at most `capacity` samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "window capacity must be positive");
+        SortedWindow {
+            fifo: VecDeque::new(),
+            sorted: Vec::new(),
+            capacity,
+        }
+    }
+
+    /// Appends `x`, evicting the oldest sample when the window is full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is NaN.
+    pub fn push(&mut self, x: f64) {
+        assert!(!x.is_nan(), "NaN in percentile input");
+        if self.fifo.len() == self.capacity {
+            if let Some(old) = self.fifo.pop_front() {
+                // The oldest sample is the first of its run of equal values.
+                let at = self.sorted.partition_point(|&y| y < old);
+                self.sorted.remove(at);
+            }
+        }
+        // After every equal value, so equal values stay in arrival order.
+        let at = self.sorted.partition_point(|&y| y <= x);
+        self.sorted.insert(at, x);
+        self.fifo.push_back(x);
+    }
+
+    /// [`percentile`] of the samples in the window (`NaN` when empty).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 100]`.
+    pub fn percentile(&self, p: f64) -> f64 {
+        percentile_sorted(&self.sorted, p)
+    }
+
+    /// Number of samples in the window.
+    pub fn len(&self) -> usize {
+        self.fifo.len()
+    }
+
+    /// Whether the window holds no samples.
+    pub fn is_empty(&self) -> bool {
+        self.fifo.is_empty()
     }
 }
 
@@ -201,6 +312,35 @@ mod tests {
     #[should_panic(expected = "percentile must be in")]
     fn percentile_range_checked() {
         percentile(&[1.0], 101.0);
+    }
+
+    #[test]
+    fn percentile_sorted_empty_is_nan() {
+        assert!(percentile_sorted(&[], 50.0).is_nan());
+    }
+
+    #[test]
+    #[should_panic(expected = "percentile must be in")]
+    fn percentile_sorted_range_checked() {
+        percentile_sorted(&[1.0], -0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in percentile input")]
+    fn sorted_window_rejects_nan() {
+        SortedWindow::new(4).push(f64::NAN);
+    }
+
+    #[test]
+    fn sorted_window_evicts_oldest() {
+        let mut w = SortedWindow::new(2);
+        assert!(w.is_empty() && w.percentile(50.0).is_nan());
+        for x in [3.0, 1.0, 2.0] {
+            w.push(x);
+        }
+        assert_eq!(w.len(), 2);
+        assert_eq!(w.percentile(0.0), 1.0);
+        assert_eq!(w.percentile(100.0), 2.0);
     }
 
     #[test]

@@ -173,8 +173,8 @@ fn bench_compiled_vs_interpreted(c: &mut Criterion) {
         }
 
         // Compiled: rebind the plan in place, reuse the scratch state, and
-        // run the fused superop/permutation-table kernels with the blocked
-        // single-sweep expectation.
+        // run the fused one-qubit and permutation-table kernels with the
+        // blocked single-sweep expectation.
         let mut plan = CompiledCircuit::compile(ansatz.circuit());
         let obs = CompiledObservable::compile(&h);
         let mut backend = StatevectorBackend::new();

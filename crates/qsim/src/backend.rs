@@ -159,24 +159,6 @@ impl StatevectorBackend {
     }
 }
 
-/// Adds one execution of `plan`'s per-kernel-class op counts to the
-/// `qsim.ops.*` counters. One relaxed load and early-out when telemetry is
-/// off; when on, eight atomic adds per execution.
-fn record_op_classes(plan: &CompiledCircuit) {
-    if !qismet_telemetry::enabled() {
-        return;
-    }
-    let counts = plan.op_class_counts();
-    qismet_telemetry::counter!("qsim.ops.one_q").add(counts[0]);
-    qismet_telemetry::counter!("qsim.ops.one_q_real").add(counts[1]);
-    qismet_telemetry::counter!("qsim.ops.cx").add(counts[2]);
-    qismet_telemetry::counter!("qsim.ops.cz").add(counts[3]);
-    qismet_telemetry::counter!("qsim.ops.swap").add(counts[4]);
-    qismet_telemetry::counter!("qsim.ops.rzz").add(counts[5]);
-    qismet_telemetry::counter!("qsim.ops.superop").add(counts[6]);
-    qismet_telemetry::counter!("qsim.ops.table").add(counts[7]);
-}
-
 impl Backend for StatevectorBackend {
     fn evaluate_plan(
         &mut self,
@@ -189,7 +171,9 @@ impl Backend for StatevectorBackend {
         // booked by the compile itself (see `CompiledCircuit::lower`).
         qismet_telemetry::counter!("qsim.plan_cache.hits").inc();
         plan.rebind(params)?;
-        record_op_classes(plan);
+        if qismet_telemetry::enabled() {
+            plan.record_op_counts();
+        }
         let n = plan.n_qubits();
         // No reset on reuse: the plan run resets the state itself, which
         // lets real-amplitude plans take their `f64` fast path.

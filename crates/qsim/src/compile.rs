@@ -8,10 +8,13 @@
 //! and sweeping the full state once per Hamiltonian term. This module
 //! hoists all of that to compile time:
 //!
-//! * [`CompiledCircuit`] lowers a [`Circuit`] once into a flat op-list with
-//!   fused single-qubit runs and in-place parameter rebinding, so evaluating
-//!   a new parameter point recomputes a handful of stack-allocated 2x2
-//!   matrices and nothing else.
+//! * [`CompiledCircuit`] lowers a [`Circuit`] once into a flat op-list of
+//!   two kinds: fused single-qubit runs (one 2x2 matrix per run, real where
+//!   every gate is) and CX/CZ/SWAP/RZZ ladders (one permutation + phase
+//!   table per run of entanglers, or the bare gate when the run is one
+//!   gate long). Parameters rebind in place, so evaluating a new parameter
+//!   point recomputes a handful of stack-allocated 2x2 matrices and nothing
+//!   else.
 //! * [`CompiledObservable`] lowers a [`PauliSum`] once into a fused
 //!   expectation kernel: all diagonal (Z/I-only) terms are evaluated in one
 //!   shared probability sweep, and each off-diagonal term uses precomputed
@@ -150,28 +153,12 @@ thread_local! {
         const { core::cell::RefCell::new(Vec::new()) };
 }
 
-/// Maximum superoperator support (dense `2^k x 2^k` matrices; k = 3 keeps
-/// the 8x8 matrix and its 8-amplitude orbit in registers).
-const SUPEROP_MAX_QUBITS: usize = 3;
-
-/// Minimum state width for fusing **parameterized** content into dense
-/// superops. A free angle inside a superop makes every rebind pay an
-/// `O(gates * 2^2k)` matrix rebuild; below this width the state sweep is so
-/// cheap (L1-resident) that the rebuild dominates the objective evaluation,
-/// so small plans keep free angles in 2x2 fused segments / specialized RZZ
-/// slots instead (trig-only rebinds). Angle-free content (Clifford
-/// preludes, fixed-angle circuits) fuses densely at every width — its
-/// matrices are built once at compile time.
-const DENSE_FUSION_MIN_QUBITS: usize = 12;
-
-/// A constituent gate of a fused superop or ladder table, recorded with
-/// **global** qubit indices so rebinding can rebuild the fused form without
-/// any local-index bookkeeping (the support set is fixed once lowering
-/// finishes, so global -> local translation is stable).
+/// A constituent gate of a ladder table, recorded with **global** qubit
+/// indices so rebinding can rebuild the table without any local-index
+/// bookkeeping (the support set is fixed once lowering finishes, so
+/// global -> local translation is stable).
 #[derive(Debug, Clone, Copy)]
 enum LocalGate {
-    /// One-qubit gate on wire `q`.
-    OneQ { q: usize, g: Gate },
     /// CX with control `c`, target `t`.
     Cx { c: usize, t: usize },
     /// CZ on `a`, `b`.
@@ -180,149 +167,6 @@ enum LocalGate {
     Swap { a: usize, b: usize },
     /// RZZ on `a`, `b` with (possibly free) angle `p`.
     Rzz { a: usize, b: usize, p: Param },
-}
-
-impl LocalGate {
-    fn is_free(&self) -> bool {
-        matches!(
-            self,
-            LocalGate::OneQ {
-                g: Gate::Rx(Param::Free(_))
-                    | Gate::Ry(Param::Free(_))
-                    | Gate::Rz(Param::Free(_))
-                    | Gate::Phase(Param::Free(_)),
-                ..
-            } | LocalGate::Rzz {
-                p: Param::Free(_),
-                ..
-            }
-        )
-    }
-
-    fn is_real(&self) -> bool {
-        match self {
-            LocalGate::OneQ { g, .. } => gate_is_real(*g),
-            LocalGate::Cx { .. } | LocalGate::Cz { .. } | LocalGate::Swap { .. } => true,
-            LocalGate::Rzz { .. } => false,
-        }
-    }
-}
-
-/// A multi-qubit superoperator: adjacent gates on an overlapping qubit set
-/// fused into one dense `2^k x 2^k` matrix (k <= [`SUPEROP_MAX_QUBITS`]),
-/// applied in a single cache-blocked gather/scatter sweep.
-#[derive(Debug, Clone)]
-struct SuperOp {
-    /// Support, global qubit indices, ascending.
-    qubits: Vec<usize>,
-    /// Row-major `2^k x 2^k` matrix over the local basis (local bit `j` =
-    /// `qubits[j]`); only the top-left `2^k x 2^k` block of the fixed-size
-    /// backing store is used.
-    m: [Complex64; 64],
-    /// All constituent gates are real-for-any-angle: the apply kernel skips
-    /// the imaginary halves of the matrix entries (exact zeros).
-    real: bool,
-    /// Contains at least one free parameter (rebuilt on rebind).
-    free: bool,
-    /// Constituents in application order, global qubit indices.
-    gates: Vec<LocalGate>,
-}
-
-impl SuperOp {
-    fn k(&self) -> usize {
-        self.qubits.len()
-    }
-
-    fn local_bit(&self, q: usize) -> usize {
-        let j = self
-            .qubits
-            .iter()
-            .position(|&x| x == q)
-            .expect("qubit in superop support");
-        1usize << j
-    }
-
-    /// Rebuilds the dense matrix from the constituent gates: start from the
-    /// identity and absorb each gate as a row operation (butterfly for 1q
-    /// gates, row swap/scale for the specialized 2q gates). This is
-    /// O(gates * 2^(2k)) — far cheaper than chaining `2^k x 2^k` products —
-    /// and allocation-free, which keeps rebinding on the objective hot path.
-    fn rebuild(&mut self, values: &[f64]) -> Result<(), GateError> {
-        let d = 1usize << self.k();
-        self.m = [Complex64::ZERO; 64];
-        for r in 0..d {
-            self.m[r * d + r] = Complex64::ONE;
-        }
-        for gi in 0..self.gates.len() {
-            match self.gates[gi] {
-                LocalGate::OneQ { q, g } => {
-                    let u = gate_mat2(g, values)?;
-                    let lbit = self.local_bit(q);
-                    for r0 in 0..d {
-                        if r0 & lbit != 0 {
-                            continue;
-                        }
-                        let r1 = r0 | lbit;
-                        for c in 0..d {
-                            let x = self.m[r0 * d + c];
-                            let y = self.m[r1 * d + c];
-                            self.m[r0 * d + c] = u[0][0] * x + u[0][1] * y;
-                            self.m[r1 * d + c] = u[1][0] * x + u[1][1] * y;
-                        }
-                    }
-                }
-                LocalGate::Cx { c, t } => {
-                    let (cbit, tbit) = (self.local_bit(c), self.local_bit(t));
-                    for r in 0..d {
-                        if r & cbit != 0 && r & tbit == 0 {
-                            let r2 = r | tbit;
-                            for col in 0..d {
-                                self.m.swap(r * d + col, r2 * d + col);
-                            }
-                        }
-                    }
-                }
-                LocalGate::Cz { a, b } => {
-                    let (abit, bbit) = (self.local_bit(a), self.local_bit(b));
-                    for r in 0..d {
-                        if r & abit != 0 && r & bbit != 0 {
-                            for col in 0..d {
-                                self.m[r * d + col] = -self.m[r * d + col];
-                            }
-                        }
-                    }
-                }
-                LocalGate::Swap { a, b } => {
-                    let (abit, bbit) = (self.local_bit(a), self.local_bit(b));
-                    for r in 0..d {
-                        if r & abit != 0 && r & bbit == 0 {
-                            let r2 = (r & !abit) | bbit;
-                            for col in 0..d {
-                                self.m.swap(r * d + col, r2 * d + col);
-                            }
-                        }
-                    }
-                }
-                LocalGate::Rzz { a, b, p } => {
-                    let theta = param_value(p, values)?;
-                    let minus = Complex64::cis(-theta / 2.0);
-                    let plus = Complex64::cis(theta / 2.0);
-                    let (abit, bbit) = (self.local_bit(a), self.local_bit(b));
-                    for r in 0..d {
-                        let ph = if (r & abit != 0) == (r & bbit != 0) {
-                            minus
-                        } else {
-                            plus
-                        };
-                        for col in 0..d {
-                            self.m[r * d + col] *= ph;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 /// A lowered CX/CZ/SWAP/RZZ ladder: a pure index-permutation + diagonal
@@ -418,7 +262,6 @@ impl PermTable {
                         };
                     }
                 }
-                LocalGate::OneQ { .. } => unreachable!("ladders hold only 2q perm/phase gates"),
             }
         }
         self.src.resize(size, 0);
@@ -456,11 +299,28 @@ enum PlanOp {
         plus: Complex64,
         minus: Complex64,
     },
-    /// Dense k-qubit superoperator; indexes [`CompiledCircuit::supers`].
-    Super { idx: usize },
     /// Precomputed permutation + phase ladder table; indexes
     /// [`CompiledCircuit::tables`].
     Table { idx: usize },
+}
+
+/// Number of kernel classes a plan op can fall in (see [`PlanOp::class`]).
+const OP_CLASSES: usize = 7;
+
+impl PlanOp {
+    /// Kernel class of the op, in the order of the `qsim.ops.*` counters
+    /// [`CompiledCircuit::record_op_counts`] adds to.
+    fn class(&self) -> usize {
+        match self {
+            PlanOp::OneQ { .. } => 0,
+            PlanOp::OneQReal { .. } => 1,
+            PlanOp::Cx { .. } => 2,
+            PlanOp::Cz { .. } => 3,
+            PlanOp::Swap { .. } => 4,
+            PlanOp::Rzz { .. } => 5,
+            PlanOp::Table { .. } => 6,
+        }
+    }
 }
 
 /// A rebindable slot: plan state that must be recomputed when the free
@@ -472,18 +332,15 @@ enum Slot {
     Fused { op: usize, seg: usize },
     /// RZZ whose angle is the free parameter `param`.
     Rzz { op: usize, param: usize },
-    /// Superop containing at least one free angle (matrix rebuilt from its
-    /// constituents on rebind).
-    Super { idx: usize },
     /// Ladder table containing at least one free RZZ angle.
     Table { idx: usize },
 }
 
 /// A fused one-qubit segment accumulated during lowering. Segments stay
 /// *unplaced* while pending: a wire's segment only commutes with operations
-/// on other wires, so deferring placement until the wire is next touched
-/// (or lowering ends) lets an entangler absorb the whole segment into a
-/// superop with no identity placeholder left behind.
+/// on other wires, so placement waits until an entangler next touches the
+/// wire (or lowering ends), and every later one-qubit gate on the wire joins
+/// the same 2x2 product.
 #[derive(Debug, Clone)]
 struct Segment {
     gates: Vec<Gate>,
@@ -550,19 +407,19 @@ pub struct CompiledCircuit {
     /// Constituent gates of parameterized fused segments, in application
     /// order (rebind recomputes their product).
     fused_gates: Vec<Vec<Gate>>,
-    /// Dense multi-qubit superoperators referenced by [`PlanOp::Super`].
-    supers: Vec<SuperOp>,
     /// Permutation/phase ladder tables referenced by [`PlanOp::Table`].
     tables: Vec<PermTable>,
     slots: Vec<Slot>,
     bound: bool,
     source_len: usize,
     /// Every op preserves real amplitude vectors **for any parameter
-    /// binding** (real 1q segments, CX/CZ/SWAP, real superops, RZZ-free
-    /// tables). [`CompiledCircuit::run`] then evolves an `f64` scratch state
-    /// from `|0...0>` — half the flops and memory traffic of the complex
-    /// sweep — and writes the amplitudes back at the end.
+    /// binding** (real 1q segments, CX/CZ/SWAP, RZZ-free tables).
+    /// [`CompiledCircuit::run`] then evolves an `f64` scratch state from
+    /// `|0...0>` — half the flops and memory traffic of the complex sweep —
+    /// and writes the amplitudes back at the end.
     real_run: bool,
+    /// Ops per kernel class, indexed by [`PlanOp::class`].
+    op_counts: [u64; OP_CLASSES],
 }
 
 /// Working state of the lowering pass.
@@ -571,29 +428,22 @@ pub struct CompiledCircuit {
 ///
 /// * `pending[q]` — an unplaced run of one-qubit gates on `q` (commutes
 ///   with everything on other wires, so placement is deferred).
-/// * `wire_super[q]` / `wire_table[q]` — the open superop/ladder that was
-///   the last thing to touch `q`, if any.
+/// * `wire_table[q]` — the open ladder that was the last thing to touch
+///   `q`, if any.
 /// * `last_touch[q]` — `1 +` the plan position of the last *placed* op
 ///   touching `q` (0 = untouched). A gate may be merged back into an open
-///   group `G` at plan position `p` exactly when every operand wire
-///   satisfies `last_touch <= p`: all ops placed after `G` are then
-///   disjoint from the gate's support, so it commutes back to `G`.
+///   ladder at plan position `p` exactly when every operand wire satisfies
+///   `last_touch <= p`: all ops placed after the ladder are then disjoint
+///   from the gate's support, so it commutes back to the ladder.
 struct Lowering {
     ops: Vec<PlanOp>,
     slots: Vec<Slot>,
     fused_gates: Vec<Vec<Gate>>,
-    supers: Vec<SuperOp>,
-    super_pos: Vec<usize>,
     tables: Vec<PermTable>,
     table_pos: Vec<usize>,
     pending: Vec<Option<Segment>>,
-    wire_super: Vec<Option<usize>>,
     wire_table: Vec<Option<usize>>,
     last_touch: Vec<usize>,
-    /// Free-parameter content may enter dense superops (state wide enough
-    /// that sweep cost dominates the per-rebind matrix rebuild; see
-    /// [`DENSE_FUSION_MIN_QUBITS`]).
-    dense_param: bool,
 }
 
 impl Lowering {
@@ -602,15 +452,11 @@ impl Lowering {
             ops: Vec::new(),
             slots: Vec::new(),
             fused_gates: Vec::new(),
-            supers: Vec::new(),
-            super_pos: Vec::new(),
             tables: Vec::new(),
             table_pos: Vec::new(),
             pending: (0..n).map(|_| None).collect(),
-            wire_super: vec![None; n],
             wire_table: vec![None; n],
             last_touch: vec![0; n],
-            dense_param: n >= DENSE_FUSION_MIN_QUBITS,
         }
     }
 
@@ -643,74 +489,26 @@ impl Lowering {
         self.last_touch[q] = pos + 1;
     }
 
-    /// Moves wire `q`'s pending segment (if any) into superop `s`.
-    fn absorb_segment(&mut self, s: usize, q: usize) {
-        let Some(seg) = self.pending[q].take() else {
-            return;
-        };
-        let sup = &mut self.supers[s];
-        sup.free |= seg.free;
-        for g in seg.gates {
-            sup.real &= gate_is_real(g);
-            sup.gates.push(LocalGate::OneQ { q, g });
-        }
-    }
-
-    /// Marks superop `s` as the latest content of wire `q`.
-    fn claim_for_super(&mut self, s: usize, q: usize) {
-        self.last_touch[q] = self.super_pos[s] + 1;
-        self.wire_super[q] = Some(s);
-        self.wire_table[q] = None;
-    }
-
     /// Marks ladder `t` as the latest content of wire `q`.
     fn claim_for_table(&mut self, t: usize, q: usize) {
         self.last_touch[q] = self.table_pos[t] + 1;
         self.wire_table[q] = Some(t);
-        self.wire_super[q] = None;
     }
 
-    fn two_q_local(g: Gate, a: usize, b: usize) -> LocalGate {
-        match g {
+    fn push_2q_into_table(&mut self, t: usize, g: Gate, a: usize, b: usize) {
+        let lg = match g {
             Gate::Cx => LocalGate::Cx { c: a, t: b },
             Gate::Cz => LocalGate::Cz { a, b },
             Gate::Swap => LocalGate::Swap { a, b },
             Gate::Rzz(p) => LocalGate::Rzz { a, b, p },
             _ => unreachable!("two-qubit gates only"),
-        }
-    }
-
-    fn push_2q_into_super(&mut self, s: usize, g: Gate, a: usize, b: usize) {
-        let lg = Self::two_q_local(g, a, b);
-        let sup = &mut self.supers[s];
-        sup.free |= lg.is_free();
-        sup.real &= lg.is_real();
-        sup.gates.push(lg);
-    }
-
-    fn push_2q_into_table(&mut self, t: usize, g: Gate, a: usize, b: usize) {
-        let lg = Self::two_q_local(g, a, b);
+        };
         let tab = &mut self.tables[t];
-        tab.free |= lg.is_free();
+        tab.free |= matches!(g, Gate::Rzz(Param::Free(_)));
         tab.gates.push(lg);
     }
 
     fn one_q(&mut self, g: Gate, q: usize) {
-        // A wire whose latest content is an open superop feeds the gate
-        // straight into the dense matrix: the apply sweep gets it for free.
-        // Free angles stay out of small-state superops (rebind economics;
-        // see `dense_param`) — the wire leaves its superop instead.
-        if let Some(s) = self.wire_super[q] {
-            let lg = LocalGate::OneQ { q, g };
-            if self.dense_param || !lg.is_free() {
-                let sup = &mut self.supers[s];
-                sup.free |= lg.is_free();
-                sup.real &= lg.is_real();
-                sup.gates.push(lg);
-                return;
-            }
-            self.wire_super[q] = None;
-        }
         // Ladders hold only permutation/phase gates; the wire leaves its
         // ladder (if any) and accumulates a one-qubit segment instead.
         self.wire_table[q] = None;
@@ -735,70 +533,12 @@ impl Lowering {
     }
 
     fn two_q(&mut self, g: Gate, a: usize, b: usize) {
-        // Free angles stay out of small-state superops (rebind economics;
-        // see `dense_param`).
-        let free_2q = matches!(g, Gate::Rzz(Param::Free(_)));
-        // 1. Both wires current in the same open superop: extend it.
-        if let (Some(sa), Some(sb)) = (self.wire_super[a], self.wire_super[b]) {
-            if sa == sb && (self.dense_param || !free_2q) {
-                self.push_2q_into_super(sa, g, a, b);
-                return;
-            }
-        }
-        // 2. One wire current in a superop that can legally take the other:
-        //    the `last_touch` test proves every op placed since the superop
-        //    opened is disjoint from the joining wire, so the gate (and the
-        //    joining wire's still-pending segment) commutes back into it.
-        for (wa, wb) in [(a, b), (b, a)] {
-            let Some(s) = self.wire_super[wa] else {
-                continue;
-            };
-            if !self.dense_param && (free_2q || self.pending_free(wb)) {
-                continue;
-            }
-            let in_support = self.supers[s].qubits.contains(&wb);
-            let fits = in_support || self.supers[s].k() < SUPEROP_MAX_QUBITS;
-            if fits && self.last_touch[wb] <= self.super_pos[s] {
-                if !in_support {
-                    let qs = &mut self.supers[s].qubits;
-                    let at = qs.partition_point(|&x| x < wb);
-                    qs.insert(at, wb);
-                }
-                self.absorb_segment(s, wb);
-                self.push_2q_into_super(s, g, a, b);
-                self.claim_for_super(s, wb);
-                return;
-            }
-        }
-        // 3. A pending segment on either wire seeds a fresh superop (the
-        //    dense matrix absorbs the segment's gates for free). On small
-        //    states free-parameter segments stay 2x2 rebind slots instead:
-        //    place them here and let the entangler open a ladder below.
+        // A pending segment on either operand wire is placed before the
+        // entangler. Every free pending segment is placed with it — each
+        // still commutes to this position — so the ladder below can keep
+        // growing across wires without later segment placements blocking
+        // the `last_touch` legality test mid-ladder.
         if self.pending[a].is_some() || self.pending[b].is_some() {
-            let adds_free = free_2q || self.pending_free(a) || self.pending_free(b);
-            if self.dense_param || !adds_free {
-                let idx = self.supers.len();
-                let pos = self.ops.len();
-                self.ops.push(PlanOp::Super { idx });
-                self.supers.push(SuperOp {
-                    qubits: if a < b { vec![a, b] } else { vec![b, a] },
-                    m: [Complex64::ZERO; 64],
-                    real: true,
-                    free: false,
-                    gates: Vec::new(),
-                });
-                self.super_pos.push(pos);
-                self.absorb_segment(idx, a);
-                self.absorb_segment(idx, b);
-                self.push_2q_into_super(idx, g, a, b);
-                self.claim_for_super(idx, a);
-                self.claim_for_super(idx, b);
-                return;
-            }
-            // Place every free pending segment now — each still commutes to
-            // this position — so the ladder opened below can keep growing
-            // across wires without later segment placements blocking the
-            // `last_touch` legality test mid-ladder.
             for q in 0..self.pending.len() {
                 if self.pending_free(q) {
                     self.flush_segment(q);
@@ -807,7 +547,7 @@ impl Lowering {
             self.flush_segment(a);
             self.flush_segment(b);
         }
-        // 4. Pure entangler ladders: extend the open ladder when legal.
+        // Extend the open ladder when legal.
         if let (Some(ta), Some(tb)) = (self.wire_table[a], self.wire_table[b]) {
             if ta == tb {
                 self.push_2q_into_table(ta, g, a, b);
@@ -831,7 +571,7 @@ impl Lowering {
                 return;
             }
         }
-        // 5. Open a fresh ladder.
+        // Open a fresh ladder.
         let idx = self.tables.len();
         let pos = self.ops.len();
         self.ops.push(PlanOp::Table { idx });
@@ -853,28 +593,12 @@ impl Lowering {
         self.claim_for_table(idx, b);
     }
 
-    /// Flushes pending segments and finalizes every fused group: non-free
-    /// superops/tables are built now, free ones become rebind slots, and
-    /// single-gate ladders fall back to the specialized per-gate kernels.
-    #[allow(clippy::type_complexity)]
-    fn finish(
-        mut self,
-    ) -> (
-        Vec<PlanOp>,
-        Vec<Slot>,
-        Vec<Vec<Gate>>,
-        Vec<SuperOp>,
-        Vec<PermTable>,
-    ) {
+    /// Flushes pending segments and finalizes every ladder: non-free
+    /// tables are built now, free ones become rebind slots, and single-gate
+    /// ladders fall back to the specialized per-gate kernels.
+    fn finish(mut self) -> (Vec<PlanOp>, Vec<Slot>, Vec<Vec<Gate>>, Vec<PermTable>) {
         for q in 0..self.pending.len() {
             self.flush_segment(q);
-        }
-        for (idx, sup) in self.supers.iter_mut().enumerate() {
-            if sup.free {
-                self.slots.push(Slot::Super { idx });
-            } else {
-                sup.rebuild(&[]).expect("superop has no free parameters");
-            }
         }
         for (idx, tab) in self.tables.iter_mut().enumerate() {
             if tab.gates.len() == 1 {
@@ -905,7 +629,6 @@ impl Lowering {
                             }
                         }
                     },
-                    LocalGate::OneQ { .. } => unreachable!("ladders hold only 2q gates"),
                 };
                 continue;
             }
@@ -933,13 +656,7 @@ impl Lowering {
                 tab.rebuild(&[]).expect("table has no free parameters");
             }
         }
-        (
-            self.ops,
-            self.slots,
-            self.fused_gates,
-            self.supers,
-            self.tables,
-        )
+        (self.ops, self.slots, self.fused_gates, self.tables)
     }
 }
 
@@ -960,25 +677,25 @@ impl CompiledCircuit {
         Self::lower(circuit, true)
     }
 
-    /// Per-kernel-class op counts for this plan, in a fixed order:
-    /// `[one_q, one_q_real, cx, cz, swap, rzz, super, table]`. Feeds the
-    /// `qsim.ops.*` telemetry counters; only called on the enabled path.
-    pub(crate) fn op_class_counts(&self) -> [u64; 8] {
-        let mut c = [0u64; 8];
-        for op in &self.ops {
-            let k = match op {
-                PlanOp::OneQ { .. } => 0,
-                PlanOp::OneQReal { .. } => 1,
-                PlanOp::Cx { .. } => 2,
-                PlanOp::Cz { .. } => 3,
-                PlanOp::Swap { .. } => 4,
-                PlanOp::Rzz { .. } => 5,
-                PlanOp::Super { .. } => 6,
-                PlanOp::Table { .. } => 7,
+    /// Adds one execution of this plan to the `qsim.ops.*` telemetry
+    /// counters: one add per kernel class the plan uses, from counts taken
+    /// once at lowering.
+    pub(crate) fn record_op_counts(&self) {
+        for (class, &n) in self.op_counts.iter().enumerate() {
+            if n == 0 {
+                continue;
+            }
+            let counter = match class {
+                0 => qismet_telemetry::counter!("qsim.ops.one_q"),
+                1 => qismet_telemetry::counter!("qsim.ops.one_q_real"),
+                2 => qismet_telemetry::counter!("qsim.ops.cx"),
+                3 => qismet_telemetry::counter!("qsim.ops.cz"),
+                4 => qismet_telemetry::counter!("qsim.ops.swap"),
+                5 => qismet_telemetry::counter!("qsim.ops.rzz"),
+                _ => qismet_telemetry::counter!("qsim.ops.table"),
             };
-            c[k] += 1;
+            counter.add(n);
         }
-        c
     }
 
     fn lower(circuit: &Circuit, template: bool) -> Self {
@@ -1019,7 +736,7 @@ impl CompiledCircuit {
                 lw.two_q(g, op.qubits[0], op.qubits[1]);
             }
         }
-        let (ops, slots, fused_gates, supers, tables) = lw.finish();
+        let (ops, slots, fused_gates, tables) = lw.finish();
         let n_params = if template {
             next_slot
         } else {
@@ -1031,12 +748,15 @@ impl CompiledCircuit {
             | PlanOp::Cz { .. }
             | PlanOp::Swap { .. } => true,
             PlanOp::OneQ { .. } | PlanOp::Rzz { .. } => false,
-            PlanOp::Super { idx } => supers[idx].real,
             PlanOp::Table { idx } => tables[idx]
                 .gates
                 .iter()
                 .all(|g| !matches!(g, LocalGate::Rzz { .. })),
         });
+        let mut op_counts = [0u64; OP_CLASSES];
+        for op in &ops {
+            op_counts[op.class()] += 1;
+        }
         CompiledCircuit {
             n_qubits: n,
             n_params,
@@ -1044,10 +764,10 @@ impl CompiledCircuit {
             source_len: circuit.len(),
             ops,
             fused_gates,
-            supers,
             tables,
             slots,
             real_run,
+            op_counts,
         }
     }
 
@@ -1115,7 +835,6 @@ impl CompiledCircuit {
         let CompiledCircuit {
             ops,
             fused_gates,
-            supers,
             tables,
             slots,
             ..
@@ -1133,7 +852,6 @@ impl CompiledCircuit {
                         *minus = Complex64::cis(-theta / 2.0);
                     }
                 }
-                Slot::Super { idx } => supers[idx].rebuild(values)?,
                 Slot::Table { idx } => tables[idx].rebuild(values)?,
             }
         }
@@ -1180,28 +898,6 @@ impl CompiledCircuit {
             PlanOp::Rzz { a, b, plus, minus } => {
                 kernels::apply_rzz_phases(amps, minus, plus, 1usize << a, 1usize << b)
             }
-            PlanOp::Super { idx } => {
-                let sup = &self.supers[idx];
-                let q = &sup.qubits;
-                if sup.k() == 2 {
-                    kernels::apply_super2(
-                        amps,
-                        &sup.m[..16],
-                        1usize << q[0],
-                        1usize << q[1],
-                        sup.real,
-                    );
-                } else {
-                    kernels::apply_super3(
-                        amps,
-                        &sup.m[..64],
-                        1usize << q[0],
-                        1usize << q[1],
-                        1usize << q[2],
-                        sup.real,
-                    );
-                }
-            }
             PlanOp::Table { idx } => {
                 let t = &self.tables[idx];
                 if let Some(shift) = t.contig_shift {
@@ -1238,21 +934,6 @@ impl CompiledCircuit {
             }
             PlanOp::Cz { a, b } => kernels::apply_cz(amps, 1usize << a, 1usize << b),
             PlanOp::Swap { a, b } => kernels::apply_swap(amps, 1usize << a, 1usize << b),
-            PlanOp::Super { idx } => {
-                let sup = &self.supers[idx];
-                let q = &sup.qubits;
-                if sup.k() == 2 {
-                    kernels::apply_super2_f64(amps, &sup.m[..16], 1usize << q[0], 1usize << q[1]);
-                } else {
-                    kernels::apply_super3_f64(
-                        amps,
-                        &sup.m[..64],
-                        1usize << q[0],
-                        1usize << q[1],
-                        1usize << q[2],
-                    );
-                }
-            }
             PlanOp::Table { idx } => {
                 let t = &self.tables[idx];
                 if let Some(shift) = t.contig_shift {
@@ -1837,11 +1518,10 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0).rz(0.3, 0).ry(0.4, 0).cx(0, 1).h(1).s(1);
         let plan = CompiledCircuit::compile(&c);
-        // Everything collapses into one 2-qubit superop: the h/rz/ry run
-        // seeds it, the cx extends it, and the trailing h/s on qubit 1
-        // (fresh in the superop) are absorbed for free.
+        // The h/rz/ry run on qubit 0 fuses into one 2x2 op, the cx stays a
+        // bare entangler, and the trailing h/s on qubit 1 fuse into one.
         assert_eq!(plan.source_len(), 6);
-        assert_eq!(plan.len(), 1);
+        assert_eq!(plan.len(), 3);
         let direct = StateVector::from_circuit(&c).unwrap();
         let compiled = plan.state().unwrap();
         assert!(compiled.fidelity(&direct) > 1.0 - TOL);
@@ -1851,19 +1531,19 @@ mod tests {
     fn fusion_respects_two_qubit_barriers() {
         // s(0) ... cx(0,1) ... s(0): the two S gates must NOT merge into a
         // single-qubit product across the entangler. S S |+> would differ
-        // from S CX S |+>0. The superop absorbs all four gates in circuit
-        // order, which preserves the barrier.
+        // from S CX S |+>0. The plan keeps h·s, the cx and the last s as
+        // three ops in circuit order.
         let mut c = Circuit::new(2);
         c.h(0).s(0).cx(0, 1).s(0);
         let direct = StateVector::from_circuit(&c).unwrap();
         let plan = CompiledCircuit::compile(&c);
         let compiled = plan.state().unwrap();
         assert!(compiled.fidelity(&direct) > 1.0 - TOL);
-        assert_eq!(plan.len(), 1);
+        assert_eq!(plan.len(), 3);
     }
 
     #[test]
-    fn ghz_chain_lowers_to_superop_plus_ladder() {
+    fn ghz_chain_lowers_to_h_plus_one_ladder() {
         let n = 8;
         let mut c = Circuit::new(n);
         c.h(0);
@@ -1871,9 +1551,15 @@ mod tests {
             c.cx(q, q + 1);
         }
         let plan = CompiledCircuit::compile(&c);
-        // h + the first two CXs fill a 3-qubit superop; the remaining pure
-        // CX chain (5 gates over 6 wires) becomes one permutation table.
+        // The fixed h is one op; the whole CX chain (7 gates over 8 wires)
+        // becomes one permutation table.
         assert_eq!(plan.len(), 2);
+        assert!(plan.runs_real());
+        assert!(matches!(plan.ops[0], PlanOp::OneQReal { qubit: 0, .. }));
+        let PlanOp::Table { idx } = plan.ops[1] else {
+            panic!("expected a ladder table, got {:?}", plan.ops[1]);
+        };
+        assert_eq!(plan.tables[idx].qubits, (0..n).collect::<Vec<_>>());
         let direct = StateVector::from_circuit(&c).unwrap();
         let compiled = plan.state().unwrap();
         for (a, b) in direct.amplitudes().iter().zip(compiled.amplitudes()) {

@@ -134,121 +134,6 @@ pub(crate) fn apply_rzz_phases(
     });
 }
 
-/// Applies a dense 4x4 superoperator matrix `m` (row-major over the local
-/// basis `|b1 b0>`) on support bit values `b0 < b1`. When `real` is set only
-/// the real parts of `m` are used (exact for superops fused purely from
-/// real gates, at half the multiplies).
-pub(crate) fn apply_super2(
-    amps: &mut [Complex64],
-    m: &[Complex64],
-    b0: usize,
-    b1: usize,
-    real: bool,
-) {
-    debug_assert!(m.len() >= 16 && b0 < b1 && amps.len().is_multiple_of(b1 << 1));
-    let dim = amps.len();
-    let mut outer = 0usize;
-    while outer < dim {
-        let mut mid = outer;
-        let outer_end = outer + b1;
-        while mid < outer_end {
-            for base in mid..mid + b0 {
-                let idx = [base, base | b0, base | b1, base | b0 | b1];
-                let v = [amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]]];
-                if real {
-                    for (r, &i) in idx.iter().enumerate() {
-                        let row = &m[r * 4..r * 4 + 4];
-                        let mut re = 0.0f64;
-                        let mut im = 0.0f64;
-                        for c in 0..4 {
-                            re += row[c].re * v[c].re;
-                            im += row[c].re * v[c].im;
-                        }
-                        amps[i] = Complex64::new(re, im);
-                    }
-                } else {
-                    for (r, &i) in idx.iter().enumerate() {
-                        let row = &m[r * 4..r * 4 + 4];
-                        let mut acc = Complex64::ZERO;
-                        for c in 0..4 {
-                            acc += row[c] * v[c];
-                        }
-                        amps[i] = acc;
-                    }
-                }
-            }
-            mid += b0 << 1;
-        }
-        outer += b1 << 1;
-    }
-}
-
-/// Applies a dense 8x8 superoperator matrix `m` (row-major over the local
-/// basis `|b2 b1 b0>`) on support bit values `b0 < b1 < b2`; see
-/// [`apply_super2`].
-pub(crate) fn apply_super3(
-    amps: &mut [Complex64],
-    m: &[Complex64],
-    b0: usize,
-    b1: usize,
-    b2: usize,
-    real: bool,
-) {
-    debug_assert!(m.len() >= 64 && b0 < b1 && b1 < b2 && amps.len().is_multiple_of(b2 << 1));
-    let dim = amps.len();
-    let mut top = 0usize;
-    while top < dim {
-        let mut outer = top;
-        let top_end = top + b2;
-        while outer < top_end {
-            let mut mid = outer;
-            let outer_end = outer + b1;
-            while mid < outer_end {
-                for base in mid..mid + b0 {
-                    let idx = [
-                        base,
-                        base | b0,
-                        base | b1,
-                        base | b0 | b1,
-                        base | b2,
-                        base | b0 | b2,
-                        base | b1 | b2,
-                        base | b0 | b1 | b2,
-                    ];
-                    let mut v = [Complex64::ZERO; 8];
-                    for (slot, &i) in v.iter_mut().zip(idx.iter()) {
-                        *slot = amps[i];
-                    }
-                    if real {
-                        for (r, &i) in idx.iter().enumerate() {
-                            let row = &m[r * 8..r * 8 + 8];
-                            let mut re = 0.0f64;
-                            let mut im = 0.0f64;
-                            for c in 0..8 {
-                                re += row[c].re * v[c].re;
-                                im += row[c].re * v[c].im;
-                            }
-                            amps[i] = Complex64::new(re, im);
-                        }
-                    } else {
-                        for (r, &i) in idx.iter().enumerate() {
-                            let row = &m[r * 8..r * 8 + 8];
-                            let mut acc = Complex64::ZERO;
-                            for c in 0..8 {
-                                acc += row[c] * v[c];
-                            }
-                            amps[i] = acc;
-                        }
-                    }
-                }
-                mid += b0 << 1;
-            }
-            outer += b1 << 1;
-        }
-        top += b2 << 1;
-    }
-}
-
 /// Expands orbit number `o` into a base index by inserting a zero at each
 /// support bit (ascending bit values in `bits`).
 #[inline(always)]
@@ -263,7 +148,7 @@ fn expand_orbit(mut o: usize, bits: &[usize]) -> usize {
 /// CX/CZ/SWAP/RZZ ladder) in one sweep.
 ///
 /// The table maps local configuration `c` (over `bits`, ascending bit
-/// values, `s = bits.len() <= 6`) to `phase[l] * |l>` where `l = pi(c)`:
+/// values, `s = bits.len() <= 8`) to `phase[l] * |l>` where `l = pi(c)`:
 /// `offs[l]` is the amplitude offset of local index `l`, `src[l] = pi^-1(l)`
 /// and `phase[l]` the output phase. `diagonal` marks identity permutations
 /// (in-place phase sweep, no gather) and `unit` marks all-ones phases (pure
@@ -382,7 +267,7 @@ pub(crate) fn apply_table_contig(
 // Real-amplitude (`f64`) kernels.
 //
 // Plans whose every op preserves real amplitude vectors (real 1q segments,
-// CX/CZ/SWAP, real superops, RZZ-free ladder tables) evolve an `f64` state
+// CX/CZ/SWAP, RZZ-free ladder tables) evolve an `f64` state
 // instead of a `Complex64` one: half the flops and half the memory traffic,
 // with the same sweep structure as the complex kernels above. CX and SWAP
 // reuse the generic kernels; the arithmetic kernels get real twins below.
@@ -435,70 +320,6 @@ pub(crate) fn apply_1q_real_f64(amps: &mut [f64], m: &[[f64; 2]; 2], stride: usi
             *a = m00 * a0 + m01 * a1;
             *b = m10 * a0 + m11 * a1;
         }
-    }
-}
-
-/// Real twin of [`apply_super2`]: dense 4x4 **real** superoperator (the
-/// matrix is stored complex with exactly-zero imaginary parts) on an `f64`
-/// state.
-pub(crate) fn apply_super2_f64(amps: &mut [f64], m: &[Complex64], b0: usize, b1: usize) {
-    debug_assert!(m.len() >= 16 && b0 < b1 && amps.len().is_multiple_of(b1 << 1));
-    for_each_two_qubit_base(amps, b0, b1, |amps, base| {
-        let idx = [base, base | b0, base | b1, base | b0 | b1];
-        let v = [amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]]];
-        for (r, &i) in idx.iter().enumerate() {
-            let row = &m[r * 4..r * 4 + 4];
-            let mut acc = 0.0f64;
-            for c in 0..4 {
-                acc += row[c].re * v[c];
-            }
-            amps[i] = acc;
-        }
-    });
-}
-
-/// Real twin of [`apply_super3`]: dense 8x8 **real** superoperator on an
-/// `f64` state.
-pub(crate) fn apply_super3_f64(amps: &mut [f64], m: &[Complex64], b0: usize, b1: usize, b2: usize) {
-    debug_assert!(m.len() >= 64 && b0 < b1 && b1 < b2 && amps.len().is_multiple_of(b2 << 1));
-    let dim = amps.len();
-    let mut top = 0usize;
-    while top < dim {
-        let mut outer = top;
-        let top_end = top + b2;
-        while outer < top_end {
-            let mut mid = outer;
-            let outer_end = outer + b1;
-            while mid < outer_end {
-                for base in mid..mid + b0 {
-                    let idx = [
-                        base,
-                        base | b0,
-                        base | b1,
-                        base | b0 | b1,
-                        base | b2,
-                        base | b0 | b2,
-                        base | b1 | b2,
-                        base | b0 | b1 | b2,
-                    ];
-                    let mut v = [0.0f64; 8];
-                    for (slot, &i) in v.iter_mut().zip(idx.iter()) {
-                        *slot = amps[i];
-                    }
-                    for (r, &i) in idx.iter().enumerate() {
-                        let row = &m[r * 8..r * 8 + 8];
-                        let mut acc = 0.0f64;
-                        for c in 0..8 {
-                            acc += row[c].re * v[c];
-                        }
-                        amps[i] = acc;
-                    }
-                }
-                mid += b0 << 1;
-            }
-            outer += b1 << 1;
-        }
-        top += b2 << 1;
     }
 }
 

@@ -11,8 +11,9 @@
 //!   values and finite-shot sampling.
 //! * [`CompiledCircuit`] / [`CompiledObservable`] — the compile-once,
 //!   rebind-forever execution plans behind the allocation-free objective
-//!   hot path (fused single-qubit runs, single-sweep diagonal expectation,
-//!   Hermitian pair-skipping for off-diagonal terms).
+//!   hot path (fused single-qubit runs, entangler ladders as one
+//!   permutation table, single-sweep diagonal expectation, Hermitian
+//!   pair-skipping for off-diagonal terms).
 //! * [`Backend`] — the execution seam every objective evaluates through.
 //!   Its one implementation, [`StatevectorBackend`], runs compiled plans on
 //!   a scratch statevector reused across calls.

@@ -1,7 +1,8 @@
 //! Property tests for the fused statevector kernels: circuit shapes that
-//! drive the lowering into its k-qubit superop and permutation-table paths
-//! must agree with interpreted gate-by-gate dispatch and with the
-//! `statevector::reference` expectation kernels to `<= 1e-12`.
+//! drive the lowering into its fused one-qubit segments, bare entanglers
+//! and permutation-table ladders must agree with interpreted gate-by-gate
+//! dispatch and with the `statevector::reference` expectation kernels to
+//! `<= 1e-12`.
 
 use proptest::prelude::*;
 use qismet_qsim::statevector::reference;
@@ -9,9 +10,10 @@ use qismet_qsim::{Circuit, CompiledCircuit, CompiledObservable, PauliSum, StateV
 
 const TOL: f64 = 1e-12;
 
-/// Superop-heavy shape: dense one-qubit runs interleaved with entanglers on
-/// overlapping pairs, which drives the lowering into k<=3 dense superops.
-fn superop_circuit(n: usize, draws: &[(usize, usize, f64)]) -> Circuit {
+/// Mixed shape: H/RX/RZ/RY runs interleaved with CX/CZ/RZZ/SWAP on
+/// overlapping pairs, so fused segments, bare entanglers and short ladders
+/// alternate on every wire.
+fn mixed_circuit(n: usize, draws: &[(usize, usize, f64)]) -> Circuit {
     let mut c = Circuit::new(n);
     for &(kind, sel, angle) in draws {
         let q = sel % n;
@@ -93,14 +95,14 @@ fn assert_state_and_energy(c: &Circuit, h: &PauliSum) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // Superop-heavy circuits: fused k-qubit matrices must reproduce
+    // Mixed one- and two-qubit circuits: the fused plan must reproduce
     // interpreted dispatch and the reference expectation kernels.
     #[test]
-    fn superop_path_matches_reference(
+    fn mixed_gates_match_reference(
         n in 2usize..7,
         draws in arb_draws(48),
     ) {
-        assert_state_and_energy(&superop_circuit(n, &draws), &tfim(n));
+        assert_state_and_energy(&mixed_circuit(n, &draws), &tfim(n));
     }
 
     // Ladder-heavy circuits: the permutation+phase tables must reproduce

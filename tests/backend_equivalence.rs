@@ -6,7 +6,9 @@ use qismet_mathkit::rng_from_seed;
 use qismet_optim::{GainSchedule, Spsa};
 use qismet_qnoise::{StaticNoiseModel, TransientModel};
 use qismet_qsim::{Backend, CompiledCircuit, CompiledObservable, GateError, StatevectorBackend};
-use qismet_vqa::{Ansatz, AnsatzKind, Entanglement, NoisyObjective, NoisyObjectiveConfig, Tfim};
+use qismet_vqa::{
+    Ansatz, AnsatzKind, AppSpec, Entanglement, NoisyObjective, NoisyObjectiveConfig, Tfim,
+};
 
 /// The fresh-state reference: a new [`StatevectorBackend`] for every
 /// evaluation, so no scratch state survives from one call to the next.
@@ -83,4 +85,26 @@ fn umbrella_reexports_backend_layer() {
     c.ry(0.4, 0).cx(0, 1);
     let e = backend.evaluate(&c, &h).unwrap();
     assert!(e.is_finite());
+}
+
+/// Every Table 1 ansatz lowers to a fixed plan shape: fused one-qubit
+/// segments plus one ladder table per entangling layer. The RealAmplitudes
+/// apps (RY only) take the real-amplitude run mode; the EfficientSU2 apps
+/// (RY+RZ) do not.
+#[test]
+fn table1_plan_shapes_are_pinned() {
+    let want = [
+        (1, 20, false),
+        (2, 34, true),
+        (3, 34, true),
+        (4, 34, false),
+        (5, 62, true),
+        (6, 62, true),
+    ];
+    for (id, len, real) in want {
+        let app = AppSpec::by_id(id).unwrap();
+        let plan = CompiledCircuit::compile(app.build_ansatz().circuit());
+        assert_eq!(plan.len(), len, "App{id} plan length");
+        assert_eq!(plan.runs_real(), real, "App{id} real-run mode");
+    }
 }

@@ -13,7 +13,7 @@ use qismet_bench::{
 };
 use qismet_cluster::{Listener, ServiceErrKind, TcpTransportListener};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("qismet-service-{tag}-{}", std::process::id()));
@@ -94,6 +94,23 @@ fn spawn_worker(
     std::thread::spawn(move || qismet_bench::register_worker(&addr, &opts))
 }
 
+/// Waits until a worker named `name` holds a connected slot.
+fn await_registered(addr: &str, name: &str) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !job_status(addr, "fleet")
+        .expect("fleet status")
+        .workers
+        .iter()
+        .any(|w| w.name == name && w.active)
+    {
+        assert!(
+            Instant::now() < deadline,
+            "worker `{name}` never registered"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn daemon_serves_two_tenants_elastically_with_byte_identical_reports() {
     let (daemon, report_dir) = start_daemon("elastic");
@@ -113,21 +130,26 @@ fn daemon_serves_two_tenants_elastically_with_byte_identical_reports() {
     let fleet_view = job_status(&daemon.addr, "fleet").expect("fleet status");
     assert_eq!(fleet_view.jobs.len(), 2);
 
-    // Elastic fleet: one steady worker, one that voluntarily leaves after
-    // two batches, and one that joins only once the run is underway.
-    let steady = spawn_worker(&daemon.addr, worker("steady", None));
+    // Elastic fleet: one worker that voluntarily leaves after two batches,
+    // then a steady worker, and one that joins only once the run is
+    // underway. The leaver serves alone until it leaves, so its two
+    // batches do not depend on how fast another worker drains the queue,
+    // and the drain waits for every registration, so no worker dials a
+    // daemon that has already stopped.
     let transient = spawn_worker(&daemon.addr, worker("transient", Some(2)));
-    std::thread::sleep(Duration::from_millis(100));
-    let late = spawn_worker(&daemon.addr, worker("late", None));
-
-    let drained = drain_service(&daemon.addr, "fleet").expect("drain completes");
-    assert_eq!(drained.jobs_completed, 2);
-    assert_eq!(drained.jobs_failed, 0);
     let transient_stats = transient
         .join()
         .expect("transient exits")
         .expect("voluntary leave is not an error");
     assert_eq!(transient_stats.batches, 2);
+    let steady = spawn_worker(&daemon.addr, worker("steady", None));
+    await_registered(&daemon.addr, "steady");
+    let late = spawn_worker(&daemon.addr, worker("late", None));
+    await_registered(&daemon.addr, "late");
+
+    let drained = drain_service(&daemon.addr, "fleet").expect("drain completes");
+    assert_eq!(drained.jobs_completed, 2);
+    assert_eq!(drained.jobs_failed, 0);
     steady.join().expect("steady exits").expect("steady served");
     late.join().expect("late exits").expect("late served");
     let summary = daemon.handle.join().expect("daemon thread exits");

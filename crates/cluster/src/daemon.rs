@@ -215,20 +215,23 @@ impl<'a> Engine<'a> {
     /// Moves a job to a terminal phase exactly once per id and maintains
     /// the lifetime tallies; `open_jobs` entry (if any) is removed.
     fn conclude(&self, id: u64, phase: JobPhase, detail: String) {
+        // The tallies move under the queue lock together with the phase, so
+        // a drain that sees every job terminal also sees every tally.
         let transitioned = {
             let mut queue = self.queue.lock().expect("queue mutex poisoned");
-            queue.set_phase(id, phase, Some(detail.clone())).is_ok()
+            let transitioned = queue.set_phase(id, phase, Some(detail.clone())).is_ok();
+            if transitioned {
+                match phase {
+                    JobPhase::Completed => self.jobs_completed.fetch_add(1, Ordering::Relaxed),
+                    _ => self.jobs_failed.fetch_add(1, Ordering::Relaxed),
+                };
+            }
+            transitioned
         };
         if transitioned {
             match phase {
-                JobPhase::Completed => {
-                    self.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                    counter!("service.jobs_completed").inc();
-                }
-                _ => {
-                    self.jobs_failed.fetch_add(1, Ordering::Relaxed);
-                    counter!("service.jobs_failed").inc();
-                }
+                JobPhase::Completed => counter!("service.jobs_completed").inc(),
+                _ => counter!("service.jobs_failed").inc(),
             }
             event("job", format!("job {id} -> {}: {detail}", phase.name()));
         }
@@ -457,6 +460,10 @@ impl<'a> Engine<'a> {
     /// then the in-memory record set; settles the job when it was the
     /// last index.
     fn on_record(&self, slot: u64, run: &Arc<JobRun>, index: usize, seed: u64, record: Value) {
+        // The results lock is held from marking the index complete until
+        // its record is stored: a session that completes the last index of
+        // the job settles it, and settling must see every record.
+        let mut results = run.results.lock().expect("results mutex poisoned");
         if !run.dispatch.complete(index) {
             // A twin finished first (re-dispatched suspect that was still
             // live elsewhere): byte-identical by construction, drop it.
@@ -477,6 +484,7 @@ impl<'a> Engine<'a> {
             }
         };
         if let Err(detail) = journaled {
+            drop(results);
             // Durability lost: completing more work that can never be
             // resumed helps nobody — fail the job, keep the fleet.
             self.fail_job(run, format!("journal append failed: {detail}"));
@@ -486,10 +494,8 @@ impl<'a> Engine<'a> {
         counter!("cluster.specs_done").inc();
         counter!("service.records").inc();
         self.registry.record_done(slot);
-        run.results
-            .lock()
-            .expect("results mutex poisoned")
-            .push((index, std::mem::replace(&mut entry.record, Value::Null)));
+        results.push((index, std::mem::replace(&mut entry.record, Value::Null)));
+        drop(results);
         if run.dispatch.is_finished() {
             self.settle_job(run);
         }

@@ -14,7 +14,7 @@ use serde::Value;
 use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 const FP: u64 = 0x51c2_7a11_feed_f00d;
@@ -42,8 +42,13 @@ fn expected(n: usize) -> Vec<(usize, Value)> {
 enum Script {
     /// Serve every assignment normally.
     Solid,
-    /// Serve normally, but sleep this long before each result (straggler).
+    /// Serve normally, but sleep this long before each result (slow).
     SlowSolid(Duration),
+    /// Announce that this session holds an assignment, then withhold its
+    /// first result until the other sessions have produced this many.
+    Straggler(usize),
+    /// Serve normally once a [`Script::Straggler`] holds an assignment.
+    AfterStraggler,
     /// Send this many heartbeat pings before each result (slow, alive).
     PingThenSolid(usize),
     /// Serve `n` results, then fail the channel on the next read.
@@ -65,8 +70,37 @@ enum Script {
 struct PoolLog {
     /// `Pong` frames the coordinator sent back to scripted pings.
     pongs: AtomicUsize,
+    /// Results produced so far, and whether a straggler holds its work.
+    progress: Mutex<Progress>,
+    /// Signalled on every change to `progress`.
+    progressed: Condvar,
+}
+
+#[derive(Default)]
+struct Progress {
     /// Results produced across all sessions (counts speculative twins).
-    dones: AtomicUsize,
+    dones: usize,
+    straggler_holds: bool,
+}
+
+impl PoolLog {
+    fn update(&self, f: impl FnOnce(&mut Progress)) {
+        f(&mut self.progress.lock().expect("pool log poisoned"));
+        self.progressed.notify_all();
+    }
+
+    fn wait_until(&self, ready: impl Fn(&Progress) -> bool) {
+        let progress = self.progress.lock().expect("pool log poisoned");
+        drop(
+            self.progressed
+                .wait_while(progress, |p| !ready(p))
+                .expect("pool log poisoned"),
+        );
+    }
+
+    fn dones(&self) -> usize {
+        self.progress.lock().expect("pool log poisoned").dones
+    }
 }
 
 struct ScriptedTransport {
@@ -138,6 +172,11 @@ impl Transport for ScriptedTransport {
                 ));
             }
             Script::SlowSolid(pause) => std::thread::sleep(pause),
+            Script::Straggler(others) if self.served == 0 => {
+                self.log.update(|p| p.straggler_holds = true);
+                self.log.wait_until(|p| p.dones >= others);
+            }
+            Script::AfterStraggler => self.log.wait_until(|p| p.straggler_holds),
             Script::PingThenSolid(n) => {
                 if self.pings_left > 0 {
                     self.pings_left -= 1;
@@ -157,7 +196,7 @@ impl Transport for ScriptedTransport {
         }
         self.pending.pop_front();
         self.served += 1;
-        self.log.dones.fetch_add(1, Ordering::SeqCst);
+        self.log.update(|p| p.dones += 1);
         Ok(Message::Done(Done {
             index: next,
             seed: seed_of(next),
@@ -417,9 +456,12 @@ fn a_spec_that_keeps_killing_workers_is_poisoned_and_reported() {
 #[test]
 fn speculation_duplicates_a_straggler_and_dedups_first_result_wins() {
     let log = Arc::new(PoolLog::default());
+    // The fast worker serves nothing until the straggler holds a spec, and
+    // the straggler answers only after the fast worker has produced four
+    // results: its three own specs and the straggler's twin.
     let pool = WorkerPool::new(vec![
-        ScriptedConnector::slot(&[Script::SlowSolid(Duration::from_millis(500))], 1, &log),
-        ScriptedConnector::slot(&[Script::Solid], 1, &log),
+        ScriptedConnector::slot(&[Script::Straggler(4)], 1, &log),
+        ScriptedConnector::slot(&[Script::AfterStraggler], 1, &log),
     ])
     .with_speculative(true);
     let (result, sunk) = run_pool(&pool, 4);
@@ -429,7 +471,7 @@ fn speculation_duplicates_a_straggler_and_dedups_first_result_wins() {
     // The fast worker finished the queue, then mirrored the straggler's
     // in-flight spec: one more result was produced than specs exist, and
     // the duplicate was dropped before the sink/merge.
-    assert_eq!(log.dones.load(Ordering::SeqCst), 5);
+    assert_eq!(log.dones(), 5);
     assert_eq!(sunk.len(), 4, "the speculative twin must not re-journal");
 }
 

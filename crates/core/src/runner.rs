@@ -182,9 +182,10 @@ fn run_controlled(
             // iteration's circuit + candidate energy, all under this job's
             // noise. When the optimizer names its query points up front,
             // the evaluations and the rerun are assembled into one
-            // JobRequest and handed to the execution backend as a single
-            // batch; the candidate (whose parameters depend on the batch's
-            // results) follows as a second wave of the same job.
+            // JobRequest; the candidate (whose parameters depend on the
+            // request's results) follows as a second wave of the same job.
+            // The rerun and a retry's gradient points are remembered by the
+            // objective, so they cost no simulation.
             let (proposal, em_rerun) = match proposer.eval_points(&theta) {
                 Some(points) => {
                     let request = JobRequest::shared_job(points).with_rerun(theta.clone());

@@ -5,8 +5,8 @@
 //! circuit, and the candidate evaluation all execute under the same noise
 //! environment. [`JobRequest`] is that structure made explicit: the runner
 //! assembles every parameter point an iteration needs, and
-//! `NoisyObjective::execute` hands the whole batch to the circuit
-//! [`qismet_qsim::Backend`] in a single `evaluate_batch` call.
+//! `NoisyObjective::execute` measures them in order, simulating only the
+//! points its `ExactObjective` does not remember.
 //!
 //! Two layouts cover both execution models in the workspace:
 //!
@@ -28,7 +28,7 @@ pub enum JobLayout {
 }
 
 /// One iteration's worth of objective evaluations, assembled before
-/// execution so the backend sees them as a single batch.
+/// execution so they share one job's noise environment.
 ///
 /// # Examples
 ///

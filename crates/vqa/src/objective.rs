@@ -53,6 +53,66 @@ impl fmt::Display for ObjectiveError {
 
 impl std::error::Error for ObjectiveError {}
 
+/// Number of recent points [`ExactObjective`] remembers. An SPSA iteration
+/// touches at most four distinct points (θ+, θ−, the incumbent and the
+/// candidate), so eight covers the current iteration and the previous one.
+const IDEAL_MEMO_SLOTS: usize = 8;
+
+/// FIFO ring of the last [`IDEAL_MEMO_SLOTS`] simulated points and their
+/// ideal energies, keyed by the exact bits of the parameter vector.
+#[derive(Debug, Clone)]
+struct IdealMemo {
+    /// Parameters per key; a vector of any other length is never stored.
+    width: usize,
+    /// `IDEAL_MEMO_SLOTS` keys of `width` each, allocated with the
+    /// objective: a long-lived block allocated later, inside the tuning
+    /// loop, can land on top of the loop's freed heap and raise the
+    /// process's peak resident set.
+    keys: Vec<f64>,
+    energies: [f64; IDEAL_MEMO_SLOTS],
+    /// Slots holding a key.
+    filled: usize,
+    /// Slot the next insert overwrites: the oldest once the ring is full.
+    next: usize,
+}
+
+impl IdealMemo {
+    fn new(width: usize) -> Self {
+        IdealMemo {
+            width,
+            keys: vec![0.0; IDEAL_MEMO_SLOTS * width],
+            energies: [0.0; IDEAL_MEMO_SLOTS],
+            filled: 0,
+            next: 0,
+        }
+    }
+
+    fn get(&self, params: &[f64]) -> Option<f64> {
+        if params.len() != self.width {
+            return None;
+        }
+        (0..self.filled)
+            .find(|&slot| {
+                let key = &self.keys[slot * self.width..(slot + 1) * self.width];
+                key.iter()
+                    .zip(params)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+            })
+            .map(|slot| self.energies[slot])
+    }
+
+    fn insert(&mut self, params: &[f64], energy: f64) {
+        if params.len() != self.width {
+            return;
+        }
+        let slot = self.next;
+        self.keys[slot * self.width..(slot + 1) * self.width].copy_from_slice(params);
+        self.energies[slot] = energy;
+        self.next = (slot + 1) % IDEAL_MEMO_SLOTS;
+        self.filled = (self.filled + 1).min(IDEAL_MEMO_SLOTS);
+    }
+}
+
 /// Exact, noise-free objective (the paper's "Noise-free" reference).
 ///
 /// The ansatz is lowered once into a [`CompiledAnsatz`] and the Hamiltonian
@@ -61,12 +121,23 @@ impl std::error::Error for ObjectiveError {}
 /// [`Backend`] — no circuit binding, no gate re-dispatch, no per-term state
 /// sweeps, and (with the default [`StatevectorBackend`], which reuses its
 /// scratch state) no allocation at all per parameter point.
+///
+/// The last eight simulated points are remembered with their energies, so
+/// a point the tuning loop asks for again (the candidate it just measured,
+/// the rerun of the previous iteration's circuit, the gradient points and
+/// rerun of a QISMET retry) is not simulated again. An evaluation is a
+/// deterministic function of the plan and the parameter bits, so a
+/// remembered energy is the one a new simulation would return, bit for bit.
+/// The ring is allocated with the objective, so evaluations allocate
+/// nothing. The `vqa.ideal.hits` and `vqa.ideal.misses` telemetry counters
+/// count the two outcomes.
 pub struct ExactObjective {
     ansatz: Ansatz,
     hamiltonian: PauliSum,
     compiled: RefCell<CompiledAnsatz>,
     observable: CompiledObservable,
     backend: RefCell<Box<dyn Backend>>,
+    memo: RefCell<IdealMemo>,
 }
 
 impl Clone for ExactObjective {
@@ -77,6 +148,7 @@ impl Clone for ExactObjective {
             compiled: RefCell::new(self.compiled.borrow().clone()),
             observable: self.observable.clone(),
             backend: RefCell::new(self.backend.borrow().clone()),
+            memo: RefCell::new(self.memo.borrow().clone()),
         }
     }
 }
@@ -114,12 +186,14 @@ impl ExactObjective {
         );
         let compiled = RefCell::new(ansatz.compile());
         let observable = CompiledObservable::compile(&hamiltonian);
+        let memo = RefCell::new(IdealMemo::new(ansatz.n_params()));
         ExactObjective {
             ansatz,
             hamiltonian,
             compiled,
             observable,
             backend: RefCell::new(backend),
+            memo,
         }
     }
 
@@ -138,39 +212,34 @@ impl ExactObjective {
         self.backend.borrow().name()
     }
 
-    /// Evaluates `<psi(theta)| H |psi(theta)>` exactly, by rebinding the
-    /// compiled plan in place — the allocation-free hot path.
+    /// Evaluates `<psi(theta)| H |psi(theta)>` exactly: the remembered
+    /// energy when `params` matches a recent point bit for bit, else by
+    /// rebinding the compiled plan in place — the allocation-free hot path.
     ///
     /// # Panics
     ///
     /// Panics if `params` is shorter than the ansatz requires.
     pub fn eval(&self, params: &[f64]) -> f64 {
-        self.backend
+        if let Some(energy) = self.memo.borrow().get(params) {
+            if qismet_telemetry::enabled() {
+                qismet_telemetry::counter!("vqa.ideal.hits").inc();
+            }
+            return energy;
+        }
+        if qismet_telemetry::enabled() {
+            qismet_telemetry::counter!("vqa.ideal.misses").inc();
+        }
+        let energy = self
+            .backend
             .borrow_mut()
             .evaluate_plan(
                 self.compiled.borrow_mut().plan_mut(),
                 params,
                 &self.observable,
             )
-            .expect("parameter count")
-    }
-
-    /// Evaluates many parameter vectors as **one backend batch**, in order.
-    /// Results are bitwise identical to calling [`ExactObjective::eval`]
-    /// per point (the [`Backend`] contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any parameter vector is shorter than the ansatz requires.
-    pub fn eval_batch(&self, params_list: &[Vec<f64>]) -> Vec<f64> {
-        self.backend
-            .borrow_mut()
-            .evaluate_plan_batch(
-                self.compiled.borrow_mut().plan_mut(),
-                params_list,
-                &self.observable,
-            )
-            .expect("parameter count")
+            .expect("parameter count");
+        self.memo.borrow_mut().insert(params, energy);
+        energy
     }
 }
 
@@ -398,7 +467,7 @@ impl NoisyObjective {
 
     /// Applies the noise stack (static attenuation, transient attenuation,
     /// shot noise) to an ideal expectation at `job`. Shared by the per-call
-    /// and batched paths so both consume the RNG identically.
+    /// and job paths so both consume the RNG identically.
     fn noisy_from_ideal(&mut self, ideal: f64, job: usize) -> Result<f64, ObjectiveError> {
         let v_job = self.trace.get(job).ok_or(ObjectiveError::TraceExhausted {
             job,
@@ -414,11 +483,12 @@ impl NoisyObjective {
 
     /// Executes a whole [`JobRequest`] — the unit the runners assemble per
     /// iteration (optimizer evaluations, plus the rerun circuit for
-    /// QISMET) — as **one batched backend call**, then applies the noise
-    /// stack to each result in submission order.
+    /// QISMET) — in submission order: each point's ideal energy comes from
+    /// [`ExactObjective::eval`], which simulates only the points not in its
+    /// memo, and then goes through the noise stack.
     ///
     /// The RNG is consumed in exactly the order a sequence of
-    /// [`NoisyObjective::measure`] calls would consume it, so batched and
+    /// [`NoisyObjective::measure`] calls would consume it, so job and
     /// per-call execution produce bit-identical measured series.
     ///
     /// Under [`JobLayout::JobPerEval`] the job counter advances after every
@@ -428,13 +498,13 @@ impl NoisyObjective {
     ///
     /// # Errors
     ///
-    /// [`ObjectiveError::TraceExhausted`] if the trace runs out mid-batch
+    /// [`ObjectiveError::TraceExhausted`] if the trace runs out mid-job
     /// (evaluations before the failing point are already accounted, exactly
     /// as the sequential path would have).
     pub fn execute(&mut self, request: &JobRequest) -> Result<JobResult, ObjectiveError> {
-        let ideals = self.exact.eval_batch(request.points());
-        let mut values = Vec::with_capacity(ideals.len());
-        for ideal in ideals {
+        let mut values = Vec::with_capacity(request.points().len());
+        for point in request.points() {
+            let ideal = self.exact.eval(point);
             let job = self.job;
             values.push(self.noisy_from_ideal(ideal, job)?);
             if request.layout() == JobLayout::JobPerEval {
@@ -697,13 +767,11 @@ mod tests {
             reused.eval(&params).to_bits(),
             fresh().eval(&params).to_bits()
         );
-        let batch = vec![params.clone(), reused.ansatz().initial_params(13)];
-        let a = reused.eval_batch(&batch);
-        let b = fresh().eval_batch(&batch);
-        assert_eq!(a.len(), 2);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        let other = reused.ansatz().initial_params(13);
+        assert_eq!(
+            reused.eval(&other).to_bits(),
+            fresh().eval(&other).to_bits()
+        );
         // Cloning an objective clones its backend.
         let cloned = reused.clone();
         assert_eq!(cloned.backend_name(), "statevector");

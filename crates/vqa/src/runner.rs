@@ -105,7 +105,7 @@ pub fn run_tuning(
         // One job per evaluation: the optimizer's evaluations land in
         // consecutive (independent) noise environments. When the optimizer
         // can name its query points up front, the whole gradient estimate
-        // goes to the execution backend as one batch; the callback path is
+        // goes to the objective as one JobRequest; the callback path is
         // the fallback for optimizers with value-dependent queries.
         let proposal = match proposer.eval_points(&theta) {
             Some(points) => {

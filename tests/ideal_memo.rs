@@ -166,12 +166,22 @@ proptest! {
         let tfim = Tfim::paper_6q();
         let memoized = ExactObjective::new(ansatz(), tfim.hamiltonian());
         let n = memoized.ansatz().n_params();
-        // Each pool entry is a short pattern tiled over the full width, so
-        // points differ in a few bits (e.g. one 0.0 versus -0.0).
-        let points: Vec<Vec<f64>> = pool
+        // Each pool entry is a short pattern tiled over the width, with a
+        // distinct angle at a position that moves with the entry, plus
+        // all-`0.0`, all-`-0.0` and all-subnormal points: at least 13
+        // distinct points, two of them differing only in the sign of zero.
+        let mut points: Vec<Vec<f64>> = pool
             .iter()
-            .map(|pattern| (0..n).map(|i| pattern[i % pattern.len()]).collect())
+            .enumerate()
+            .map(|(k, pattern)| {
+                let mut p: Vec<f64> = (0..n).map(|i| pattern[i % pattern.len()]).collect();
+                p[k % n] = 0.25 * (k + 1) as f64;
+                p
+            })
             .collect();
+        for value in [0.0, -0.0, f64::from_bits(1)] {
+            points.push(vec![value; n]);
+        }
         for &pick in &picks {
             let p = &points[pick % points.len()];
             let fresh = ExactObjective::new(ansatz(), tfim.hamiltonian());

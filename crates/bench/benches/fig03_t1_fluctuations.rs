@@ -17,7 +17,7 @@ fn main() {
     // One grid point (trace generation), routed through the engine so
     // larger multi-machine trace campaigns are a one-line change.
     let specs = [(machine, 0xf03u64)];
-    let traces = SweepExecutor::new().run_specs(&specs, |&(m, seed)| {
+    let traces = SweepExecutor::with_threads(0).run_specs(&specs, |&(m, seed)| {
         m.tls_bank()
             .sample_t1_trace(&mut rng_from_seed(seed), hours, dt)
     });

@@ -26,14 +26,15 @@ fn main() {
     // Two independent grid points (shallow / deep), each with its own seed
     // stream, fanned through the engine.
     let specs = [(Depth::Shallow, 0xf04u64), (Depth::Deep, 0xf04 + 1)];
-    let batches: Vec<Vec<BatchFidelity>> = SweepExecutor::new().run_specs(&specs, |&(d, seed)| {
-        let circuit = match d {
-            Depth::Shallow => fig4_circuits::shallow_4q(),
-            Depth::Deep => fig4_circuits::deep_8q(),
-        };
-        let model = CircuitFidelityModel::new(machine, circuit).expect("bound circuit");
-        model.hourly_batches(machine, hours, batch, shots, &mut rng_from_seed(seed))
-    });
+    let batches: Vec<Vec<BatchFidelity>> =
+        SweepExecutor::with_threads(0).run_specs(&specs, |&(d, seed)| {
+            let circuit = match d {
+                Depth::Shallow => fig4_circuits::shallow_4q(),
+                Depth::Deep => fig4_circuits::deep_8q(),
+            };
+            let model = CircuitFidelityModel::new(machine, circuit).expect("bound circuit");
+            model.hourly_batches(machine, hours, batch, shots, &mut rng_from_seed(seed))
+        });
     let (sb, db) = (&batches[0], &batches[1]);
 
     let stats = |name: &str, batches: &[BatchFidelity]| {

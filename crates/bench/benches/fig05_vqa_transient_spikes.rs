@@ -17,7 +17,7 @@ fn main() {
             .on_machine(Machine::Jakarta)
             .seeded(0xf05),
     );
-    let report = SweepExecutor::new().run(&campaign);
+    let report = SweepExecutor::with_threads(0).run(&campaign);
     let out = report.single(0);
 
     println!("Fig.5 | baseline VQA on Jakarta profile, {iterations} iterations\n");

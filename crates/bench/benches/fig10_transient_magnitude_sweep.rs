@@ -41,7 +41,7 @@ fn main() {
         final_window(iterations)
     );
 
-    let report = SweepExecutor::new().run(&campaign);
+    let report = SweepExecutor::with_threads(0).run(&campaign);
 
     let mut rows = Vec::new();
     let mut series_rows = Vec::new();

@@ -18,7 +18,7 @@ fn main() {
     let campaign = Campaign::new("fig12", 0xf12)
         .with(ScenarioSpec::new(spec.clone(), Scheme::Baseline, iterations).seeded(0xf12))
         .with(ScenarioSpec::new(spec, Scheme::Qismet, iterations).seeded(0xf12));
-    let report = SweepExecutor::new().run(&campaign);
+    let report = SweepExecutor::with_threads(0).run(&campaign);
     let base = report.single(0);
     let qis = report.single(1);
 

@@ -36,7 +36,7 @@ fn main() {
             );
         }
     }
-    let report = SweepExecutor::new().run(&campaign);
+    let report = SweepExecutor::with_threads(0).run(&campaign);
 
     let mut rows = Vec::new();
     let mut ratios = Vec::new();

@@ -35,7 +35,7 @@ fn main() {
         final_window(iterations)
     );
 
-    let report = SweepExecutor::new().run(&campaign);
+    let report = SweepExecutor::with_threads(0).run(&campaign);
     let outcomes: Vec<&RunRecord> = report.records.iter().collect();
     let baseline_final = outcomes[0].final_energy;
 

@@ -23,7 +23,7 @@ fn main() {
             ScenarioSpec::new(spec.clone(), Scheme::OnlyTransients(pct), iterations).seeded(seed),
         );
     }
-    let report = SweepExecutor::new().run(&campaign);
+    let report = SweepExecutor::with_threads(0).run(&campaign);
     let base = report.single(0);
 
     println!("Fig.15 | Only-Transients skipping on App1, {iterations} iterations");

@@ -23,7 +23,7 @@ fn main() {
     for filter in KalmanFilter::fig16_grid() {
         campaign.push(ScenarioSpec::kalman(spec.clone(), filter, iterations).seeded(seed));
     }
-    let report = SweepExecutor::new().run(&campaign);
+    let report = SweepExecutor::with_threads(0).run(&campaign);
     let base = report.single(0);
     let qis = report.single(1);
 

@@ -31,7 +31,7 @@ fn main() {
             campaign.push(ScenarioSpec::new(spec.clone(), scheme, iterations).seeded(seed));
         }
     }
-    let report = SweepExecutor::new().run(&campaign);
+    let report = SweepExecutor::with_threads(0).run(&campaign);
 
     let width = 1 + schemes.len();
     let mut rows = Vec::new();

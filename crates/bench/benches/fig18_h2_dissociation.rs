@@ -8,7 +8,7 @@
 //!
 //! The bond-length sweep is a custom (chemistry) workload, so it rides the
 //! campaign engine's generic executor: each bond length is one independent
-//! spec, fanned across workers under the `parallel` feature.
+//! spec, fanned across all cores.
 
 use qismet::{run_qismet_budgeted, QismetConfig};
 use qismet_bench::{f4, print_table, scaled, write_csv, SweepExecutor};
@@ -121,8 +121,8 @@ fn main() {
     let window = qismet_bench::final_window(iterations);
 
     let specs: Vec<(usize, f64)> = bonds.iter().copied().enumerate().collect();
-    let outcomes =
-        SweepExecutor::new().run_specs(&specs, |&(k, r)| run_bond(k, r, iterations, window));
+    let outcomes = SweepExecutor::with_threads(0)
+        .run_specs(&specs, |&(k, r)| run_bond(k, r, iterations, window));
 
     let mut rows = Vec::new();
     let mut base_dev = Vec::new();

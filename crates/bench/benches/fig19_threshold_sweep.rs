@@ -39,7 +39,7 @@ fn main() {
             );
         }
     }
-    let report = SweepExecutor::new().run(&campaign);
+    let report = SweepExecutor::with_threads(0).run(&campaign);
 
     let width = 1 + schemes.len();
     let mut all_rows = Vec::new();

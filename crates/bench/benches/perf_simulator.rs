@@ -248,7 +248,7 @@ fn bench_campaign_engine(c: &mut Criterion) {
         .with(ScenarioSpec::new(app, Scheme::Blocking, 20).with_trials(2));
     group.bench_function("expand_4_runs", |b| b.iter(|| campaign.expand()));
     group.bench_function("sweep_4_runs_20iter", |b| {
-        b.iter(|| SweepExecutor::new().run(&campaign))
+        b.iter(|| SweepExecutor::with_threads(0).run(&campaign))
     });
     group.finish();
 }

@@ -66,8 +66,8 @@ fn main() {
     let iterations = 1200;
     let spec = AppSpec::by_id(5).expect("App5 (Cairo, severe)");
     let seeds: Vec<u64> = (0..5).collect();
-    let outcomes =
-        SweepExecutor::new().run_specs(&seeds, |&seed| probe_seed(&spec, iterations, seed));
+    let outcomes = SweepExecutor::with_threads(0)
+        .run_specs(&seeds, |&seed| probe_seed(&spec, iterations, seed));
     let rows: Vec<Vec<String>> = outcomes.iter().map(|o| o.row.clone()).collect();
     let ratios: Vec<f64> = outcomes.iter().map(|o| o.ratio).collect();
     print_table(

@@ -7,7 +7,7 @@ use qismet_vqa::AppSpec;
 fn main() {
     // One grid point per Table 1 app, fanned through the engine.
     let apps = AppSpec::table1();
-    let rows = SweepExecutor::new().run_specs(&apps, |spec| {
+    let rows = SweepExecutor::with_threads(0).run_specs(&apps, |spec| {
         let app = spec.build(8, None, 42);
         let circuit = app.ansatz.circuit();
         vec![

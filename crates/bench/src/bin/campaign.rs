@@ -2,7 +2,7 @@
 //!
 //! Expands machines x schemes x threshold-percentiles x magnitudes x apps x
 //! trials into a flat run list and executes it through the sweep engine,
-//! in-process by default (parallel under `--features parallel`). There
+//! in-process by default (sequential, or threaded with `--threads`). There
 //! are two ways to spread the grid beyond one process:
 //!
 //! * **One-shot runs** shard across local worker *processes* with
@@ -77,7 +77,7 @@ GRID OPTIONS:
     --name <str>          Campaign/artifact name (default: campaign)
 
 EXECUTION OPTIONS:
-    --threads <n>         Executor threads, 0 = all cores (needs --features parallel).
+    --threads <n>         Executor threads, 0 = all cores (default: 1).
                           Each thread runs whole specs; reports are bit-identical
                           at any count. In-process: sizes the sweep pool. With
                           --workers/--register: each worker runs its assigned
@@ -371,7 +371,6 @@ fn main() {
         if let Some(timeout) = args.handshake_timeout {
             config.handshake_timeout = timeout;
         }
-        config.build = qismet_cluster::BuildStamp::local(cfg!(feature = "parallel"));
         let planner = CampaignPlanner {
             report_dir: args.report_dir.clone().unwrap_or_else(results_dir),
         };
@@ -591,7 +590,7 @@ fn main() {
         print_fleet_summary();
     }
     if let Some(path) = &args.metrics_out {
-        let build = qismet_telemetry::BuildInfo::current(cfg!(feature = "parallel"));
+        let build = qismet_telemetry::BuildInfo::current();
         std::fs::write(path, qismet_telemetry::metrics_json(&build))
             .unwrap_or_else(|e| die(&format!("cannot write metrics `{}`: {e}", path.display())));
         println!("[metrics] wrote {}", path.display());

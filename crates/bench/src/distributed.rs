@@ -20,7 +20,7 @@
 //! Specs never cross the process boundary — they are pure data both sides
 //! derive identically, so the wire carries only indices and records.
 
-use crate::executor::try_run_one;
+use crate::executor::{resolve_threads, try_run_one};
 use crate::report::{CampaignReport, ReportMeta, RunRecord, RunsJsonlWriter};
 use crate::scenario::{Campaign, RunSpec};
 use crate::SweepExecutor;
@@ -214,8 +214,7 @@ pub fn run_campaign_distributed(
         .with_token(opts.token.clone())
         .with_assign_timeout(opts.assign_timeout)
         .with_speculative(opts.speculative)
-        .with_quarantine_after(opts.quarantine_after)
-        .with_build(BuildStamp::local(cfg!(feature = "parallel")));
+        .with_quarantine_after(opts.quarantine_after);
     if let Some(timeout) = opts.handshake_timeout {
         pool = pool.with_handshake_timeout(timeout);
     }
@@ -286,9 +285,9 @@ pub struct WorkerOptions {
     /// Shared authentication token; sessions whose coordinator presents a
     /// different token are rejected.
     pub token: String,
-    /// Executor threads for batched assignments (0 = all cores under the
-    /// `parallel` feature; effectively 1 otherwise). Advertised in the
-    /// `Hello` reply so the coordinator sizes batches to match.
+    /// Executor threads for batched assignments (0 = all cores).
+    /// Advertised in the `Hello` reply so the coordinator sizes batches to
+    /// match.
     pub threads: usize,
     /// Worker-initiated keepalive: while a batch computes, send a `Ping`
     /// whenever no result has been produced for this long, so a
@@ -308,19 +307,6 @@ impl Default for WorkerOptions {
             threads: 1,
             heartbeat: Some(Duration::from_secs(2)),
             plan: None,
-        }
-    }
-}
-
-impl WorkerOptions {
-    /// The executor batch size this worker advertises (at least 1).
-    fn advertised_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
         }
     }
 }
@@ -530,7 +516,7 @@ pub fn serve_session(
     transport: &mut dyn Transport,
     opts: &WorkerOptions,
 ) -> Result<SessionOutcome, ClusterError> {
-    let threads = opts.advertised_threads();
+    let threads = resolve_threads(opts.threads);
     let executor = SweepExecutor::with_threads(threads);
     let coordinator = match transport.recv() {
         Ok(Message::Hello(hello)) => hello,
@@ -555,7 +541,7 @@ pub fn serve_session(
             spec_count: specs.len(),
             token: opts.token.clone(),
             threads,
-            build: BuildStamp::local(cfg!(feature = "parallel")),
+            build: BuildStamp::local(false),
         }))
         .map_err(|e| ClusterError::Io(format!("hello reply failed: {e}")))?;
     let mut stats = StatsTracker::default();

@@ -1,6 +1,6 @@
 //! The sweep executor: runs a campaign's independent grid points
-//! sequentially or — behind the `parallel` feature — fanned across
-//! `std::thread::scope` workers.
+//! sequentially (the default) or fanned across `std::thread::scope`
+//! workers ([`SweepExecutor::with_threads`]).
 //!
 //! Determinism contract: every [`RunSpec`] is pure data (its seed is
 //! resolved at expansion time from the campaign seed and grid coordinates),
@@ -59,8 +59,21 @@ fn catch_run<R>(index: usize, f: impl FnOnce() -> R) -> Result<R, ExecutorError>
     })
 }
 
-/// Executes campaigns. Construct via [`SweepExecutor::new`] (parallel when
-/// the `parallel` feature is enabled, sequential otherwise),
+/// The worker count a thread request stands for: `0` means all cores (as
+/// [`std::thread::available_parallelism`] reports them, 1 if unknown), any
+/// other value is taken as given. Every `--threads`/`threads` knob in the
+/// harness resolves through this one rule.
+pub fn resolve_threads(requested: usize) -> usize {
+    if requested == 0 {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    } else {
+        requested
+    }
+}
+
+/// Executes campaigns. Construct via [`SweepExecutor::new`] (sequential),
 /// [`SweepExecutor::sequential`], or [`SweepExecutor::with_threads`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepExecutor {
@@ -74,11 +87,9 @@ impl Default for SweepExecutor {
 }
 
 impl SweepExecutor {
-    /// The default executor: all available cores when the `parallel`
-    /// feature is enabled, sequential otherwise.
+    /// The default executor: sequential, like [`SweepExecutor::sequential`].
     pub fn new() -> Self {
-        let threads = if cfg!(feature = "parallel") { 0 } else { 1 };
-        SweepExecutor { threads }
+        SweepExecutor::sequential()
     }
 
     /// A strictly sequential executor.
@@ -86,22 +97,15 @@ impl SweepExecutor {
         SweepExecutor { threads: 1 }
     }
 
-    /// An executor with an explicit worker count (`0` = all cores). More
-    /// than one worker only takes effect under the `parallel` feature.
+    /// An executor with an explicit worker count (`0` = all cores, see
+    /// [`resolve_threads`]).
     pub fn with_threads(threads: usize) -> Self {
         SweepExecutor { threads }
     }
 
     /// The worker count this executor will actually use for `n` tasks.
     pub fn effective_threads(&self, n: usize) -> usize {
-        if !cfg!(feature = "parallel") {
-            return 1;
-        }
-        let hw = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let requested = if self.threads == 0 { hw } else { self.threads };
-        requested.max(1).min(n.max(1))
+        resolve_threads(self.threads).min(n.max(1))
     }
 
     /// Expands and runs a campaign through the default scheme runner.
@@ -178,7 +182,6 @@ impl SweepExecutor {
         self.try_run_specs_parallel(specs, &run, workers)
     }
 
-    #[cfg(feature = "parallel")]
     fn try_run_specs_parallel<S, R, F>(
         &self,
         specs: &[S],
@@ -260,25 +263,6 @@ impl SweepExecutor {
             .into_iter()
             .map(|s| s.expect("every spec produced a result"))
             .collect())
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn try_run_specs_parallel<S, R, F>(
-        &self,
-        specs: &[S],
-        run: &F,
-        _workers: usize,
-    ) -> Result<Vec<R>, ExecutorError>
-    where
-        S: Sync,
-        R: Send,
-        F: Fn(&S) -> R + Sync,
-    {
-        specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| catch_run(i, || run(s)))
-            .collect()
     }
 }
 

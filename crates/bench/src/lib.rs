@@ -3,7 +3,7 @@
 //! Every figure and table in the paper's evaluation has a bench target in
 //! `benches/` that declares its sweep as a [`Campaign`] (or a custom spec
 //! list for non-scheme workloads) and runs it through the [`SweepExecutor`]
-//! — sequentially, or across threads under the `parallel` feature. This
+//! — sequentially by default, or across threads on request. This
 //! crate hosts the engine ([`scenario`], [`executor`], [`report`]), the
 //! scheme runners, and the iteration-scale control (`QISMET_BENCH_SCALE`)
 //! for quick smoke runs.

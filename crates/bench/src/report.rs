@@ -57,14 +57,15 @@ pub struct ReportMeta {
     pub git_hash: String,
     /// Enabled codegen target features (e.g. from `-C target-cpu=native`).
     pub target_features: String,
-    /// Whether the harness was built with the `parallel` feature.
+    /// Always `false` (the workspace has a single build); kept so report
+    /// `meta` keeps its field set.
     pub parallel: bool,
 }
 
 impl ReportMeta {
     /// The stamp for this build of the bench harness.
     pub fn current() -> Self {
-        let b = qismet_telemetry::BuildInfo::current(cfg!(feature = "parallel"));
+        let b = qismet_telemetry::BuildInfo::current();
         Self {
             version: b.version,
             git_hash: b.git_hash,

@@ -27,6 +27,7 @@
 //! coordinator path.
 
 use crate::distributed::{channel_end, run_assignment, SessionOutcome, StatsTracker};
+use crate::executor::resolve_threads;
 use crate::report::{CampaignReport, ReportMeta, RunRecord};
 use crate::scenario::{parse_scheme, Campaign, CampaignGrid, RunSpec};
 use crate::{Scheme, SweepExecutor};
@@ -250,7 +251,7 @@ fn client_session(
             spec_count: 0,
             token: token.to_string(),
             threads: 0,
-            build: BuildStamp::local(cfg!(feature = "parallel")),
+            build: BuildStamp::local(false),
         }))
         .map_err(ServiceError::io)?;
     match transport.recv().map_err(ServiceError::io)? {
@@ -375,7 +376,7 @@ pub struct RegisterOptions {
     pub name: String,
     /// Fleet token presented at registration.
     pub token: String,
-    /// Executor threads (0 = all cores under `parallel`).
+    /// Executor threads (0 = all cores).
     pub threads: usize,
     /// Keepalive interval while a batch computes.
     pub heartbeat: Option<Duration>,
@@ -437,13 +438,7 @@ pub fn register_worker(addr: &str, opts: &RegisterOptions) -> Result<RegisterSta
     // Like the other worker modes: telemetry on, so `Done` frames carry
     // stats deltas (never affects computed records).
     qismet_telemetry::set_enabled(true);
-    let threads = if opts.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        opts.threads
-    };
+    let threads = resolve_threads(opts.threads);
     let executor = SweepExecutor::with_threads(threads);
     // Per-job expansion cache: jobs are re-announced per session, but an
     // expansion is pure, so re-joining workers re-derive identical specs.
@@ -469,7 +464,7 @@ pub fn register_worker(addr: &str, opts: &RegisterOptions) -> Result<RegisterSta
             name: opts.name.clone(),
             token: opts.token.clone(),
             threads,
-            build: BuildStamp::local(cfg!(feature = "parallel")),
+            build: BuildStamp::local(false),
         })) {
             return Err(ServiceError::io(format!("registration send failed: {e}")));
         }

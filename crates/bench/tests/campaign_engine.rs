@@ -33,9 +33,6 @@ fn small_campaign() -> Campaign {
 fn parallel_and_sequential_records_are_bit_identical() {
     let campaign = small_campaign();
     let seq = SweepExecutor::sequential().run(&campaign);
-    // Under `--features parallel` this fans across 4 workers; without the
-    // feature it degrades to sequential, keeping the assertion meaningful
-    // in both CI configurations.
     let par = SweepExecutor::with_threads(4).run(&campaign);
     let all = SweepExecutor::with_threads(0).run(&campaign);
 

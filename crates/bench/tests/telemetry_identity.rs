@@ -115,8 +115,7 @@ proptest! {
         assert_identity_under_gate(|| SweepExecutor::sequential().run(&case.campaign));
     }
 
-    // Threaded executor (degenerates to sequential without the `parallel`
-    // feature — the identity must hold in both configs).
+    // Threaded executor: two workers interleave their telemetry.
     #[test]
     fn threaded_reports_identical_with_telemetry_on(
         seed in 0u64..u64::MAX,

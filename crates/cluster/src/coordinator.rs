@@ -374,16 +374,6 @@ impl WorkerPool {
         self
     }
 
-    /// Replaces the build stamp announced in the coordinator's `Hello`.
-    /// The default stamp carries this crate's provenance with
-    /// `parallel: false`; the bench harness passes its own so the
-    /// advertised feature flag matches the binary actually running.
-    #[must_use]
-    pub fn with_build(mut self, build: BuildStamp) -> Self {
-        self.build = build;
-        self
-    }
-
     /// Total worker slots in this pool.
     pub fn workers(&self) -> usize {
         self.connectors.len()

@@ -109,8 +109,6 @@ pub struct ServiceConfig {
     /// Bound on handshake-ish exchanges (registration, `Ready`,
     /// `JobReady`, client commands).
     pub handshake_timeout: Duration,
-    /// Build provenance announced to clients.
-    pub build: BuildStamp,
 }
 
 impl ServiceConfig {
@@ -125,7 +123,6 @@ impl ServiceConfig {
             poison_after: crate::coordinator::DEFAULT_POISON_AFTER,
             assign_timeout: None,
             handshake_timeout: crate::coordinator::DEFAULT_HANDSHAKE_TIMEOUT,
-            build: BuildStamp::local(false),
         }
     }
 }
@@ -870,12 +867,13 @@ impl<'a> Engine<'a> {
                 }
                 match self.registry.register(&register.name, register.threads) {
                     Ok(slot) => {
-                        if register.build != self.config.build {
+                        let ours = BuildStamp::local(false);
+                        if register.build != ours {
                             event(
                                 "build_mismatch",
                                 format!(
-                                    "slot {slot}: worker build {:?} differs from daemon {:?}",
-                                    register.build, self.config.build
+                                    "slot {slot}: worker build {:?} differs from daemon {ours:?}",
+                                    register.build
                                 ),
                             );
                         }
@@ -922,7 +920,7 @@ impl<'a> Engine<'a> {
                     spec_count: 0,
                     token: String::new(),
                     threads: 0,
-                    build: self.config.build.clone(),
+                    build: BuildStamp::local(false),
                 });
                 if transport.send(&ours).is_err() {
                     return;

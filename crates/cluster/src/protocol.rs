@@ -90,16 +90,19 @@ pub struct BuildStamp {
     pub git_hash: String,
     /// Enabled codegen target features of the sender's binary.
     pub target_features: String,
-    /// Whether the sender was built with the `parallel` feature.
+    /// Always `false` from this workspace, which has a single build; kept
+    /// so `Hello`/`Register` frames keep their field set.
     pub parallel: bool,
 }
 
 impl BuildStamp {
-    /// The stamp for the current binary. `parallel` is supplied by the
-    /// caller because cargo features are per-crate: only the embedding
-    /// crate knows whether its own `parallel` feature is on.
+    /// The stamp for the current binary, with `parallel` as given (every
+    /// caller in the workspace passes `false`).
     pub fn local(parallel: bool) -> Self {
-        qismet_telemetry::BuildInfo::current(parallel).into()
+        BuildStamp {
+            parallel,
+            ..qismet_telemetry::BuildInfo::current().into()
+        }
     }
 }
 
@@ -537,7 +540,7 @@ mod tests {
                 spec_count: 96,
                 token: "s3cret".into(),
                 threads: 4,
-                build: qismet_telemetry::BuildInfo::current(false).into(),
+                build: qismet_telemetry::BuildInfo::current().into(),
             }),
             Message::Reject("token mismatch".into()),
             Message::Assign(Assign {
@@ -576,7 +579,7 @@ mod tests {
                 name: "node-7".into(),
                 token: "fleet-key".into(),
                 threads: 8,
-                build: qismet_telemetry::BuildInfo::current(true).into(),
+                build: BuildStamp::local(true),
             }),
             Message::RegisterAck(41),
             Message::Deregister,

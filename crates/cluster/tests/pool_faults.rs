@@ -12,12 +12,70 @@ use qismet_cluster::{
 };
 use serde::Value;
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 const FP: u64 = 0x51c2_7a11_feed_f00d;
+
+/// How long one test may run before its [`Watchdog`] ends the process.
+/// Every test here finishes in a few seconds at most.
+const WATCHDOG: Duration = Duration::from_secs(60);
+
+/// The longest a helper below blocks when no caller set a deadline. A wait
+/// this long is a hang: it ends in a `TimedOut` error and a stderr line
+/// naming the wait, well before the watchdog fires.
+const HELPER_WAIT: Duration = Duration::from_secs(20);
+
+/// Writes straight to stderr. The test harness captures `eprintln!`, and
+/// captured output is lost when the watchdog ends the process.
+fn report(line: &str) {
+    let _ = writeln!(io::stderr(), "pool_faults: {line}");
+}
+
+/// Ends the whole test process, naming the test, if the test is still
+/// running after [`WATCHDOG`]. A hang then fails loudly and says which
+/// test hung instead of stalling until an outer timeout kills the run.
+struct Watchdog(Arc<(Mutex<bool>, Condvar)>);
+
+impl Watchdog {
+    fn arm(test: &'static str) -> Self {
+        let finished = Arc::new((Mutex::new(false), Condvar::new()));
+        let shared = Arc::clone(&finished);
+        std::thread::spawn(move || {
+            let (lock, condvar) = &*shared;
+            let done = lock.lock().expect("watchdog poisoned");
+            let (done, _) = condvar
+                .wait_timeout_while(done, WATCHDOG, |done| !*done)
+                .expect("watchdog poisoned");
+            if !*done {
+                report(&format!(
+                    "test `{test}` still running after {WATCHDOG:?}; exiting"
+                ));
+                std::process::exit(101);
+            }
+        });
+        Watchdog(finished)
+    }
+}
+
+impl Drop for Watchdog {
+    fn drop(&mut self) {
+        let (lock, condvar) = &*self.0;
+        *lock.lock().expect("watchdog poisoned") = true;
+        condvar.notify_all();
+    }
+}
+
+/// Arms a [`Watchdog`] named after the enclosing test function.
+macro_rules! watchdog {
+    () => {{
+        fn here() {}
+        let path = std::any::type_name_of_val(&here);
+        Watchdog::arm(path.trim_end_matches("::here"))
+    }};
+}
 
 /// The deterministic record a scripted worker produces for `index` — the
 /// same pure-function-of-the-spec contract real workers honor.
@@ -89,13 +147,22 @@ impl PoolLog {
         self.progressed.notify_all();
     }
 
-    fn wait_until(&self, ready: impl Fn(&Progress) -> bool) {
+    /// Blocks until `ready` holds, or fails after [`HELPER_WAIT`].
+    fn wait_until(&self, what: &str, ready: impl Fn(&Progress) -> bool) -> io::Result<()> {
         let progress = self.progress.lock().expect("pool log poisoned");
-        drop(
-            self.progressed
-                .wait_while(progress, |p| !ready(p))
-                .expect("pool log poisoned"),
-        );
+        let (progress, waited) = self
+            .progressed
+            .wait_timeout_while(progress, HELPER_WAIT, |p| !ready(p))
+            .expect("pool log poisoned");
+        if waited.timed_out() {
+            let line = format!(
+                "{what}: still waiting after {HELPER_WAIT:?} ({} results, straggler holds: {})",
+                progress.dones, progress.straggler_holds
+            );
+            report(&line);
+            return Err(io::Error::new(io::ErrorKind::TimedOut, line));
+        }
+        Ok(())
     }
 
     fn dones(&self) -> usize {
@@ -174,9 +241,11 @@ impl Transport for ScriptedTransport {
             Script::SlowSolid(pause) => std::thread::sleep(pause),
             Script::Straggler(others) if self.served == 0 => {
                 self.log.update(|p| p.straggler_holds = true);
-                self.log.wait_until(|p| p.dones >= others);
+                self.log.wait_until("straggler", |p| p.dones >= others)?;
             }
-            Script::AfterStraggler => self.log.wait_until(|p| p.straggler_holds),
+            Script::AfterStraggler => self
+                .log
+                .wait_until("after-straggler", |p| p.straggler_holds)?,
             Script::PingThenSolid(n) => {
                 if self.pings_left > 0 {
                     self.pings_left -= 1;
@@ -292,6 +361,7 @@ fn run_pool(
 
 #[test]
 fn hung_session_hits_the_deadline_and_the_respawn_completes_the_work() {
+    let _watchdog = watchdog!();
     let log = Arc::new(PoolLog::default());
     let pool = WorkerPool::new(vec![ScriptedConnector::slot(
         &[Script::Hang, Script::Solid],
@@ -308,6 +378,7 @@ fn hung_session_hits_the_deadline_and_the_respawn_completes_the_work() {
 
 #[test]
 fn heartbeats_are_answered_and_keep_a_slow_session_alive() {
+    let _watchdog = watchdog!();
     let log = Arc::new(PoolLog::default());
     let pool = WorkerPool::new(vec![ScriptedConnector::slot(
         &[Script::PingThenSolid(2)],
@@ -325,6 +396,7 @@ fn heartbeats_are_answered_and_keep_a_slow_session_alive() {
 
 #[test]
 fn respawn_budget_exhaustion_loses_the_worker_with_a_typed_error() {
+    let _watchdog = watchdog!();
     let log = Arc::new(PoolLog::default());
     let pool = WorkerPool::new(vec![ScriptedConnector::slot(
         &[Script::DieAfter(0)],
@@ -347,6 +419,7 @@ fn respawn_budget_exhaustion_loses_the_worker_with_a_typed_error() {
 
 #[test]
 fn unreachable_worker_consumes_the_budget_like_a_channel_loss() {
+    let _watchdog = watchdog!();
     let log = Arc::new(PoolLog::default());
     let pool = WorkerPool::new(vec![ScriptedConnector::slot(
         &[Script::ConnectFail],
@@ -366,6 +439,7 @@ fn unreachable_worker_consumes_the_budget_like_a_channel_loss() {
 
 #[test]
 fn lost_slot_work_is_redispatched_to_the_surviving_worker() {
+    let _watchdog = watchdog!();
     let log = Arc::new(PoolLog::default());
     // Slot 0 dies before every first result and exhausts one respawn; its
     // batches land back in the queue for the slow-but-solid survivor.
@@ -383,6 +457,7 @@ fn lost_slot_work_is_redispatched_to_the_surviving_worker() {
 
 #[test]
 fn lifetime_strikes_quarantine_a_flaky_worker() {
+    let _watchdog = watchdog!();
     let log = Arc::new(PoolLog::default());
     // Each session is productive (one result), so the consecutive-failure
     // respawn budget refills forever — only the lifetime strike counter
@@ -409,6 +484,7 @@ fn lifetime_strikes_quarantine_a_flaky_worker() {
 
 #[test]
 fn quarantined_slot_work_is_redispatched_to_the_surviving_worker() {
+    let _watchdog = watchdog!();
     let log = Arc::new(PoolLog::default());
     let pool = WorkerPool::new(vec![
         ScriptedConnector::slot(&[Script::DieAfter(1)], 1, &log),
@@ -425,6 +501,7 @@ fn quarantined_slot_work_is_redispatched_to_the_surviving_worker() {
 
 #[test]
 fn a_spec_that_keeps_killing_workers_is_poisoned_and_reported() {
+    let _watchdog = watchdog!();
     let log = Arc::new(PoolLog::default());
     // Every session of the only worker dies the moment spec 2 is next in
     // line. Blamed crashes do not charge the respawn budget, so the default
@@ -455,6 +532,7 @@ fn a_spec_that_keeps_killing_workers_is_poisoned_and_reported() {
 
 #[test]
 fn speculation_duplicates_a_straggler_and_dedups_first_result_wins() {
+    let _watchdog = watchdog!();
     let log = Arc::new(PoolLog::default());
     // The fast worker serves nothing until the straggler holds a spec, and
     // the straggler answers only after the fast worker has produced four
@@ -477,6 +555,7 @@ fn speculation_duplicates_a_straggler_and_dedups_first_result_wins() {
 
 #[test]
 fn rogue_results_for_unassigned_specs_are_a_fatal_protocol_error() {
+    let _watchdog = watchdog!();
     let log = Arc::new(PoolLog::default());
     let pool = WorkerPool::new(vec![ScriptedConnector::slot(&[Script::Rogue], 2, &log)]);
     let (result, _) = run_pool(&pool, 2);
@@ -562,10 +641,12 @@ impl Transport for DuplexEnd {
         Ok(())
     }
 
+    /// Waits for the next message until the read timeout, or for
+    /// [`HELPER_WAIT`] when none is set.
     fn recv(&mut self) -> io::Result<Message> {
         let (lock, condvar) = &*self.state;
         let mut state = lock.lock().expect("duplex poisoned");
-        let deadline = self.timeout.map(|t| Instant::now() + t);
+        let deadline = Instant::now() + self.timeout.unwrap_or(HELPER_WAIT);
         loop {
             if let Some(msg) = state.queues[self.side].pop_front() {
                 return Ok(msg);
@@ -573,22 +654,25 @@ impl Transport for DuplexEnd {
             if state.closed[1 - self.side] {
                 return Err(io::ErrorKind::UnexpectedEof.into());
             }
-            state = match deadline {
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "duplex read deadline expired",
-                        ));
-                    }
-                    condvar
-                        .wait_timeout(state, deadline - now)
-                        .expect("duplex poisoned")
-                        .0
+            let now = Instant::now();
+            if now >= deadline {
+                if self.timeout.is_some() {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        "duplex read deadline expired",
+                    ));
                 }
-                None => condvar.wait(state).expect("duplex poisoned"),
-            };
+                let line = format!(
+                    "duplex side {} read nothing for {HELPER_WAIT:?} with no deadline set",
+                    self.side
+                );
+                report(&line);
+                return Err(io::Error::new(io::ErrorKind::TimedOut, line));
+            }
+            state = condvar
+                .wait_timeout(state, deadline - now)
+                .expect("duplex poisoned")
+                .0;
         }
     }
 
@@ -619,12 +703,20 @@ struct ChannelListener {
 
 impl Listener for ChannelListener {
     fn accept(&mut self) -> io::Result<Box<dyn Transport>> {
-        self.rx.recv().map_err(|_| {
-            // DrainOk is written before the daemon flips its stopping flag,
-            // so a test may close the feeder inside that window. Give stop()
-            // a beat to land so the disconnect reads as a clean shutdown.
-            std::thread::sleep(Duration::from_millis(200));
-            io::Error::new(io::ErrorKind::BrokenPipe, "connection feeder closed")
+        self.rx.recv_timeout(HELPER_WAIT).map_err(|e| match e {
+            mpsc::RecvTimeoutError::Timeout => {
+                let line = format!("daemon accepted no connection for {HELPER_WAIT:?}");
+                report(&line);
+                io::Error::new(io::ErrorKind::TimedOut, line)
+            }
+            mpsc::RecvTimeoutError::Disconnected => {
+                // DrainOk is written before the daemon flips its stopping
+                // flag, so a test may close the feeder inside that window.
+                // Give stop() a beat to land so the disconnect reads as a
+                // clean shutdown.
+                std::thread::sleep(Duration::from_millis(200));
+                io::Error::new(io::ErrorKind::BrokenPipe, "connection feeder closed")
+            }
         })
     }
 
@@ -928,6 +1020,7 @@ fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
 
 #[test]
 fn elastic_fleet_serves_two_tenants_and_settles_reference_identical_reports() {
+    let _watchdog = watchdog!();
     let harness = ServiceHarness::start(service_config());
     let job_a = submit(&harness, "a-token", "alpha", 1, "alpha:12").expect("alice submits");
     let job_b = submit(&harness, "b-token", "beta", 0, "beta:9").expect("bob submits");
@@ -982,6 +1075,7 @@ fn elastic_fleet_serves_two_tenants_and_settles_reference_identical_reports() {
 
 #[test]
 fn voluntary_deregister_takes_no_strike_and_the_name_can_rejoin() {
+    let _watchdog = watchdog!();
     // Quarantine after a single strike: if a voluntary leave were blamed,
     // the rejoin below would be refused.
     let mut config = service_config();
@@ -1023,6 +1117,7 @@ fn status_strikes(harness: &ServiceHarness) -> usize {
 
 #[test]
 fn strikes_follow_the_name_and_a_quarantined_name_is_refused() {
+    let _watchdog = watchdog!();
     let mut config = service_config();
     config.quarantine_after = Some(2);
     let harness = ServiceHarness::start(config);
@@ -1062,6 +1157,7 @@ fn strikes_follow_the_name_and_a_quarantined_name_is_refused() {
 
 #[test]
 fn service_errors_are_typed() {
+    let _watchdog = watchdog!();
     let harness = ServiceHarness::start(service_config());
     // Registration under a wrong fleet token.
     let bad_register = fleet_worker(&harness, "w", "wrong", 1, FleetScript::Serve)
@@ -1109,6 +1205,7 @@ fn service_errors_are_typed() {
 
 #[test]
 fn nonsense_pool_configuration_is_rejected_before_any_session() {
+    let _watchdog = watchdog!();
     let log = Arc::new(PoolLog::default());
     let cases: [Box<dyn Fn(WorkerPool) -> WorkerPool>; 4] = [
         Box::new(|p| p.with_assign_timeout(Some(Duration::ZERO))),

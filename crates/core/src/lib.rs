@@ -24,9 +24,8 @@
 //! ([`ThresholdCalibrator`]; the paper's `99p`/`90p`/`75p`). The crate also
 //! ships the comparison machinery the paper evaluates against
 //! ([`run_only_transients`], [`run_filtered_baseline`]), readout-error
-//! mitigation ([`ReadoutMitigator`]) matching the baseline's setup, the
-//! Fig. 7 job model ([`Job`]), and the Section 8.3 overhead accounting
-//! ([`overhead_report`]).
+//! mitigation ([`ReadoutMitigator`]) matching the baseline's setup, and the
+//! Fig. 7 job model ([`Job`]).
 //!
 //! # Examples
 //!
@@ -57,7 +56,6 @@ mod controller;
 mod estimator;
 mod job;
 mod mitigation;
-mod overhead;
 mod runner;
 mod threshold;
 
@@ -66,7 +64,6 @@ pub use controller::{decide, Decision, DecisionReason};
 pub use estimator::TransientEstimate;
 pub use job::{CircuitRole, CircuitSpec, Job};
 pub use mitigation::{MitigationError, MitigationStrategy, ReadoutMitigator};
-pub use overhead::{overhead_report, JobComposition, OverheadReport};
 pub use runner::{
     run_filtered_baseline, run_only_transients, run_only_transients_budgeted, run_qismet,
     run_qismet_budgeted, QismetRecord,

@@ -9,9 +9,6 @@
 //!   Fig. 16 grid).
 //! * [`OnlyTransientsPolicy`] — the strawman "skip whenever |Tm| is large"
 //!   controller of Fig. 15 with percentile thresholds (99p-50p).
-//! * [`CfarDetector`] — Constant False Alarm Rate outlier detection
-//!   (Section 8.4), an extension baseline.
-//! * [`MovingAverageFilter`] — a simple smoothing reference.
 //!
 //! The shared [`SeriesFilter`] trait lets the evaluation harnesses treat
 //! these interchangeably. The common limitation the paper identifies — these
@@ -22,14 +19,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cfar;
 mod kalman;
-mod moving_average;
 mod only_transients;
 mod traits;
 
-pub use cfar::CfarDetector;
 pub use kalman::KalmanFilter;
-pub use moving_average::MovingAverageFilter;
 pub use only_transients::OnlyTransientsPolicy;
 pub use traits::SeriesFilter;

@@ -10,8 +10,6 @@
 //!   regularized Hessian preconditioning.
 //! * [`BlockingPolicy`] — the **Blocking** acceptance rule (fixed or
 //!   adaptive tolerance).
-//! * [`FiniteDiffGd`] / [`Adam`] — deterministic-gradient extensions used by
-//!   the workspace's extra benches.
 //!
 //! The central design point is the [`Proposer`] trait: optimizers do not own
 //! their loops. QISMET's controller needs to veto and retry iterations
@@ -33,14 +31,12 @@
 #![warn(missing_docs)]
 
 mod blocking;
-mod gd;
 mod schedule;
 mod second_order;
 mod spsa;
 mod traits;
 
 pub use blocking::BlockingPolicy;
-pub use gd::{Adam, FiniteDiffGd};
 pub use schedule::GainSchedule;
 pub use second_order::SecondOrderSpsa;
 pub use spsa::Spsa;

@@ -164,8 +164,6 @@ mod tests {
             Box::new(Spsa::new(3, gains, 7)),
             Box::new(Spsa::with_resampling(3, gains, 7, 3)),
             Box::new(crate::SecondOrderSpsa::new(3, gains, 7)),
-            Box::new(crate::FiniteDiffGd::new(3, gains)),
-            Box::new(crate::Adam::new(3, 0.05, 1e-3)),
         ];
         let theta = vec![0.4, -0.9, 0.2];
         for mut proposer in proposers {

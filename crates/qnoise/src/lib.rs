@@ -19,7 +19,6 @@
 //!   quiet/burst generator that produces machine-like traces.
 //! * [`Machine`] — synthetic stand-ins for the paper's IBMQ devices
 //!   (Guadalupe, Toronto, Sydney, Casablanca, Jakarta, Mumbai, Cairo).
-//! * [`TraceLibrary`] — JSON persistence for app/machine trace collections.
 //!
 //! # Examples
 //!
@@ -45,7 +44,6 @@ mod impact;
 mod machines;
 mod static_model;
 mod tls;
-mod traceio;
 mod transient;
 
 pub use channels::{NoisySimError, NoisySimulator};
@@ -53,5 +51,4 @@ pub use impact::{fig4_circuits, BatchFidelity, CircuitFidelityModel};
 pub use machines::Machine;
 pub use static_model::{QubitProfile, StaticNoiseModel};
 pub use tls::{Fluctuator, TlsBank};
-pub use traceio::{TraceIoError, TraceKey, TraceLibrary};
 pub use transient::{TransientModel, TransientTrace};

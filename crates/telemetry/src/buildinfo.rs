@@ -20,19 +20,18 @@ pub struct BuildInfo {
     pub version: String,
     pub git_hash: String,
     pub target_features: String,
-    /// Whether the embedding binary was built with its `parallel` feature.
-    /// Features are per-crate, so the caller supplies this
-    /// (`cfg!(feature = "parallel")` evaluated where it means something).
+    /// Always `false`: the workspace has a single build. Kept so report
+    /// `meta`, `metrics_json` and handshake frames keep their field set.
     pub parallel: bool,
 }
 
 impl BuildInfo {
-    pub fn current(parallel: bool) -> Self {
+    pub fn current() -> Self {
         Self {
             version: VERSION.to_string(),
             git_hash: GIT_HASH.to_string(),
             target_features: TARGET_FEATURES.to_string(),
-            parallel,
+            parallel: false,
         }
     }
 }
@@ -43,7 +42,7 @@ mod tests {
 
     #[test]
     fn stamp_is_populated() {
-        let b = BuildInfo::current(false);
+        let b = BuildInfo::current();
         assert!(!b.version.is_empty());
         assert!(!b.git_hash.is_empty());
     }

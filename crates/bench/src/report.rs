@@ -460,6 +460,18 @@ impl RunsJsonlWriter {
     }
 }
 
+/// FNV-1a over the records' compact JSON (`serde_json::to_string`): the
+/// digest that pins a campaign's results. The report's `meta` (git hash,
+/// build features) is left out, so the digest compares results across
+/// commits and builds. It equals the FNV-1a of `campaign --jsonl` output
+/// with its lines joined by `,` inside `[...]`.
+pub fn records_digest(records: &[RunRecord]) -> u64 {
+    let json = serde_json::to_string(records).expect("records serialize");
+    let mut fp = qismet_cluster::Fingerprint::new();
+    fp.update(json.as_bytes());
+    fp.finish()
+}
+
 /// Reads back a JSONL record stream written by [`RunsJsonlWriter`].
 ///
 /// # Errors

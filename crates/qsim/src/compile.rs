@@ -21,6 +21,12 @@
 //!   x/z masks, a hoisted `i^y` phase, and Hermitian pair-skipping (half the
 //!   state per term).
 //!
+//! Plans whose every op keeps amplitudes real run on an `f64` state (see
+//! [`CompiledCircuit::runs_real`]). Op application and the expectation
+//! sweep each have one body, generic over the kernels' private amplitude
+//! trait, so the `f64` and `Complex64` states go through the same code
+//! with the same block and lane partition.
+//!
 //! The legacy per-term kernels are preserved in
 //! [`crate::statevector::reference`]; the compiled kernels agree with them
 //! to `<= 1e-12` (pinned by the `compiled_equivalence` proptest suite).
@@ -30,7 +36,7 @@
 
 use crate::circuit::Circuit;
 use crate::gate::{Gate, GateError, Param};
-use crate::kernels::{self, Mat2};
+use crate::kernels::{self, Amp, Mat2};
 use crate::pauli::PauliSum;
 use crate::statevector::StateVector;
 use qismet_mathkit::Complex64;
@@ -878,26 +884,39 @@ impl CompiledCircuit {
             self.n_qubits,
             "plan width must match state width"
         );
-        let amps = sv.amps_mut();
-        for op in &self.ops {
-            self.apply_op(op, amps);
-        }
+        self.apply_ops(sv.amps_mut());
         Ok(())
     }
 
-    /// Applies one lowered op to the full amplitude slice.
-    fn apply_op(&self, op: &PlanOp, amps: &mut [Complex64]) {
+    /// Applies every lowered op, in order, to the full amplitude slice: a
+    /// complex state, or the `f64` state of a real-run plan.
+    fn apply_ops<A: Amp>(&self, amps: &mut [A]) {
+        for op in &self.ops {
+            self.apply_op(op, amps);
+        }
+    }
+
+    /// Applies one lowered op to the full amplitude slice. The complex-only
+    /// ops never occur on an `f64` state: [`CompiledCircuit::runs_real`]
+    /// excludes them by construction.
+    fn apply_op<A: Amp>(&self, op: &PlanOp, amps: &mut [A]) {
         match *op {
-            PlanOp::OneQ { qubit, ref u } => kernels::apply_1q(amps, u, 1usize << qubit),
+            PlanOp::OneQ { qubit, ref u } => {
+                kernels::apply_1q(A::complex_mut(amps), u, 1usize << qubit)
+            }
             PlanOp::OneQReal { qubit, ref m } => kernels::apply_1q_real(amps, m, 1usize << qubit),
             PlanOp::Cx { control, target } => {
                 kernels::apply_cx(amps, 1usize << control, 1usize << target)
             }
             PlanOp::Cz { a, b } => kernels::apply_cz(amps, 1usize << a, 1usize << b),
             PlanOp::Swap { a, b } => kernels::apply_swap(amps, 1usize << a, 1usize << b),
-            PlanOp::Rzz { a, b, plus, minus } => {
-                kernels::apply_rzz_phases(amps, minus, plus, 1usize << a, 1usize << b)
-            }
+            PlanOp::Rzz { a, b, plus, minus } => kernels::apply_rzz_phases(
+                A::complex_mut(amps),
+                minus,
+                plus,
+                1usize << a,
+                1usize << b,
+            ),
             PlanOp::Table { idx } => {
                 let t = &self.tables[idx];
                 if let Some(shift) = t.contig_shift {
@@ -918,38 +937,6 @@ impl CompiledCircuit {
     /// — Ry rotations plus CX/CZ/SWAP entanglers — always qualify.
     pub fn runs_real(&self) -> bool {
         self.real_run
-    }
-
-    /// Real twin of [`CompiledCircuit::apply_op`]: one lowered op on an
-    /// `f64` amplitude slice. Only called on plans where
-    /// [`CompiledCircuit::runs_real`] holds, which excludes the complex op
-    /// kinds by construction.
-    fn apply_op_real(&self, op: &PlanOp, amps: &mut [f64]) {
-        match *op {
-            PlanOp::OneQReal { qubit, ref m } => {
-                kernels::apply_1q_real_f64(amps, m, 1usize << qubit)
-            }
-            PlanOp::Cx { control, target } => {
-                kernels::apply_cx(amps, 1usize << control, 1usize << target)
-            }
-            PlanOp::Cz { a, b } => kernels::apply_cz(amps, 1usize << a, 1usize << b),
-            PlanOp::Swap { a, b } => kernels::apply_swap(amps, 1usize << a, 1usize << b),
-            PlanOp::Table { idx } => {
-                let t = &self.tables[idx];
-                if let Some(shift) = t.contig_shift {
-                    kernels::apply_table_contig_f64(
-                        amps, shift, &t.src, &t.phase, t.diagonal, t.unit,
-                    );
-                } else {
-                    kernels::apply_table_f64(
-                        amps, &t.bits, &t.offs, &t.src, &t.phase, t.diagonal, t.unit,
-                    );
-                }
-            }
-            PlanOp::OneQ { .. } | PlanOp::Rzz { .. } => {
-                unreachable!("complex op in a real-run plan")
-            }
-        }
     }
 
     /// Borrows the per-thread real-state scratch sized for this plan, runs
@@ -994,11 +981,7 @@ impl CompiledCircuit {
     /// [`GateError::UnboundParameter`] if the plan has unbound slots.
     pub fn run(&self, sv: &mut StateVector) -> Result<(), GateError> {
         if self.real_run && self.n_qubits >= REAL_RUN_MIN_QUBITS {
-            return self.run_real_with(sv, |r| {
-                for op in &self.ops {
-                    self.apply_op_real(op, r);
-                }
-            });
+            return self.run_real_with(sv, |r| self.apply_ops(r));
         }
         sv.reset();
         self.apply(sv)
@@ -1028,10 +1011,8 @@ impl CompiledCircuit {
         assert_eq!(obs.n_qubits(), self.n_qubits, "observable width");
         if self.real_run && self.n_qubits >= REAL_RUN_MIN_QUBITS {
             return self.run_real_with(sv, |r| {
-                for op in &self.ops {
-                    self.apply_op_real(op, r);
-                }
-                obs.expectation_real(r)
+                self.apply_ops(r);
+                obs.sweep(r)
             });
         }
         sv.reset();
@@ -1174,7 +1155,7 @@ impl CompiledObservable {
 
     /// Diagonal contribution of one cache-block of amplitudes starting at
     /// global index `start`.
-    fn diag_block(&self, amps: &[Complex64], start: usize) -> f64 {
+    fn diag_block<A: Amp>(&self, amps: &[A], start: usize) -> f64 {
         let mut acc = 0.0;
         if let Some(w) = &self.diag_table {
             // Four independent accumulator lanes break the FP-add latency
@@ -1216,7 +1197,13 @@ impl CompiledObservable {
     /// exactly once by inserting a zero at the term's lowest X bit:
     /// `c = (p & (b-1)) | ((p & !(b-1)) << 1)` — the same visit order as a
     /// flat sweep skipping indices with that bit set.
-    fn offdiag_block(t: &OffDiagTerm, amps: &[Complex64], p0: usize, p1: usize) -> f64 {
+    ///
+    /// On an `f64` state an odd-Y term contributes exactly zero: its
+    /// matrix elements are purely imaginary.
+    fn offdiag_block<A: Amp>(t: &OffDiagTerm, amps: &[A], p0: usize, p1: usize) -> f64 {
+        if t.use_im && A::REAL {
+            return 0.0;
+        }
         let low = t.pair_bit - 1;
         // Four independent accumulator lanes (round-robin over pair
         // indices) break the FP-add latency chain; the lane partition is
@@ -1241,11 +1228,11 @@ impl CompiledObservable {
                     let mut dc = d.chunks_exact(4);
                     for (a4, d4) in (&mut ac).zip(&mut dc) {
                         for k in 0..4 {
-                            lanes[k] += d4[k].re * a4[k].re + d4[k].im * a4[k].im;
+                            lanes[k] += A::pair_re(&d4[k], &a4[k]);
                         }
                     }
                     for (av, dv) in ac.remainder().iter().zip(dc.remainder()) {
-                        lanes[0] += dv.re * av.re + dv.im * av.im;
+                        lanes[0] += A::pair_re(dv, av);
                     }
                     p += run;
                 }
@@ -1254,25 +1241,25 @@ impl CompiledObservable {
                 while p + 4 <= p1 {
                     for (k, lane) in lanes.iter_mut().enumerate() {
                         let c = ((p + k) & low) | (((p + k) & !low) << 1);
-                        let d = amps[c ^ t.x_mask];
-                        let a = amps[c];
-                        *lane += d.re * a.re + d.im * a.im;
+                        *lane += A::pair_re(&amps[c ^ t.x_mask], &amps[c]);
                     }
                     p += 4;
                 }
                 while p < p1 {
                     let c = (p & low) | ((p & !low) << 1);
-                    let d = amps[c ^ t.x_mask];
-                    let a = amps[c];
-                    lanes[0] += d.re * a.re + d.im * a.im;
+                    lanes[0] += A::pair_re(&amps[c ^ t.x_mask], &amps[c]);
                     p += 1;
                 }
             }
         } else {
             let term = |p: usize| -> f64 {
                 let c = (p & low) | ((p & !low) << 1);
-                let v = amps[c ^ t.x_mask].conj() * amps[c];
-                let m = if t.use_im { v.im } else { v.re };
+                let (d, a) = (&amps[c ^ t.x_mask], &amps[c]);
+                let m = if t.use_im {
+                    A::pair_im(d, a)
+                } else {
+                    A::pair_re(d, a)
+                };
                 if (c & t.z_mask).count_ones().is_multiple_of(2) {
                     m
                 } else {
@@ -1292,153 +1279,26 @@ impl CompiledObservable {
             }
         }
         (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
-    }
-
-    /// Real twin of [`CompiledObservable::diag_block`] on an `f64` state.
-    fn diag_block_real(&self, amps: &[f64], start: usize) -> f64 {
-        let mut acc = 0.0;
-        if let Some(w) = &self.diag_table {
-            let ws = &w[start..start + amps.len()];
-            let mut lanes = [0.0f64; 4];
-            let mut ac = amps.chunks_exact(4);
-            let mut wc = ws.chunks_exact(4);
-            for (a4, w4) in (&mut ac).zip(&mut wc) {
-                for k in 0..4 {
-                    lanes[k] += (a4[k] * a4[k]) * w4[k];
-                }
-            }
-            for (a, wv) in ac.remainder().iter().zip(wc.remainder()) {
-                lanes[0] += (a * a) * wv;
-            }
-            acc = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-        } else {
-            for (i, a) in amps.iter().enumerate() {
-                let c = start + i;
-                let p = a * a;
-                for &(coeff, z) in &self.diag {
-                    acc += if (c & z).count_ones().is_multiple_of(2) {
-                        coeff * p
-                    } else {
-                        -coeff * p
-                    };
-                }
-            }
-        }
-        acc
-    }
-
-    /// Real twin of [`CompiledObservable::offdiag_block`] on an `f64`
-    /// state. Terms with an odd Y count (`use_im`) have purely imaginary
-    /// matrix elements, so they contribute exactly zero on a real state.
-    fn offdiag_block_real(t: &OffDiagTerm, amps: &[f64], p0: usize, p1: usize) -> f64 {
-        if t.use_im {
-            return 0.0;
-        }
-        let low = t.pair_bit - 1;
-        let mut lanes = [0.0f64; 4];
-        if t.z_mask == 0 {
-            if t.pair_bit >= 8 {
-                let mut p = p0;
-                while p < p1 {
-                    let c0 = (p & low) | ((p & !low) << 1);
-                    let run = (t.pair_bit - (p & low)).min(p1 - p);
-                    let a = &amps[c0..c0 + run];
-                    let d = &amps[c0 ^ t.x_mask..][..run];
-                    let mut ac = a.chunks_exact(4);
-                    let mut dc = d.chunks_exact(4);
-                    for (a4, d4) in (&mut ac).zip(&mut dc) {
-                        for k in 0..4 {
-                            lanes[k] += d4[k] * a4[k];
-                        }
-                    }
-                    for (av, dv) in ac.remainder().iter().zip(dc.remainder()) {
-                        lanes[0] += dv * av;
-                    }
-                    p += run;
-                }
-            } else {
-                let mut p = p0;
-                while p + 4 <= p1 {
-                    for (k, lane) in lanes.iter_mut().enumerate() {
-                        let c = ((p + k) & low) | (((p + k) & !low) << 1);
-                        *lane += amps[c ^ t.x_mask] * amps[c];
-                    }
-                    p += 4;
-                }
-                while p < p1 {
-                    let c = (p & low) | ((p & !low) << 1);
-                    lanes[0] += amps[c ^ t.x_mask] * amps[c];
-                    p += 1;
-                }
-            }
-        } else {
-            let term = |p: usize| -> f64 {
-                let c = (p & low) | ((p & !low) << 1);
-                let m = amps[c ^ t.x_mask] * amps[c];
-                if (c & t.z_mask).count_ones().is_multiple_of(2) {
-                    m
-                } else {
-                    -m
-                }
-            };
-            let mut p = p0;
-            while p + 4 <= p1 {
-                for (k, lane) in lanes.iter_mut().enumerate() {
-                    *lane += term(p + k);
-                }
-                p += 4;
-            }
-            while p < p1 {
-                lanes[0] += term(p);
-                p += 1;
-            }
-        }
-        (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
-    }
-
-    /// The fused expectation on a **real** amplitude vector (the
-    /// real-run scratch of [`CompiledCircuit::run_expectation`]). Same
-    /// block structure and lane partition as
-    /// [`CompiledObservable::expectation`], so the result is bitwise
-    /// identical to running the complex kernels over the written-back
-    /// state (every dropped product has an exactly-zero factor).
-    fn expectation_real(&self, amps: &[f64]) -> f64 {
-        assert_eq!(amps.len(), 1usize << self.n_qubits, "observable width");
-        let mut total = 0.0;
-        if !self.diag.is_empty() {
-            let mut acc = 0.0;
-            for (bi, chunk) in amps.chunks(kernels::BLOCK).enumerate() {
-                acc += self.diag_block_real(chunk, bi * kernels::BLOCK);
-            }
-            total += acc;
-        }
-        let n_pairs = amps.len() >> 1;
-        for t in &self.offdiag {
-            let mut acc = 0.0;
-            let mut p0 = 0usize;
-            while p0 < n_pairs {
-                let p1 = (p0 + kernels::BLOCK).min(n_pairs);
-                acc += Self::offdiag_block_real(t, amps, p0, p1);
-                p0 = p1;
-            }
-            total += t.prefactor * acc;
-        }
-        total
     }
 
     /// The fused expectation `<psi| H |psi>`; agrees with the legacy
     /// per-term kernel to `<= 1e-12`.
     ///
-    /// All sweeps run in cache-sized blocks whose partial sums are combined
-    /// in block order; that fixed summation order is what the real-run path
-    /// (`expectation_real`) reproduces bit for bit.
-    ///
     /// # Panics
     ///
     /// Panics on width mismatch.
     pub fn expectation(&self, sv: &StateVector) -> f64 {
-        assert_eq!(sv.n_qubits(), self.n_qubits, "observable width");
-        let amps = sv.amplitudes();
+        self.sweep(sv.amplitudes())
+    }
+
+    /// The fused expectation over an amplitude slice: a complex state, or
+    /// the `f64` state of a real-run plan
+    /// ([`CompiledCircuit::run_expectation`]). All sweeps run in
+    /// cache-sized blocks whose partial sums are combined in block order,
+    /// with a fixed lane partition inside each block, so the summation
+    /// order does not depend on the element type.
+    fn sweep<A: Amp>(&self, amps: &[A]) -> f64 {
+        assert_eq!(amps.len(), 1usize << self.n_qubits, "observable width");
         let mut total = 0.0;
         if !self.diag.is_empty() {
             let mut acc = 0.0;

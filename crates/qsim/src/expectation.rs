@@ -1,17 +1,16 @@
-//! Shot-based estimation of Pauli-sum expectation values.
+//! Measurement planning for Pauli-sum expectation values, and the exact
+//! energy.
 //!
 //! This is the measurement pipeline a real VQE runs (Fig. 8 of the paper):
 //! the Hamiltonian is split into qubit-wise commuting groups, the ansatz
 //! circuit is extended with basis-change gates per group, the rotated circuit
 //! is sampled, and each term's expectation is a parity average over the
-//! counts.
+//! counts. [`exact_energy`] is the infinite-shot reference.
 
 use crate::circuit::Circuit;
-use crate::counts::Counts;
 use crate::gate::GateError;
 use crate::pauli::{Pauli, PauliSum};
 use crate::statevector::StateVector;
-use rand::Rng;
 
 /// The measurement plan for one qubit-wise commuting group.
 #[derive(Debug, Clone)]
@@ -82,63 +81,7 @@ pub fn basis_change_circuit(n_qubits: usize, basis: &[Pauli]) -> Circuit {
     c
 }
 
-/// Estimates the energy of `h` on the state prepared by `circuit`, using
-/// `shots` measurement shots per group, sampled exactly from the ideal
-/// state vector.
-///
-/// Returns the estimate along with the per-group counts (which noisy
-/// backends post-process for readout errors).
-///
-/// # Errors
-///
-/// [`GateError::UnboundParameter`] if the circuit is unbound.
-///
-/// # Panics
-///
-/// Panics on width mismatch between circuit and Hamiltonian.
-pub fn estimate_energy_sampled<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    h: &PauliSum,
-    shots: u64,
-    rng: &mut R,
-) -> Result<(f64, Vec<Counts>), GateError> {
-    assert_eq!(circuit.n_qubits(), h.n_qubits(), "width mismatch");
-    let plan = MeasurementPlan::compile(h);
-    let base = StateVector::from_circuit(circuit)?;
-    let mut energy = plan.identity_offset();
-    let mut all_counts = Vec::with_capacity(plan.groups().len());
-    // One CDF scratch buffer shared across the measurement groups.
-    let mut cdf = Vec::new();
-    for group in plan.groups() {
-        let mut sv = base.clone();
-        sv.rotate_to_basis(&group.basis);
-        let counts = sv.sample_counts_into(rng, shots, &mut cdf);
-        energy += group_energy_from_counts(h, group, &counts);
-        all_counts.push(counts);
-    }
-    Ok((energy, all_counts))
-}
-
-/// Sums the contribution of one measurement group's terms given counts taken
-/// in the group's basis.
-pub fn group_energy_from_counts(h: &PauliSum, group: &MeasurementGroup, counts: &Counts) -> f64 {
-    let mut acc = 0.0;
-    for &idx in &group.term_indices {
-        let (coeff, string) = &h.terms()[idx];
-        // After basis rotation, the term measures as a Z-parity over its
-        // non-identity support.
-        let mut mask = 0u64;
-        for q in 0..string.n_qubits() {
-            if string.pauli(q) != Pauli::I {
-                mask |= 1 << q;
-            }
-        }
-        acc += coeff * counts.parity_expectation(mask);
-    }
-    acc
-}
-
-/// Exact (infinite-shot) energy from the state vector — the reference the
+/// Exact (infinite-shot) energy from the state vector — the reference a
 /// sampled estimate converges to.
 ///
 /// # Errors
@@ -152,12 +95,6 @@ pub fn exact_energy(circuit: &Circuit, h: &PauliSum) -> Result<f64, GateError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qismet_mathkit::rng_from_seed;
-
-    fn paper_hamiltonian() -> PauliSum {
-        // H = XIX + ZZI, the example in Fig. 8.
-        PauliSum::from_labels(&[(1.0, "XIX"), (1.0, "ZZI")]).unwrap()
-    }
 
     #[test]
     fn plan_groups_and_offset() {
@@ -172,74 +109,5 @@ mod tests {
         let c = basis_change_circuit(3, &[Pauli::X, Pauli::Z, Pauli::Y]);
         // X -> 1 gate (H), Z -> none, Y -> 2 gates (Sdg, H).
         assert_eq!(c.len(), 3);
-    }
-
-    #[test]
-    fn sampled_energy_converges_to_exact() {
-        let h = paper_hamiltonian();
-        let mut c = Circuit::new(3);
-        c.ry(0.8, 0).cx(0, 1).ry(1.9, 1).cx(1, 2).ry(0.3, 2);
-        let exact = exact_energy(&c, &h).unwrap();
-        let mut rng = rng_from_seed(23);
-        let (est, counts) = estimate_energy_sampled(&c, &h, 200_000, &mut rng).unwrap();
-        assert_eq!(counts.len(), 2);
-        assert!((est - exact).abs() < 0.02, "sampled {est} vs exact {exact}");
-    }
-
-    #[test]
-    fn sampled_energy_with_y_terms() {
-        let h = PauliSum::from_labels(&[(0.7, "YY"), (-0.3, "ZI")]).unwrap();
-        let mut c = Circuit::new(2);
-        c.h(0).cx(0, 1).rz(0.6, 1);
-        let exact = exact_energy(&c, &h).unwrap();
-        let mut rng = rng_from_seed(29);
-        let (est, _) = estimate_energy_sampled(&c, &h, 200_000, &mut rng).unwrap();
-        assert!((est - exact).abs() < 0.02, "sampled {est} vs exact {exact}");
-    }
-
-    #[test]
-    fn shot_noise_scales_inverse_sqrt() {
-        let h = paper_hamiltonian();
-        let mut c = Circuit::new(3);
-        c.ry(1.0, 0).ry(0.5, 1).ry(0.25, 2).cx(0, 1).cx(1, 2);
-        let exact = exact_energy(&c, &h).unwrap();
-        let spread = |shots: u64, seed: u64| {
-            let mut errs = Vec::new();
-            for k in 0..24 {
-                let mut rng = rng_from_seed(seed + k);
-                let (est, _) = estimate_energy_sampled(&c, &h, shots, &mut rng).unwrap();
-                errs.push((est - exact).abs());
-            }
-            qismet_mathkit::mean(&errs)
-        };
-        let coarse = spread(256, 100);
-        let fine = spread(16384, 200);
-        // 64x the shots should shrink error by ~8x; accept >3x to stay robust.
-        assert!(
-            coarse > 3.0 * fine,
-            "coarse {coarse} should exceed 3x fine {fine}"
-        );
-    }
-
-    #[test]
-    fn identity_only_hamiltonian_needs_no_shots() {
-        let h = PauliSum::from_labels(&[(2.5, "II")]).unwrap();
-        let c = Circuit::new(2);
-        let mut rng = rng_from_seed(5);
-        let (est, counts) = estimate_energy_sampled(&c, &h, 10, &mut rng).unwrap();
-        assert_eq!(est, 2.5);
-        assert!(counts.is_empty());
-    }
-
-    #[test]
-    fn group_energy_sign_convention() {
-        // State |11>: <ZZ> = +1, <ZI> = -1.
-        let h = PauliSum::from_labels(&[(1.0, "ZZ"), (1.0, "ZI"), (1.0, "IZ")]).unwrap();
-        let plan = MeasurementPlan::compile(&h);
-        assert_eq!(plan.n_circuits(), 1);
-        let counts = Counts::from_pairs(2, [(0b11, 1000)]);
-        let e = group_energy_from_counts(&h, &plan.groups()[0], &counts);
-        // ZZ: +1, ZI: -1, IZ: -1 -> total -1.
-        assert!((e + 1.0).abs() < 1e-12);
     }
 }

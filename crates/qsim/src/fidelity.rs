@@ -5,8 +5,6 @@
 //! the Hellinger fidelity between the measured outcome distribution and the
 //! ideal (noise-free) distribution.
 
-use crate::counts::Counts;
-
 /// Hellinger fidelity between two probability distributions:
 /// `F = (sum_i sqrt(p_i q_i))^2`.
 ///
@@ -44,40 +42,6 @@ pub fn hellinger_fidelity(p: &[f64], q: &[f64]) -> f64 {
     (bc * bc).clamp(0.0, 1.0)
 }
 
-/// Total variation distance `0.5 * sum |p_i - q_i|` after renormalization.
-///
-/// # Panics
-///
-/// Panics if lengths differ or any entry is negative.
-pub fn total_variation_distance(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(p.len(), q.len(), "distribution lengths must match");
-    assert!(
-        p.iter().chain(q.iter()).all(|&x| x >= 0.0),
-        "probabilities must be non-negative"
-    );
-    let sp: f64 = p.iter().sum::<f64>().max(f64::MIN_POSITIVE);
-    let sq: f64 = q.iter().sum::<f64>().max(f64::MIN_POSITIVE);
-    0.5 * p
-        .iter()
-        .zip(q.iter())
-        .map(|(&a, &b)| (a / sp - b / sq).abs())
-        .sum::<f64>()
-}
-
-/// Hellinger fidelity between a measured histogram and an ideal distribution.
-///
-/// # Panics
-///
-/// Panics if the ideal distribution length is not `2^counts.n_qubits()`.
-pub fn counts_fidelity(counts: &Counts, ideal: &[f64]) -> f64 {
-    assert_eq!(
-        ideal.len(),
-        1usize << counts.n_qubits(),
-        "ideal distribution must cover the full outcome space"
-    );
-    hellinger_fidelity(&counts.to_distribution(), ideal)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,7 +50,6 @@ mod tests {
     fn identical_distributions_have_unit_fidelity() {
         let p = [0.25, 0.25, 0.25, 0.25];
         assert!((hellinger_fidelity(&p, &p) - 1.0).abs() < 1e-12);
-        assert_eq!(total_variation_distance(&p, &p), 0.0);
     }
 
     #[test]
@@ -94,7 +57,6 @@ mod tests {
         let p = [1.0, 0.0];
         let q = [0.0, 1.0];
         assert_eq!(hellinger_fidelity(&p, &q), 0.0);
-        assert_eq!(total_variation_distance(&p, &q), 1.0);
     }
 
     #[test]
@@ -114,21 +76,6 @@ mod tests {
     }
 
     #[test]
-    fn counts_fidelity_of_perfect_bell() {
-        let counts = Counts::from_pairs(2, [(0, 500), (3, 500)]);
-        let ideal = [0.5, 0.0, 0.0, 0.5];
-        assert!((counts_fidelity(&counts, &ideal) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn counts_fidelity_degrades_with_errors() {
-        let counts = Counts::from_pairs(2, [(0, 400), (3, 400), (1, 100), (2, 100)]);
-        let ideal = [0.5, 0.0, 0.0, 0.5];
-        let f = counts_fidelity(&counts, &ideal);
-        assert!(f < 1.0 && f > 0.5, "f = {f}");
-    }
-
-    #[test]
     #[should_panic(expected = "lengths must match")]
     fn length_mismatch_panics() {
         hellinger_fidelity(&[1.0], &[0.5, 0.5]);
@@ -138,15 +85,5 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_probability_panics() {
         hellinger_fidelity(&[1.0, -0.1], &[0.5, 0.5]);
-    }
-
-    #[test]
-    fn tvd_bounds_fidelity() {
-        // Fuchs-van de Graaf style sanity: 1 - F <= TVD for classical dists.
-        let p = [0.7, 0.2, 0.1];
-        let q = [0.4, 0.4, 0.2];
-        let f = hellinger_fidelity(&p, &q);
-        let tvd = total_variation_distance(&p, &q);
-        assert!(1.0 - f <= tvd + 1e-12);
     }
 }

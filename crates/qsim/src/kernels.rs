@@ -1,18 +1,27 @@
 //! Cache-blocked statevector kernels over raw amplitude slices.
 //!
-//! Every kernel here is a free function over `&mut [Complex64]` (or
-//! `&[Complex64]` for reductions) rather than a method on
-//! [`crate::StateVector`], so the real-amplitude run mode can reuse the
-//! element-generic kernels on `f64` states. The hot loops are written as
-//! `chunks_exact_mut` + `split_at_mut` sweeps over fixed-shape blocks with
-//! no per-amplitude bounds checks or index arithmetic, the form the
-//! autovectorizer turns into packed SIMD on the interleaved
-//! `[re, im, re, im, ...]` layout.
+//! Every kernel here is a free function over an amplitude slice rather than
+//! a method on [`crate::StateVector`]. The ops a real-amplitude plan uses
+//! (the real 2x2 butterfly, CX/CZ/SWAP and the ladder tables) are written
+//! once, generic over the private [`Amp`] trait: the same body runs on
+//! `Complex64` states and, in the real-amplitude run mode, on `f64` states.
+//! [`Amp`] carries only what the two element types differ in, so each
+//! monomorphized body does exactly the float operations its element type
+//! needs, in one fixed order. The complex-only kernels (the general 2x2
+//! unitary, RZZ phases) and the probability reductions stay on
+//! `Complex64`.
+//!
+//! The hot loops are written as `chunks_exact_mut` + `split_at_mut` sweeps
+//! over fixed-shape blocks with no per-amplitude bounds checks or index
+//! arithmetic, the form the autovectorizer turns into packed SIMD on the
+//! interleaved `[re, im, re, im, ...]` layout.
 //!
 //! The arithmetic of each kernel (operation order, grouping) matches the
 //! pre-refactor `StateVector` methods exactly, so results are bit-identical
 //! to the historical implementations pinned by the regression tests.
 
+use core::cell::RefCell;
+use core::ops::{Add, Neg};
 use qismet_mathkit::Complex64;
 
 /// Amplitudes per reduction block. Reductions (probability norms, CDF
@@ -24,6 +33,128 @@ pub(crate) const BLOCK: usize = 1 << 14;
 
 /// A stack-allocated 2x2 complex matrix (row-major).
 pub(crate) type Mat2 = [[Complex64; 2]; 2];
+
+/// An amplitude element the generic kernels and expectation sweeps run on:
+/// `Complex64` for general states, `f64` for the real-amplitude run mode
+/// (half the flops and half the memory traffic). Each method is one
+/// element's share of a kernel; on `f64` it drops the products whose
+/// imaginary factor is exactly zero.
+pub(crate) trait Amp: Copy + Add<Output = Self> + Neg<Output = Self> {
+    /// The zero amplitude.
+    const ZERO: Self;
+    /// The type has no imaginary part: a pair product's imaginary part (an
+    /// odd-Y Pauli term) is exactly zero, and [`apply_1q_real`] takes its
+    /// unrolled narrow-stride bodies.
+    const REAL: bool;
+    /// `self * k` for a real `k`.
+    fn scale(self, k: f64) -> Self;
+    /// `ph * self` for a ladder-table phase; real-run plans only carry
+    /// `+/-1` phases, so `f64` uses `ph.re`.
+    fn mul_phase(self, ph: Complex64) -> Self;
+    /// `|self|^2`.
+    fn norm_sqr(self) -> f64;
+    /// `re(conj(d) * a)`.
+    fn pair_re(d: &Self, a: &Self) -> f64;
+    /// `im(conj(d) * a)`.
+    fn pair_im(d: &Self, a: &Self) -> f64;
+    /// Runs `f` on this thread's gather scratch for
+    /// [`apply_table_contig`]: one orbit region, grown on demand and reused
+    /// across ops and calls. Thread-local so concurrent campaign workers
+    /// need no shared mutable state; generic statics do not exist, so each
+    /// element type owns its own.
+    fn with_scratch<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R;
+    /// The slice as complex amplitudes, for the complex-only ops (general
+    /// 2x2 unitaries, RZZ), which a real-run plan never contains.
+    fn complex_mut(amps: &mut [Self]) -> &mut [Complex64];
+}
+
+impl Amp for Complex64 {
+    const ZERO: Self = Complex64::ZERO;
+    const REAL: bool = false;
+
+    #[inline(always)]
+    fn scale(self, k: f64) -> Self {
+        Complex64::new(self.re * k, self.im * k)
+    }
+
+    #[inline(always)]
+    fn mul_phase(self, ph: Complex64) -> Self {
+        ph * self
+    }
+
+    #[inline(always)]
+    fn norm_sqr(self) -> f64 {
+        self.re * self.re + self.im * self.im
+    }
+
+    /// Bit for bit equal to `(d.conj() * *a).re`, which computes
+    /// `d.re * a.re - (-d.im) * a.im`: IEEE 754 defines `x - (-y)` as
+    /// `x + y`.
+    #[inline(always)]
+    fn pair_re(d: &Self, a: &Self) -> f64 {
+        d.re * a.re + d.im * a.im
+    }
+
+    #[inline(always)]
+    fn pair_im(d: &Self, a: &Self) -> f64 {
+        (d.conj() * *a).im
+    }
+
+    #[inline(always)]
+    fn with_scratch<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R {
+        thread_local! {
+            static SCRATCH: RefCell<Vec<Complex64>> = const { RefCell::new(Vec::new()) };
+        }
+        SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
+    }
+
+    #[inline(always)]
+    fn complex_mut(amps: &mut [Self]) -> &mut [Complex64] {
+        amps
+    }
+}
+
+impl Amp for f64 {
+    const ZERO: Self = 0.0;
+    const REAL: bool = true;
+
+    #[inline(always)]
+    fn scale(self, k: f64) -> Self {
+        self * k
+    }
+
+    #[inline(always)]
+    fn mul_phase(self, ph: Complex64) -> Self {
+        ph.re * self
+    }
+
+    #[inline(always)]
+    fn norm_sqr(self) -> f64 {
+        self * self
+    }
+
+    #[inline(always)]
+    fn pair_re(d: &Self, a: &Self) -> f64 {
+        d * a
+    }
+
+    #[inline(always)]
+    fn pair_im(_: &Self, _: &Self) -> f64 {
+        0.0
+    }
+
+    #[inline(always)]
+    fn with_scratch<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R {
+        thread_local! {
+            static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+        }
+        SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
+    }
+
+    fn complex_mut(_: &mut [Self]) -> &mut [Complex64] {
+        unreachable!("complex op in a real-run plan")
+    }
+}
 
 /// Applies an arbitrary 2x2 unitary with target-bit value `stride` to a
 /// slice (`slice.len()` must be a multiple of `2 * stride`).
@@ -41,18 +172,41 @@ pub(crate) fn apply_1q(amps: &mut [Complex64], u: &Mat2, stride: usize) {
     }
 }
 
-/// Applies a **real** 2x2 unitary (half the multiplies of the complex
-/// butterfly) with target-bit value `stride`.
-pub(crate) fn apply_1q_real(amps: &mut [Complex64], m: &[[f64; 2]; 2], stride: usize) {
+/// Applies a **real** 2x2 matrix with target-bit value `stride`: half the
+/// multiplies of the complex butterfly on a complex state, and the whole
+/// gate on a real one.
+///
+/// On `f64` states, strides 1 and 2 interleave the butterfly pairs too
+/// tightly for the split-halves loop to vectorize, so they get unrolled
+/// shuffle-friendly bodies over 8-amplitude chunks; wider strides vectorize
+/// as two linear streams. A complex amplitude already fills a vector
+/// register, and the unrolled bodies ran slower on complex states, so
+/// those keep the split-halves loop at every stride. All three forms do the
+/// same per-amplitude arithmetic.
+pub(crate) fn apply_1q_real<A: Amp>(amps: &mut [A], m: &[[f64; 2]; 2], stride: usize) {
     debug_assert!(amps.len().is_multiple_of(stride << 1));
     let (m00, m01, m10, m11) = (m[0][0], m[0][1], m[1][0], m[1][1]);
+    let bf = |a: A, b: A| (a.scale(m00) + b.scale(m01), a.scale(m10) + b.scale(m11));
+    if A::REAL && stride == 1 && amps.len() >= 8 {
+        for ch in amps.chunks_exact_mut(8) {
+            let [(t0, u0), (t1, u1), (t2, u2), (t3, u3)] =
+                [0, 2, 4, 6].map(|i| bf(ch[i], ch[i + 1]));
+            ch.copy_from_slice(&[t0, u0, t1, u1, t2, u2, t3, u3]);
+        }
+        return;
+    }
+    if A::REAL && stride == 2 && amps.len() >= 8 {
+        for ch in amps.chunks_exact_mut(8) {
+            let [(t0, u0), (t1, u1), (t2, u2), (t3, u3)] =
+                [0, 1, 4, 5].map(|i| bf(ch[i], ch[i + 2]));
+            ch.copy_from_slice(&[t0, t1, u0, u1, t2, t3, u2, u3]);
+        }
+        return;
+    }
     for chunk in amps.chunks_exact_mut(stride << 1) {
         let (lo, hi) = chunk.split_at_mut(stride);
         for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-            let a0 = *a;
-            let a1 = *b;
-            *a = Complex64::new(m00 * a0.re + m01 * a1.re, m00 * a0.im + m01 * a1.im);
-            *b = Complex64::new(m10 * a0.re + m11 * a1.re, m10 * a0.im + m11 * a1.im);
+            (*a, *b) = bf(*a, *b);
         }
     }
 }
@@ -154,8 +308,8 @@ fn expand_orbit(mut o: usize, bits: &[usize]) -> usize {
 /// (in-place phase sweep, no gather) and `unit` marks all-ones phases (pure
 /// permutation, no multiplies).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_table(
-    amps: &mut [Complex64],
+pub(crate) fn apply_table<A: Amp>(
+    amps: &mut [A],
     bits: &[usize],
     offs: &[usize],
     src: &[u8],
@@ -168,12 +322,13 @@ pub(crate) fn apply_table(
     debug_assert!(offs.len() == size && src.len() == size && phase.len() == size);
     debug_assert!(amps.len().is_multiple_of(bits[s - 1] << 1));
     let n_orbits = amps.len() >> s;
-    let mut buf = [Complex64::ZERO; 256];
+    let mut buf = [A::ZERO; 256];
     for o in 0..n_orbits {
         let base = expand_orbit(o, bits);
         if diagonal {
             for l in 0..size {
-                amps[base + offs[l]] *= phase[l];
+                let i = base + offs[l];
+                amps[i] = amps[i].mul_phase(phase[l]);
             }
         } else if unit {
             for l in 0..size {
@@ -184,22 +339,13 @@ pub(crate) fn apply_table(
             }
         } else {
             for l in 0..size {
-                buf[l] = phase[l] * amps[base + offs[src[l] as usize]];
+                buf[l] = amps[base + offs[src[l] as usize]].mul_phase(phase[l]);
             }
             for l in 0..size {
                 amps[base + offs[l]] = buf[l];
             }
         }
     }
-}
-
-thread_local! {
-    /// Per-thread gather scratch for [`apply_table_contig`]: one orbit
-    /// region (`2^(shift + s)` amplitudes), grown on demand and reused
-    /// across ops and calls. Thread-local so concurrent campaign workers
-    /// need no shared mutable state.
-    static TABLE_SCRATCH: core::cell::RefCell<Vec<Complex64>> =
-        const { core::cell::RefCell::new(Vec::new()) };
 }
 
 /// [`apply_table`] specialized for tables whose support is a contiguous
@@ -209,8 +355,8 @@ thread_local! {
 /// straight `copy_from_slice`s (or packed phase-multiplies) instead of the
 /// per-amplitude `offs` gather. Linear-entanglement ladders, the dominant
 /// ansatz entangler shape, always lower to this form.
-pub(crate) fn apply_table_contig(
-    amps: &mut [Complex64],
+pub(crate) fn apply_table_contig<A: Amp>(
+    amps: &mut [A],
     shift: usize,
     src: &[u8],
     phase: &[Complex64],
@@ -224,15 +370,14 @@ pub(crate) fn apply_table_contig(
         for chunk in amps.chunks_exact_mut(region) {
             for (blk, &ph) in chunk.chunks_exact_mut(1 << shift).zip(phase.iter()) {
                 for a in blk {
-                    *a *= ph;
+                    *a = a.mul_phase(ph);
                 }
             }
         }
         return;
     }
-    TABLE_SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        scratch.resize(region, Complex64::ZERO);
+    A::with_scratch(|scratch| {
+        scratch.resize(region, A::ZERO);
         for chunk in amps.chunks_exact_mut(region) {
             scratch.copy_from_slice(chunk);
             if shift == 0 {
@@ -243,7 +388,7 @@ pub(crate) fn apply_table_contig(
                     }
                 } else {
                     for (l, a) in chunk.iter_mut().enumerate() {
-                        *a = phase[l] * scratch[src[l] as usize];
+                        *a = scratch[src[l] as usize].mul_phase(phase[l]);
                     }
                 }
                 continue;
@@ -255,171 +400,7 @@ pub(crate) fn apply_table_contig(
                 } else {
                     let ph = phase[l];
                     for (d, &s) in blk.iter_mut().zip(sblk.iter()) {
-                        *d = ph * s;
-                    }
-                }
-            }
-        }
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Real-amplitude (`f64`) kernels.
-//
-// Plans whose every op preserves real amplitude vectors (real 1q segments,
-// CX/CZ/SWAP, RZZ-free ladder tables) evolve an `f64` state
-// instead of a `Complex64` one: half the flops and half the memory traffic,
-// with the same sweep structure as the complex kernels above. CX and SWAP
-// reuse the generic kernels; the arithmetic kernels get real twins below.
-// ---------------------------------------------------------------------------
-
-/// Real twin of [`apply_1q_real`]: the 2x2 real butterfly on an `f64` state.
-///
-/// Strides 1 and 2 interleave the butterfly pairs too tightly for the
-/// split-halves loop to vectorize, so they get unrolled shuffle-friendly
-/// bodies over 8-amplitude chunks; wider strides vectorize as two linear
-/// streams.
-pub(crate) fn apply_1q_real_f64(amps: &mut [f64], m: &[[f64; 2]; 2], stride: usize) {
-    debug_assert!(amps.len().is_multiple_of(stride << 1));
-    let (m00, m01, m10, m11) = (m[0][0], m[0][1], m[1][0], m[1][1]);
-    if stride == 1 && amps.len() >= 8 {
-        for ch in amps.chunks_exact_mut(8) {
-            let (a0, a1, a2, a3) = (ch[0], ch[2], ch[4], ch[6]);
-            let (b0, b1, b2, b3) = (ch[1], ch[3], ch[5], ch[7]);
-            ch[0] = m00 * a0 + m01 * b0;
-            ch[1] = m10 * a0 + m11 * b0;
-            ch[2] = m00 * a1 + m01 * b1;
-            ch[3] = m10 * a1 + m11 * b1;
-            ch[4] = m00 * a2 + m01 * b2;
-            ch[5] = m10 * a2 + m11 * b2;
-            ch[6] = m00 * a3 + m01 * b3;
-            ch[7] = m10 * a3 + m11 * b3;
-        }
-        return;
-    }
-    if stride == 2 && amps.len() >= 8 {
-        for ch in amps.chunks_exact_mut(8) {
-            let (a0, a1, a2, a3) = (ch[0], ch[1], ch[4], ch[5]);
-            let (b0, b1, b2, b3) = (ch[2], ch[3], ch[6], ch[7]);
-            ch[0] = m00 * a0 + m01 * b0;
-            ch[1] = m00 * a1 + m01 * b1;
-            ch[2] = m10 * a0 + m11 * b0;
-            ch[3] = m10 * a1 + m11 * b1;
-            ch[4] = m00 * a2 + m01 * b2;
-            ch[5] = m00 * a3 + m01 * b3;
-            ch[6] = m10 * a2 + m11 * b2;
-            ch[7] = m10 * a3 + m11 * b3;
-        }
-        return;
-    }
-    for chunk in amps.chunks_exact_mut(stride << 1) {
-        let (lo, hi) = chunk.split_at_mut(stride);
-        for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-            let a0 = *a;
-            let a1 = *b;
-            *a = m00 * a0 + m01 * a1;
-            *b = m10 * a0 + m11 * a1;
-        }
-    }
-}
-
-/// Real twin of [`apply_table`]: RZZ-free ladder tables have exactly-real
-/// (`+/-1`) phases, so the gather runs on an `f64` state with `phase[l].re`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_table_f64(
-    amps: &mut [f64],
-    bits: &[usize],
-    offs: &[usize],
-    src: &[u8],
-    phase: &[Complex64],
-    diagonal: bool,
-    unit: bool,
-) {
-    let s = bits.len();
-    let size = 1usize << s;
-    debug_assert!(offs.len() == size && src.len() == size && phase.len() == size);
-    debug_assert!(amps.len().is_multiple_of(bits[s - 1] << 1));
-    let n_orbits = amps.len() >> s;
-    let mut buf = [0.0f64; 256];
-    for o in 0..n_orbits {
-        let base = expand_orbit(o, bits);
-        if diagonal {
-            for l in 0..size {
-                amps[base + offs[l]] *= phase[l].re;
-            }
-        } else if unit {
-            for l in 0..size {
-                buf[l] = amps[base + offs[src[l] as usize]];
-            }
-            for l in 0..size {
-                amps[base + offs[l]] = buf[l];
-            }
-        } else {
-            for l in 0..size {
-                buf[l] = phase[l].re * amps[base + offs[src[l] as usize]];
-            }
-            for l in 0..size {
-                amps[base + offs[l]] = buf[l];
-            }
-        }
-    }
-}
-
-thread_local! {
-    /// Per-thread gather scratch for [`apply_table_contig_f64`] (see
-    /// [`TABLE_SCRATCH`]).
-    static TABLE_SCRATCH_F64: core::cell::RefCell<Vec<f64>> =
-        const { core::cell::RefCell::new(Vec::new()) };
-}
-
-/// Real twin of [`apply_table_contig`]: contiguous-support block
-/// permutation on an `f64` state.
-pub(crate) fn apply_table_contig_f64(
-    amps: &mut [f64],
-    shift: usize,
-    src: &[u8],
-    phase: &[Complex64],
-    diagonal: bool,
-    unit: bool,
-) {
-    let size = src.len();
-    let region = size << shift;
-    debug_assert!(amps.len().is_multiple_of(region));
-    if diagonal {
-        for chunk in amps.chunks_exact_mut(region) {
-            for (blk, ph) in chunk.chunks_exact_mut(1 << shift).zip(phase.iter()) {
-                for a in blk {
-                    *a *= ph.re;
-                }
-            }
-        }
-        return;
-    }
-    TABLE_SCRATCH_F64.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        scratch.resize(region, 0.0);
-        for chunk in amps.chunks_exact_mut(region) {
-            scratch.copy_from_slice(chunk);
-            if shift == 0 {
-                if unit {
-                    for (l, a) in chunk.iter_mut().enumerate() {
-                        *a = scratch[src[l] as usize];
-                    }
-                } else {
-                    for (l, a) in chunk.iter_mut().enumerate() {
-                        *a = phase[l].re * scratch[src[l] as usize];
-                    }
-                }
-                continue;
-            }
-            for (l, blk) in chunk.chunks_exact_mut(1 << shift).enumerate() {
-                let sblk = &scratch[(src[l] as usize) << shift..][..blk.len()];
-                if unit {
-                    blk.copy_from_slice(sblk);
-                } else {
-                    let ph = phase[l].re;
-                    for (d, &s) in blk.iter_mut().zip(sblk.iter()) {
-                        *d = ph * s;
+                        *d = s.mul_phase(ph);
                     }
                 }
             }

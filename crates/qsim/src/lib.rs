@@ -23,25 +23,23 @@
 //!   fast objective model.
 //! * [`PauliString`] / [`PauliSum`] — Hamiltonians as real-weighted Pauli
 //!   sums with dense materialization and exact ground energies.
-//! * [`MeasurementPlan`] and the sampling estimators — the basis-rotation
+//! * [`MeasurementPlan`] and [`basis_change_circuit`] — the basis-rotation
 //!   measurement pipeline of a real VQE (paper Fig. 8).
-//! * [`hellinger_fidelity`] and friends — the circuit fidelity metrics.
+//! * [`hellinger_fidelity`] — the circuit fidelity metric.
 //!
 //! # Examples
 //!
-//! A two-qubit VQE energy evaluation, exactly and with shots:
+//! A two-qubit VQE energy evaluation:
 //!
 //! ```
-//! use qismet_qsim::{estimate_energy_sampled, exact_energy, Circuit, PauliSum};
-//! use qismet_mathkit::rng_from_seed;
+//! use qismet_qsim::{exact_energy, Circuit, PauliSum};
 //!
 //! let h = PauliSum::from_labels(&[(-1.0, "ZZ"), (-0.5, "XI"), (-0.5, "IX")]).unwrap();
 //! let mut ansatz = Circuit::new(2);
 //! ansatz.ry(0.4, 0).ry(0.4, 1).cx(0, 1);
-//! let exact = exact_energy(&ansatz, &h).unwrap();
-//! let mut rng = rng_from_seed(1);
-//! let (sampled, _) = estimate_energy_sampled(&ansatz, &h, 8192, &mut rng).unwrap();
-//! assert!((exact - sampled).abs() < 0.1);
+//! let energy = exact_energy(&ansatz, &h).unwrap();
+//! // A variational energy never undercuts the ground energy.
+//! assert!(energy >= h.ground_energy().unwrap() - 1e-12);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -65,11 +63,8 @@ pub use circuit::{Circuit, CircuitError, Op};
 pub use compile::{CompiledCircuit, CompiledObservable};
 pub use counts::Counts;
 pub use density::DensityMatrix;
-pub use expectation::{
-    basis_change_circuit, estimate_energy_sampled, exact_energy, group_energy_from_counts,
-    MeasurementGroup, MeasurementPlan,
-};
-pub use fidelity::{counts_fidelity, hellinger_fidelity, total_variation_distance};
+pub use expectation::{basis_change_circuit, exact_energy, MeasurementGroup, MeasurementPlan};
+pub use fidelity::hellinger_fidelity;
 pub use gate::{Gate, GateError, Param};
 pub use kraus::{ChannelError, KrausChannel};
 pub use pauli::{Pauli, PauliError, PauliString, PauliSum};

@@ -5,7 +5,8 @@
 //! observable kernel, and the statevector backend — in-place rebinding
 //! must equal a fresh compile-and-bind, a reused backend must equal a new
 //! one, and a plan batch must equal a loop of single plan evaluations bit
-//! for bit.
+//! for bit. Real-gate plans at six or more qubits, which evolve an `f64`
+//! state, must match the complex kernels bit for bit.
 
 use proptest::prelude::*;
 use qismet_qsim::statevector::reference;
@@ -107,6 +108,52 @@ fn arb_gates() -> impl Strategy<Value = Vec<(usize, usize, usize, f64)>> {
 
 fn arb_terms() -> impl Strategy<Value = Vec<(f64, u64)>> {
     proptest::collection::vec((-2.0f64..2.0, 0u64..16384), 1..10)
+}
+
+/// Builds a circuit from the gates whose matrices are real for every angle
+/// (H, X, Z, Ry, CX, CZ, SWAP), so its plan takes the real-amplitude run
+/// mode at any width of at least six qubits. Draws are (kind, operand
+/// selector, second-operand selector, angle); an even second selector
+/// pairs a wire with its upper neighbour, so ladders grow over contiguous
+/// supports, and an odd one picks any other wire, so gathered
+/// (non-contiguous) supports occur too.
+fn build_real_circuit(n: usize, gates: &[(usize, usize, usize, f64)]) -> Circuit {
+    let mut c = Circuit::new(n);
+    for &(kind, a, b, angle) in gates {
+        let q = a % n;
+        let q2 = if b % 2 == 0 {
+            (q + 1) % n
+        } else {
+            (q + 1 + (b / 2) % (n - 1)) % n
+        };
+        match kind % 10 {
+            0 => c.h(q),
+            1 => c.x(q),
+            2 => c.z(q),
+            3 => c.ry(angle, q),
+            4 | 5 => c.cx(q, q2),
+            6 | 7 => c.cz(q, q2),
+            _ => c.swap(q, q2),
+        };
+    }
+    c
+}
+
+/// Pauli sums over up to 10 qubits with I/X/Y/Z factors, so odd-Y,
+/// Z-masked and diagonal terms all occur. Half the terms are masked down
+/// to X/I factors: pure-X terms take their own sweep, and those clear of
+/// qubits 0-2 take its contiguous-run branch.
+fn arb_wide_terms() -> impl Strategy<Value = Vec<(f64, u64)>> {
+    proptest::collection::vec((-2.0f64..2.0, 0u64..(1 << 20), 0usize..4), 1..12).prop_map(|terms| {
+        terms
+            .into_iter()
+            .map(|(coeff, packed, mode)| match mode {
+                2 => (coeff, packed & 0x5_5555),
+                3 => (coeff, packed & 0x5_5540),
+                _ => (coeff, packed),
+            })
+            .collect()
+    })
 }
 
 proptest! {
@@ -249,6 +296,46 @@ proptest! {
             prop_assert_eq!(s.to_bits(), via_reused_again[i].to_bits(), "reused again point {}", i);
             prop_assert_eq!(s.to_bits(), via_fresh[i].to_bits(), "fresh point {}", i);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // The real-amplitude run mode: plans of real gates at 6..=10 qubits
+    // evolve an `f64` state. `run` must reproduce the complex `apply` bit
+    // for bit in the real parts, up to the sign of an exact zero, with
+    // exactly-zero imaginary parts; `run_expectation` (the energy taken on
+    // the `f64` state) must equal `apply` + `expectation` bit for bit.
+    // The zero-sign exception is inherent: a complex phase multiply
+    // subtracts `im * phase.im`, and `-0.0 - (-0.0)` is `+0.0`, where the
+    // `f64` state keeps `-0.0`. Squares and pair products cannot see it.
+    #[test]
+    fn real_run_matches_complex_apply_bitwise(
+        n in 6usize..11,
+        gates in proptest::collection::vec(
+            (0usize..10, 0usize..64, 0usize..64, -3.2f64..3.2),
+            1..64,
+        ),
+        terms in arb_wide_terms(),
+    ) {
+        let c = build_real_circuit(n, &gates);
+        let plan = CompiledCircuit::compile(&c);
+        prop_assert!(plan.runs_real(), "real gates must take the real-run path");
+        let mut complex = StateVector::new(n);
+        plan.apply(&mut complex).unwrap();
+        let mut real = StateVector::new(n);
+        plan.run(&mut real).unwrap();
+        for (i, (a, b)) in complex.amplitudes().iter().zip(real.amplitudes()).enumerate() {
+            let same = a.re.to_bits() == b.re.to_bits() || (a.re == 0.0 && b.re == 0.0);
+            prop_assert!(same, "amplitude {} re: {:e} vs {:e}", i, a.re, b.re);
+            prop_assert!(b.im == 0.0, "amplitude {} im {}", i, b.im);
+        }
+        let obs = CompiledObservable::compile(&build_pauli_sum(n, &terms));
+        let want = obs.expectation(&complex);
+        let mut sv = StateVector::new(n);
+        let got = plan.run_expectation(&mut sv, &obs).unwrap();
+        prop_assert_eq!(want.to_bits(), got.to_bits(), "{} vs {}", want, got);
     }
 }
 

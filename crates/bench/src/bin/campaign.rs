@@ -183,8 +183,8 @@ const COORDINATOR_VALUE_FLAGS: &[&str] = &[
 
 /// Resolves the fault plan this invocation should execute (worker side)
 /// or forward (coordinator side). Precedence: a concrete forwarded
-/// plan, then an explicit plan file, then a seed, then the legacy env
-/// hooks. Malformed plans are configuration errors.
+/// plan, then an explicit plan file, then a seed. Malformed plans are
+/// configuration errors.
 fn resolve_chaos_plan(args: &Args, workers: usize, specs: usize) -> Option<FaultPlan> {
     if let Some(json) = &args.chaos_json {
         return Some(FaultPlan::from_json(json).unwrap_or_else(|e| die(&e)));
@@ -194,10 +194,8 @@ fn resolve_chaos_plan(args: &Args, workers: usize, specs: usize) -> Option<Fault
             .unwrap_or_else(|e| die(&format!("cannot read chaos plan `{}`: {e}", path.display())));
         return Some(FaultPlan::from_json(&text).unwrap_or_else(|e| die(&e)));
     }
-    if let Some(seed) = args.chaos_seed {
-        return Some(FaultPlan::random(seed, workers, specs));
-    }
-    FaultPlan::from_env().unwrap_or_else(|e| die(&e))
+    args.chaos_seed
+        .map(|seed| FaultPlan::random(seed, workers, specs))
 }
 
 /// The argv a worker process is launched with: the grid flags verbatim
@@ -452,9 +450,9 @@ fn main() {
     if args.worker_mode {
         // Hidden cluster-worker mode: stdout belongs to the protocol, so
         // nothing below this point may run. The worker resolves its own
-        // plan (forwarded json, plan file, seed, or legacy env hooks); a
-        // seed-derived plan here addresses all slots (`workers = 0`) since
-        // the pool size is unknown.
+        // plan (forwarded json, plan file or seed); a seed-derived plan
+        // here addresses all slots (`workers = 0`) since the pool size is
+        // unknown.
         let mut opts = WorkerOptions {
             token: args.token.clone(),
             threads: args.threads.unwrap_or(1),
@@ -487,9 +485,7 @@ fn main() {
     let report = if distributed {
         // Explicit chaos flags resolve to ONE concrete plan here and travel
         // to spawned workers as `--chaos-json`, so a seeded plan is
-        // identical on every worker. The legacy env hooks are *not*
-        // forwarded — workers inherit the environment and adapt them
-        // locally, exactly as before.
+        // identical on every worker.
         let forwarded_chaos: Option<String> =
             if args.chaos_plan.is_some() || args.chaos_seed.is_some() {
                 resolve_chaos_plan(&args, args.workers, campaign.len()).map(|plan| plan.to_json())

@@ -16,8 +16,6 @@ use qismet_vqa::AppSpec;
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Success.
-pub const EXIT_OK: i32 = 0;
 /// Generic runtime failure (I/O, merge, lost fleet, ...).
 pub const EXIT_FAILURE: i32 = 1;
 /// Usage/validation error — bad flag value or a [`ConfigConflict`].

@@ -36,11 +36,6 @@ use std::path::PathBuf;
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
-// The legacy fault-injection env hooks now live on the chaos seam
-// (`FaultPlan::from_env` translates them); re-exported here so existing
-// callers keep compiling.
-pub use qismet_cluster::{DROP_AFTER_ENV, EXIT_AFTER_ENV};
-
 /// How a distributed campaign should execute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistributedOptions {

@@ -293,12 +293,6 @@ pub fn trailing_mean(series: &[f64], window: usize) -> f64 {
     qismet_mathkit::mean(&series[n.saturating_sub(window)..])
 }
 
-/// Geometric mean of per-record ratios against a baseline value.
-pub fn geomean_ratios(finals: &[f64], baseline: f64) -> f64 {
-    let ratios: Vec<f64> = finals.iter().map(|&f| f / baseline).collect();
-    qismet_mathkit::geomean(&ratios)
-}
-
 /// A percentile-bootstrap confidence interval around a sample mean.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BootstrapCi {

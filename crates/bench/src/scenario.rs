@@ -7,7 +7,7 @@
 //! independent [`RunSpec`]s. Each `RunSpec` carries its fully-resolved seed,
 //! so execution order — sequential or parallel — cannot affect results.
 
-use crate::{scaled, Scheme};
+use crate::Scheme;
 use qismet_filters::KalmanFilter;
 use qismet_mathkit::derive_seed;
 use qismet_qnoise::Machine;
@@ -113,12 +113,6 @@ impl ScenarioSpec {
     /// Sets the trial count.
     pub fn with_trials(mut self, trials: usize) -> Self {
         self.trials = trials;
-        self
-    }
-
-    /// Sets the display label.
-    pub fn labeled(mut self, label: impl Into<String>) -> Self {
-        self.label = Some(label.into());
         self
     }
 
@@ -392,11 +386,6 @@ pub fn parse_threshold(s: &str) -> Option<u32> {
         .parse()
         .ok()
         .filter(|p| (1..=99).contains(p))
-}
-
-/// The default scaled iteration count for ad-hoc campaigns.
-pub fn default_iterations() -> usize {
-    scaled(500)
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@
 //!
 //! Covered fault kinds: `Hang` (recovered via the assign deadline and
 //! re-dispatch), `SlowFrames` (tolerated, no respawn), `TruncateFrame` /
-//! `CorruptFrame` (survived via respawn), `CrashProcess` (the plan-seam
-//! successor of the `QISMET_CLUSTER_EXIT_AFTER` hook), and `PoisonSpec`
+//! `CorruptFrame` (survived via respawn), `CrashProcess` (every worker
+//! process exits after each result and is respawned), and `PoisonSpec`
 //! (isolated as `ClusterError::PoisonedSpecs` without exhausting the
 //! respawn budget, then finished by a plan-free resume). The closing
 //! proptest throws fully random seeded plans at random grids.
@@ -182,9 +182,10 @@ fn truncated_and_corrupted_frames_are_survived_by_respawn() {
 }
 
 #[test]
-fn crash_process_plan_replaces_the_exit_after_hook_bit_for_bit() {
-    // The plan-seam successor of QISMET_CLUSTER_EXIT_AFTER=1: every worker
-    // process exits(17) after one result, all campaign long.
+fn crashing_workers_respawn_and_the_report_is_unchanged() {
+    // Every worker process exits(17) after one result, all campaign long;
+    // the coordinator must keep respawning them through the whole
+    // campaign.
     let case = grid_case("chaos-crash", 53, 3, 22);
     let (report, stats) = run_campaign_distributed(
         &case.campaign,

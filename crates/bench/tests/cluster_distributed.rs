@@ -1,22 +1,21 @@
 //! Integration tests for the sharded multi-process campaign executor:
 //! 2-process sharded execution must be byte-identical to sequential (and
-//! threaded) in-process execution, a killed-mid-campaign invocation must
-//! resume from its checkpoint journal re-running only the missing specs,
-//! and crashed workers must respawn without changing a single bit.
+//! threaded) in-process execution, and a killed-mid-campaign invocation
+//! must resume from its checkpoint journal re-running only the missing
+//! specs. (Respawning crashed workers is pinned in `cluster_chaos.rs`.)
 //!
 //! The worker side is the real `campaign` binary (via
 //! `CARGO_BIN_EXE_campaign`) in its hidden `--worker` mode; the coordinator
 //! runs in-process. Mid-campaign crashes are injected deterministically
-//! with the `QISMET_CLUSTER_EXIT_AFTER` hook, which makes a worker exit
-//! after sending N results.
+//! with a `CrashProcess` fault plan (hidden `--chaos-json` flag), which
+//! makes a worker exit after sending N results.
 
 use proptest::prelude::*;
-use qismet_bench::distributed::EXIT_AFTER_ENV;
 use qismet_bench::{
     run_campaign_distributed, Campaign, CampaignGrid, CampaignReport, DistributedOptions, Scheme,
     SweepExecutor,
 };
-use qismet_cluster::{load_journal, ClusterError, WorkerLaunch};
+use qismet_cluster::{load_journal, ClusterError, Fault, FaultKind, FaultPlan, WorkerLaunch};
 use qismet_vqa::AppSpec;
 use std::path::PathBuf;
 
@@ -70,6 +69,21 @@ fn grid_case(name: &str, seed: u64, app_ids: &[u8], trials: usize, iterations: u
 
 fn launch(case: &GridCase) -> WorkerLaunch {
     WorkerLaunch::new(PathBuf::from(WORKER_BIN), case.flags.clone())
+}
+
+/// Workers whose processes exit after sending `after_dones` results.
+fn crashing_launch(case: &GridCase, after_dones: usize) -> WorkerLaunch {
+    let plan = FaultPlan {
+        faults: vec![Fault {
+            worker: None,
+            after_dones,
+            kind: FaultKind::CrashProcess,
+        }],
+    };
+    let mut flags = case.flags.clone();
+    flags.push("--chaos-json".into());
+    flags.push(plan.to_json());
+    WorkerLaunch::new(PathBuf::from(WORKER_BIN), flags)
 }
 
 fn assert_reports_bitwise_equal(a: &CampaignReport, b: &CampaignReport) {
@@ -127,11 +141,9 @@ fn interrupted_campaign_resumes_rerunning_only_missing_specs() {
 
     // Phase 1: a single worker that dies after 2 completed runs, with no
     // respawn budget — the invocation fails mid-campaign, like a kill -9.
-    let mut crashing = launch(&case);
-    crashing.envs.push((EXIT_AFTER_ENV.into(), "2".into()));
     let err = run_campaign_distributed(
         &case.campaign,
-        Some(crashing),
+        Some(crashing_launch(&case, 2)),
         &DistributedOptions {
             workers: 1,
             checkpoint: Some(journal_path.clone()),
@@ -186,31 +198,6 @@ fn interrupted_campaign_resumes_rerunning_only_missing_specs() {
     assert_reports_bitwise_equal(&sequential, &idempotent);
 
     std::fs::remove_file(&journal_path).unwrap();
-}
-
-#[test]
-fn crashing_workers_respawn_and_the_report_is_unchanged() {
-    let case = grid_case("dist-respawn", 7, &[1], 2, 22);
-    // Every worker process dies after a single completed run; the
-    // coordinator must keep respawning them through the whole campaign.
-    let mut crashing = launch(&case);
-    crashing.envs.push((EXIT_AFTER_ENV.into(), "1".into()));
-    let (report, stats) = run_campaign_distributed(
-        &case.campaign,
-        Some(crashing),
-        &DistributedOptions {
-            workers: 2,
-            max_respawns: 16,
-            ..DistributedOptions::default()
-        },
-    )
-    .unwrap();
-    assert!(
-        stats.respawns >= 1,
-        "the exit-after hook must have forced at least one respawn"
-    );
-    let sequential = SweepExecutor::sequential().run(&case.campaign);
-    assert_reports_bitwise_equal(&sequential, &report);
 }
 
 #[test]

@@ -78,8 +78,8 @@ impl H2Problem {
     /// ```
     /// use qismet_chem::H2Problem;
     /// let p = H2Problem::at_bond_length(0.735).unwrap();
-    /// // STO-3G equilibrium total energy ~ -1.137 hartree.
-    /// assert!((p.fci.energy + 1.137).abs() < 2e-3);
+    /// // STO-3G FCI total energy at equilibrium: -1.137306 hartree.
+    /// assert!((p.fci.energy + 1.137306).abs() < 1e-6);
     /// assert_eq!(p.hamiltonian.n_qubits(), 4);
     /// ```
     pub fn at_bond_length(bond_angstrom: f64) -> Result<H2Problem, H2Error> {
@@ -152,8 +152,9 @@ mod tests {
     #[test]
     fn equilibrium_energy_reference() {
         let p = H2Problem::at_bond_length(0.735).unwrap();
+        // The STO-3G FCI reference at R = 0.735 A is -1.137306 Ha.
         assert!(
-            (p.fci.energy + 1.1373).abs() < 1.5e-3,
+            (p.fci.energy + 1.137306).abs() < 1e-6,
             "E_FCI = {}",
             p.fci.energy
         );

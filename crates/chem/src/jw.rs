@@ -59,13 +59,6 @@ impl CPauliSum {
         s
     }
 
-    /// Builds from one weighted string.
-    pub fn from_term(n_qubits: usize, coeff: Complex64, paulis: &[Pauli]) -> Self {
-        let mut s = Self::zero(n_qubits);
-        s.add_term(coeff, paulis);
-        s
-    }
-
     /// Number of qubits.
     pub fn n_qubits(&self) -> usize {
         self.n_qubits
@@ -221,12 +214,6 @@ pub fn creation(n: usize, p: usize) -> CPauliSum {
     s
 }
 
-/// The number operator `n_p = a^dag_p a_p` (useful for tests and particle
-/// sector checks): `(I - Z_p) / 2`.
-pub fn number_operator(n: usize, p: usize) -> CPauliSum {
-    creation(n, p).mul(&annihilation(n, p))
-}
-
 /// Maps a second-quantized Hamiltonian
 /// `H = sum_pq h[p][q] a+_p a_q + 1/2 sum_pqrs g[p][q][r][s] a+_p a+_q a_s a_r`
 /// (physicist-notation two-body tensor `g[p][q][r][s] = <pq|rs>`) onto
@@ -336,8 +323,11 @@ mod tests {
 
     #[test]
     fn number_operator_is_projector_form() {
-        // n_p = (I - Z_p)/2.
-        let op = number_operator(2, 1).into_real(1e-12).unwrap();
+        // n_p = a+_p a_p = (I - Z_p)/2.
+        let op = creation(2, 1)
+            .mul(&annihilation(2, 1))
+            .into_real(1e-12)
+            .unwrap();
         let mut found_i = false;
         let mut found_z = false;
         for (c, s) in op.terms() {

@@ -23,7 +23,7 @@
 //! use qismet_chem::H2Problem;
 //!
 //! let problem = H2Problem::at_bond_length(0.735).unwrap();
-//! let e_exact = problem.fci.energy;        // ~ -1.1373 hartree
+//! let e_exact = problem.fci.energy;        // -1.137306 hartree
 //! let e_qubit = problem.qubit_ground_energy().unwrap();
 //! assert!((e_exact - e_qubit).abs() < 1e-7);
 //! ```
@@ -47,6 +47,6 @@ pub use h2::{
 pub use integrals::{
     electron_repulsion, h2_integrals, kinetic, nuclear_attraction, overlap, H2Integrals,
 };
-pub use jw::{annihilation, creation, jordan_wigner, number_operator, pauli_mul, CPauliSum};
+pub use jw::{annihilation, creation, jordan_wigner, pauli_mul, CPauliSum};
 pub use scf::{run_rhf, ScfError, ScfSolution};
 pub use second_q::{to_spin_orbitals, SpinOrbitalHamiltonian};

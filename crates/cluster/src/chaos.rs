@@ -3,19 +3,13 @@
 //!
 //! QISMET's premise is that long campaigns must *navigate transient
 //! disruptions*; this module makes our own cluster's disruption surface a
-//! first-class, reproducible input instead of a pair of ad-hoc environment
-//! hooks. A [`FaultPlan`] is a seeded, serializable schedule of faults,
-//! each addressed by worker slot and session event count; the plan is
-//! executed by a [`FaultTransport`] wrapper that implements the ordinary
-//! [`Transport`] trait beneath a worker's channel, so the protocol,
-//! coordinator, and worker code under test are byte-for-byte the
-//! production paths — only the stream beneath them misbehaves, on
-//! schedule.
-//!
-//! The legacy env hooks (`QISMET_CLUSTER_EXIT_AFTER`,
-//! `QISMET_NET_DROP_AFTER`) survive as thin adapters:
-//! [`FaultPlan::from_env`] translates them into an equivalent plan, so
-//! existing CI jobs and scripts keep working unchanged.
+//! first-class, reproducible input. A [`FaultPlan`] is a seeded,
+//! serializable schedule of faults, each addressed by worker slot and
+//! session event count; the plan is executed by a [`FaultTransport`]
+//! wrapper that implements the ordinary [`Transport`] trait beneath a
+//! worker's channel, so the protocol, coordinator, and worker code under
+//! test are byte-for-byte the production paths — only the stream beneath
+//! them misbehaves, on schedule.
 //!
 //! ## Fault taxonomy
 //!
@@ -33,10 +27,9 @@
 //! | `PoisonSpec(i)`    | session dies when spec `i` is assigned — every time   |
 //!
 //! Count-addressed faults (`after_dones`) trigger once the session has sent
-//! that many [`Done`](crate::protocol::Done) frames — matching the legacy
-//! hooks' "after N results" semantics. Spec-addressed faults trigger when
-//! an [`Assign`](crate::protocol::Assign) containing the spec arrives
-//! (gated on `after_dones` too, normally 0).
+//! that many [`Done`](crate::protocol::Done) frames. Spec-addressed faults
+//! trigger when an [`Assign`](crate::protocol::Assign) containing the spec
+//! arrives (gated on `after_dones` too, normally 0).
 //!
 //! `CrashOnSpec` is "once" *per session*. A stdio worker process serves
 //! exactly one session and is respawned with fresh state, so across a
@@ -49,17 +42,8 @@ use serde::{Deserialize, Serialize};
 use std::io;
 use std::time::Duration;
 
-/// Env hook: a worker process exits with code 17 after sending this many
-/// `Done` frames. Adapter for [`FaultKind::CrashProcess`].
-pub const EXIT_AFTER_ENV: &str = "QISMET_CLUSTER_EXIT_AFTER";
-
-/// Env hook: a worker session disconnects after sending this many `Done`
-/// frames. Adapter for [`FaultKind::Disconnect`].
-pub const DROP_AFTER_ENV: &str = "QISMET_NET_DROP_AFTER";
-
-/// Exit code used by [`FaultKind::CrashProcess`] (and the legacy
-/// [`EXIT_AFTER_ENV`] hook) so a chaos crash is distinguishable from a
-/// panic in logs.
+/// Exit code used by [`FaultKind::CrashProcess`] so a chaos crash is
+/// distinguishable from a panic in logs.
 pub const CRASH_EXIT_CODE: i32 = 17;
 
 /// One kind of injected misbehavior. See the [module docs](self) for the
@@ -104,10 +88,9 @@ pub struct Fault {
 
 /// A deterministic, serializable schedule of faults.
 ///
-/// Plans travel as JSON (`campaign --chaos-plan <file>`), derive from a
-/// seed ([`FaultPlan::random`], `--chaos-seed`), or adapt the legacy env
-/// hooks ([`FaultPlan::from_env`]). The same plan against the same
-/// campaign reproduces the same fault sequence.
+/// Plans travel as JSON (`campaign --chaos-plan <file>`) or derive from a
+/// seed ([`FaultPlan::random`], `--chaos-seed`). The same plan against the
+/// same campaign reproduces the same fault sequence.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// The scheduled faults, evaluated independently.
@@ -115,53 +98,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan (no faults).
-    pub fn new() -> Self {
-        FaultPlan { faults: Vec::new() }
-    }
-
-    /// True when the plan schedules nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// Translates the legacy env hooks into a plan.
-    ///
-    /// Returns `Ok(None)` when none of the variables are set.
-    ///
-    /// # Errors
-    ///
-    /// A description of the offending variable when one is set to a
-    /// non-numeric value.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        let read = |name: &str| -> Result<Option<usize>, String> {
-            match std::env::var(name) {
-                Ok(raw) => raw
-                    .trim()
-                    .parse::<usize>()
-                    .map(Some)
-                    .map_err(|_| format!("{name} must be a non-negative integer, got {raw:?}")),
-                Err(_) => Ok(None),
-            }
-        };
-        let mut plan = FaultPlan::new();
-        if let Some(n) = read(EXIT_AFTER_ENV)? {
-            plan.faults.push(Fault {
-                worker: None,
-                after_dones: n,
-                kind: FaultKind::CrashProcess,
-            });
-        }
-        if let Some(n) = read(DROP_AFTER_ENV)? {
-            plan.faults.push(Fault {
-                worker: None,
-                after_dones: n,
-                kind: FaultKind::Disconnect,
-            });
-        }
-        Ok(if plan.is_empty() { None } else { Some(plan) })
-    }
-
     /// A seeded pseudo-random plan of 1–3 faults over `workers` slots and
     /// `specs` spec indices. Deterministic in `seed`; slow-frame delays are
     /// bounded (<= 50 ms) so chaos suites stay fast.
@@ -210,12 +146,6 @@ impl FaultPlan {
     /// A description of the parse failure.
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
         serde_json::from_str(text).map_err(|e| format!("invalid fault plan: {e}"))
-    }
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan::new()
     }
 }
 
@@ -552,39 +482,6 @@ mod tests {
         assert!(!a.faults.is_empty() && a.faults.len() <= 3);
         // Different seeds diverge somewhere in a small window.
         assert!((0..32u64).any(|s| FaultPlan::random(s, 3, 16) != a));
-    }
-
-    #[test]
-    fn env_adapter_translates_the_legacy_hooks() {
-        // Env mutation: keep both vars inside this single test to avoid
-        // cross-test races.
-        for var in [EXIT_AFTER_ENV, DROP_AFTER_ENV] {
-            std::env::remove_var(var);
-        }
-        assert_eq!(FaultPlan::from_env(), Ok(None));
-        std::env::set_var(EXIT_AFTER_ENV, "3");
-        std::env::set_var(DROP_AFTER_ENV, "2");
-        let plan = FaultPlan::from_env().unwrap().unwrap();
-        assert_eq!(
-            plan.faults,
-            vec![
-                Fault {
-                    worker: None,
-                    after_dones: 3,
-                    kind: FaultKind::CrashProcess,
-                },
-                Fault {
-                    worker: None,
-                    after_dones: 2,
-                    kind: FaultKind::Disconnect,
-                },
-            ]
-        );
-        std::env::set_var(EXIT_AFTER_ENV, "not-a-number");
-        assert!(FaultPlan::from_env().is_err());
-        for var in [EXIT_AFTER_ENV, DROP_AFTER_ENV] {
-            std::env::remove_var(var);
-        }
     }
 
     #[test]

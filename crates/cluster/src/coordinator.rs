@@ -34,9 +34,8 @@
 //!   work is **re-dispatched to the surviving workers**; the pool only
 //!   fails with [`ClusterError::WorkerLost`] if work remains when every
 //!   slot is gone.
-//! * **Poison specs**: a crash attributed to one specific spec twice
-//!   (tunable via [`WorkerPool::with_poison_after`]) stops being retried —
-//!   the spec is isolated and reported as a typed
+//! * **Poison specs**: a crash attributed to one specific spec twice stops
+//!   being retried — the spec is isolated and reported as a typed
 //!   [`ClusterError::PoisonedSpecs`] while every other spec completes and
 //!   journals as usual. Attributed crashes do not consume the slot's
 //!   respawn budget: the spec is at fault, not the worker.
@@ -234,24 +233,17 @@ pub struct ClusterOutcome {
 /// [`WorkerPool::with_handshake_timeout`].
 pub const DEFAULT_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Default precise-strike count after which a spec is poisoned. Override
-/// via [`WorkerPool::with_poison_after`].
-pub const DEFAULT_POISON_AFTER: usize = 2;
-
 /// Rejects zero/nonsense durations and thresholds before any session
 /// starts — the checks the one-shot pool and the service daemon share.
 pub(crate) fn validate_limits(
     handshake_timeout: Duration,
     assign_timeout: Option<Duration>,
-    poison_after: usize,
     quarantine_after: Option<usize>,
 ) -> Result<(), ClusterError> {
     let problem = if handshake_timeout.is_zero() {
         "handshake timeout must be positive"
     } else if matches!(assign_timeout, Some(t) if t.is_zero()) {
         "assign timeout must be positive (omit it to wait forever)"
-    } else if poison_after == 0 {
-        "poison-after threshold must be at least 1"
     } else if quarantine_after == Some(0) {
         "quarantine-after threshold must be at least 1 (omit it to disable)"
     } else {
@@ -282,7 +274,6 @@ pub struct WorkerPool {
     handshake_timeout: Duration,
     speculative: bool,
     quarantine_after: Option<usize>,
-    poison_after: usize,
     build: BuildStamp,
 }
 
@@ -305,7 +296,6 @@ impl WorkerPool {
             handshake_timeout: DEFAULT_HANDSHAKE_TIMEOUT,
             speculative: false,
             quarantine_after: None,
-            poison_after: DEFAULT_POISON_AFTER,
             build: BuildStamp::local(false),
         }
     }
@@ -366,14 +356,6 @@ impl WorkerPool {
         self
     }
 
-    /// Sets how many crashes must be precisely attributed to one spec
-    /// before it is poisoned (isolated and reported instead of retried).
-    #[must_use]
-    pub fn with_poison_after(mut self, strikes: usize) -> Self {
-        self.poison_after = strikes;
-        self
-    }
-
     /// Total worker slots in this pool.
     pub fn workers(&self) -> usize {
         self.connectors.len()
@@ -416,7 +398,6 @@ impl WorkerPool {
         validate_limits(
             self.handshake_timeout,
             self.assign_timeout,
-            self.poison_after,
             self.quarantine_after,
         )?;
         if pending.is_empty() {
@@ -428,7 +409,7 @@ impl WorkerPool {
             });
         }
         let workers = self.effective_workers(pending.len());
-        let dispatch = Dispatch::new(pending, self.speculative, self.poison_after);
+        let dispatch = Dispatch::new(pending, self.speculative);
         let results: Mutex<Vec<(usize, Value)>> = Mutex::new(Vec::with_capacity(pending.len()));
         let sink = Mutex::new(on_done);
         let respawns = AtomicUsize::new(0);

@@ -101,8 +101,6 @@ pub struct ServiceConfig {
     /// Quarantine a worker *name* after this many lifetime channel
     /// strikes (`None` = never).
     pub quarantine_after: Option<usize>,
-    /// Precise crash strikes before a spec is poisoned.
-    pub poison_after: usize,
     /// Mid-batch silence bound, as in the one-shot pool (`None` = wait
     /// forever; workers heartbeat while computing).
     pub assign_timeout: Option<Duration>,
@@ -120,7 +118,6 @@ impl ServiceConfig {
             tenants: Vec::new(),
             state_dir: None,
             quarantine_after: None,
-            poison_after: crate::coordinator::DEFAULT_POISON_AFTER,
             assign_timeout: None,
             handshake_timeout: crate::coordinator::DEFAULT_HANDSHAKE_TIMEOUT,
         }
@@ -376,7 +373,7 @@ impl<'a> Engine<'a> {
         let pending: Vec<usize> = (0..plan.spec_count).filter(|&i| !replayed[i]).collect();
         let run = Arc::new(JobRun {
             spec: spec.clone(),
-            dispatch: Dispatch::new(&pending, false, self.config.poison_after),
+            dispatch: Dispatch::new(&pending, false),
             resumed,
             results: Mutex::new(Vec::with_capacity(pending.len())),
             journal: Mutex::new(writer),
@@ -978,7 +975,6 @@ pub fn serve(
     validate_limits(
         config.handshake_timeout,
         config.assign_timeout,
-        config.poison_after,
         config.quarantine_after,
     )?;
     let queue = match &config.state_dir {

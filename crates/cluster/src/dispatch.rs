@@ -19,6 +19,10 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 
+/// Precise crash strikes (suspect-singleton losses) after which a spec is
+/// poisoned: isolated and reported instead of retried.
+const POISON_AFTER: usize = 2;
+
 /// One assignment handed to a session.
 pub(crate) struct Batch {
     pub(crate) indices: Vec<usize>,
@@ -43,7 +47,6 @@ pub(crate) struct Dispatch {
     wake: Condvar,
     aborted: AtomicBool,
     speculative: bool,
-    poison_after: usize,
 }
 
 struct DispatchState {
@@ -136,7 +139,7 @@ impl DispatchState {
 }
 
 impl Dispatch {
-    pub(crate) fn new(pending: &[usize], speculative: bool, poison_after: usize) -> Self {
+    pub(crate) fn new(pending: &[usize], speculative: bool) -> Self {
         Dispatch {
             state: Mutex::new(DispatchState {
                 queue: pending.iter().copied().collect(),
@@ -150,7 +153,6 @@ impl Dispatch {
             wake: Condvar::new(),
             aborted: AtomicBool::new(false),
             speculative,
-            poison_after,
         }
     }
 
@@ -237,7 +239,7 @@ impl Dispatch {
                     *s
                 };
                 blamed = true;
-                if strikes >= self.poison_after {
+                if strikes >= POISON_AFTER {
                     state.poisoned.insert(index);
                     event(
                         "poison",
@@ -388,7 +390,7 @@ mod tests {
 
     #[test]
     fn try_pop_never_blocks_and_respects_settled_state() {
-        let d = Dispatch::new(&[0, 1, 2, 3], false, 2);
+        let d = Dispatch::new(&[0, 1, 2, 3], false);
         let b = d.try_pop_batch(3).expect("fresh work is claimable");
         assert_eq!(b.indices, vec![0, 1, 2]);
         assert!(!b.suspect);
@@ -405,7 +407,7 @@ mod tests {
 
     #[test]
     fn try_pop_returns_suspects_as_singletons_after_a_loss() {
-        let d = Dispatch::new(&[0, 1], false, 2);
+        let d = Dispatch::new(&[0, 1], false);
         let b = d.try_pop_batch(2).expect("fresh batch");
         assert_eq!(b.indices, vec![0, 1]);
         let outstanding: VecDeque<usize> = b.indices.iter().copied().collect();
@@ -423,7 +425,7 @@ mod tests {
 
     #[test]
     fn suspect_losses_blame_and_poison_the_spec() {
-        let d = Dispatch::new(&[7], false, 2);
+        let d = Dispatch::new(&[7], false);
         for round in 0..2 {
             let b = d.try_pop_batch(4).expect("claimable");
             let was_suspect = b.suspect;
@@ -432,7 +434,7 @@ mod tests {
             let blamed = d.settle_loss(&outstanding, was_suspect);
             assert_eq!(blamed, was_suspect);
         }
-        // Second suspect loss reached poison_after = 2.
+        // Second suspect loss reached POISON_AFTER = 2.
         let b = d.try_pop_batch(4).expect("first suspect retry");
         let outstanding: VecDeque<usize> = b.indices.iter().copied().collect();
         assert!(d.settle_loss(&outstanding, true));
@@ -443,7 +445,7 @@ mod tests {
 
     #[test]
     fn aborted_dispatch_hands_out_nothing() {
-        let d = Dispatch::new(&[0, 1], false, 2);
+        let d = Dispatch::new(&[0, 1], false);
         d.abort();
         assert!(d.try_pop_batch(2).is_none());
         assert!(d.pop_batch(2).is_none());

@@ -17,8 +17,8 @@
 //!   graceful EOF -> worker-lost) implementations, plus the
 //!   [`transport::Connector`] the one-shot pool uses to (re)spawn worker
 //!   processes.
-//! * [`shard`] — deterministic partitioning of spec indices across workers
-//!   and the order-preserving merge of their results.
+//! * [`shard`] — the order-preserving, exactly-once merge of results that
+//!   arrive from workers in completion order.
 //! * [`coordinator`] — [`coordinator::WorkerPool`], the one-shot pool of
 //!   spawned worker processes (one connector per slot), streaming
 //!   thread-count-sized `Assign` batches from a shared dispatch queue.
@@ -70,7 +70,7 @@ pub mod registry;
 pub mod shard;
 pub mod transport;
 
-pub use chaos::{Fault, FaultKind, FaultPlan, FaultTransport, DROP_AFTER_ENV, EXIT_AFTER_ENV};
+pub use chaos::{Fault, FaultKind, FaultPlan, FaultTransport};
 pub use coordinator::{ClusterError, ClusterOutcome, WorkerPool};
 pub use daemon::{serve, JobPlan, JobPlanner, ServiceConfig, ServiceSummary};
 pub use journal::{load_journal, JournalWriter, LoadedJournal};
@@ -81,7 +81,7 @@ pub use protocol::{
 };
 pub use queue::{JobPhase, JobQueue, JobSpec, JobState, QueueError};
 pub use registry::{RegisterRefusal, RegisteredWorker, WorkerRegistry};
-pub use shard::{merge_indexed, shard_round_robin, MergeError};
+pub use shard::{merge_indexed, MergeError};
 pub use transport::{
     ChildTransport, Connector, Listener, ProcessConnector, StdioTransport, TcpTransport,
     TcpTransportListener, Transport, WorkerLaunch, WORKER_ID_ENV,

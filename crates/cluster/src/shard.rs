@@ -1,32 +1,11 @@
-//! Deterministic spec partitioning and order-preserving result merging.
+//! Order-preserving, exactly-once merging of per-spec results.
 //!
-//! Sharding is round-robin over the pending index list: worker `k` of `n`
-//! gets the elements at positions `k, k + n, k + 2n, ...`. Round-robin (vs
-//! contiguous blocks) keeps shards balanced even when run cost correlates
-//! with grid position (e.g. magnitudes sweeping from cheap to expensive),
-//! and the assignment is a pure function of `(pending, workers)` so a
-//! respawned worker re-derives exactly its own unfinished share.
+//! Workers pull batches from a shared dispatch queue, so results arrive in
+//! completion order, interleaved across workers. [`merge_indexed`] puts
+//! them back into the order of the expected index list and checks that
+//! every index produced exactly one result.
 
 use std::fmt;
-
-/// Partitions `indices` round-robin across `shards` workers.
-///
-/// Every input element appears in exactly one shard; concatenating the
-/// shards position-by-position restores the input order.
-///
-/// # Panics
-///
-/// Panics if `shards` is zero.
-pub fn shard_round_robin(indices: &[usize], shards: usize) -> Vec<Vec<usize>> {
-    assert!(shards > 0, "cannot shard across zero workers");
-    let mut out: Vec<Vec<usize>> = (0..shards)
-        .map(|_| Vec::with_capacity(indices.len() / shards + 1))
-        .collect();
-    for (pos, &index) in indices.iter().enumerate() {
-        out[pos % shards].push(index);
-    }
-    out
-}
 
 /// A merge failure: the collected parts do not cover exactly the expected
 /// index set.
@@ -88,21 +67,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn round_robin_is_deterministic_and_total() {
-        let indices: Vec<usize> = vec![4, 9, 1, 7, 0];
-        let shards = shard_round_robin(&indices, 2);
-        assert_eq!(shards, vec![vec![4, 1, 0], vec![9, 7]]);
-        assert_eq!(shard_round_robin(&indices, 2), shards);
-    }
-
-    #[test]
-    fn more_shards_than_work_leaves_empty_shards() {
-        let shards = shard_round_robin(&[3], 4);
-        assert_eq!(shards[0], vec![3]);
-        assert!(shards[1..].iter().all(Vec::is_empty));
-    }
-
-    #[test]
     fn merge_detects_every_failure_mode() {
         let expected = [2usize, 5, 9];
         assert_eq!(
@@ -126,12 +90,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        // Sharding is a partition: every input position lands in exactly one
-        // shard, and merging the sharded parts back restores input order.
+        // Whatever order the parts arrive in, merging restores the order
+        // of the expected index list.
         #[test]
-        fn shard_then_merge_preserves_input_order(
+        fn merge_restores_expected_order_from_any_interleaving(
             n in 0usize..80,
-            workers in 1usize..9,
             salt in 0u64..u64::MAX,
         ) {
             // Distinct pseudo-random indices (what a resume's pending list
@@ -142,18 +105,10 @@ mod tests {
             indices.sort_unstable();
             indices.dedup();
 
-            let shards = shard_round_robin(&indices, workers);
-            prop_assert_eq!(shards.len(), workers);
-            let covered: usize = shards.iter().map(Vec::len).sum();
-            prop_assert_eq!(covered, indices.len());
-
-            // Each worker completes its shard in order; parts arrive
-            // interleaved in an arbitrary (here: worker-major) order.
-            let parts: Vec<(usize, usize)> = shards
-                .iter()
-                .flatten()
-                .map(|&index| (index, index * 31))
-                .collect();
+            // Parts arrive in a salted pseudo-random completion order.
+            let mut parts: Vec<(usize, usize)> =
+                indices.iter().map(|&index| (index, index * 31)).collect();
+            parts.sort_by_key(|&(index, _)| qismet_seedlike(!salt, index as u64));
             let merged = merge_indexed(&indices, parts).unwrap();
             let direct: Vec<usize> = indices.iter().map(|&i| i * 31).collect();
             prop_assert_eq!(merged, direct);

@@ -114,19 +114,12 @@ pub struct WorkerLaunch {
     /// Arguments that put the binary into worker mode for the same campaign
     /// the coordinator expanded (grid flags plus `--worker`).
     pub args: Vec<String>,
-    /// Extra environment variables for the worker (fault-injection hooks,
-    /// scale overrides). The parent environment is inherited as usual.
-    pub envs: Vec<(String, String)>,
 }
 
 impl WorkerLaunch {
-    /// A launch spec with no extra environment.
+    /// A launch spec; the worker inherits the parent's environment.
     pub fn new(program: PathBuf, args: Vec<String>) -> Self {
-        WorkerLaunch {
-            program,
-            args,
-            envs: Vec::new(),
-        }
+        WorkerLaunch { program, args }
     }
 }
 
@@ -165,9 +158,6 @@ impl ChildTransport {
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit());
-        for (key, value) in &launch.envs {
-            cmd.env(key, value);
-        }
         let mut child = cmd.spawn()?;
         let stdin = child.stdin.take().expect("piped stdin");
         let stdout = child.stdout.take().expect("piped stdout");

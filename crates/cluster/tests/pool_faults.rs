@@ -1207,11 +1207,10 @@ fn service_errors_are_typed() {
 fn nonsense_pool_configuration_is_rejected_before_any_session() {
     let _watchdog = watchdog!();
     let log = Arc::new(PoolLog::default());
-    let cases: [Box<dyn Fn(WorkerPool) -> WorkerPool>; 4] = [
+    let cases: [Box<dyn Fn(WorkerPool) -> WorkerPool>; 3] = [
         Box::new(|p| p.with_assign_timeout(Some(Duration::ZERO))),
         Box::new(|p| p.with_handshake_timeout(Duration::ZERO)),
         Box::new(|p| p.with_quarantine_after(Some(0))),
-        Box::new(|p| p.with_poison_after(0)),
     ];
     for misconfigure in cases {
         let pool = misconfigure(WorkerPool::new(vec![ScriptedConnector::slot(

@@ -23,9 +23,8 @@
 //! Thresholds calibrate online from the |Tm| history to a target skip rate
 //! ([`ThresholdCalibrator`]; the paper's `99p`/`90p`/`75p`). The crate also
 //! ships the comparison machinery the paper evaluates against
-//! ([`run_only_transients`], [`run_filtered_baseline`]), readout-error
-//! mitigation ([`ReadoutMitigator`]) matching the baseline's setup, and the
-//! Fig. 7 job model ([`Job`]).
+//! ([`run_only_transients`], [`run_filtered_baseline`]) and readout-error
+//! mitigation ([`ReadoutMitigator`]) matching the baseline's setup.
 //!
 //! # Examples
 //!
@@ -54,7 +53,6 @@
 mod config;
 mod controller;
 mod estimator;
-mod job;
 mod mitigation;
 mod runner;
 mod threshold;
@@ -62,7 +60,6 @@ mod threshold;
 pub use config::QismetConfig;
 pub use controller::{decide, Decision, DecisionReason};
 pub use estimator::TransientEstimate;
-pub use job::{CircuitRole, CircuitSpec, Job};
 pub use mitigation::{MitigationError, MitigationStrategy, ReadoutMitigator};
 pub use runner::{
     run_filtered_baseline, run_only_transients, run_only_transients_budgeted, run_qismet,

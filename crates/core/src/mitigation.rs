@@ -136,15 +136,6 @@ impl ReadoutMitigator {
         self.strategy
     }
 
-    /// Number of calibration (support) circuits the strategy would execute
-    /// on hardware: `2^n` basis states for full, `2` for tensored.
-    pub fn calibration_circuits(&self) -> usize {
-        match self.strategy {
-            MitigationStrategy::Full => 1usize << self.n_qubits,
-            MitigationStrategy::Tensored => 2,
-        }
-    }
-
     /// Corrects a noisy outcome distribution, returning a clipped and
     /// renormalized probability vector of length `2^n`.
     ///
@@ -318,15 +309,6 @@ mod tests {
                 got: 2
             })
         ));
-    }
-
-    #[test]
-    fn calibration_circuit_counts() {
-        let full = ReadoutMitigator::from_model(&model(0.01), 3, MitigationStrategy::Full).unwrap();
-        assert_eq!(full.calibration_circuits(), 8);
-        let tens =
-            ReadoutMitigator::from_model(&model(0.01), 3, MitigationStrategy::Tensored).unwrap();
-        assert_eq!(tens.calibration_circuits(), 2);
     }
 
     #[test]

@@ -43,14 +43,6 @@ impl OnlyTransientsPolicy {
         }
     }
 
-    /// The paper's Fig. 15 threshold sweep: 99p, 95p, 90p, 80p, 70p, 50p.
-    pub fn fig15_sweep() -> Vec<OnlyTransientsPolicy> {
-        [99.0, 95.0, 90.0, 80.0, 70.0, 50.0]
-            .into_iter()
-            .map(OnlyTransientsPolicy::new)
-            .collect()
-    }
-
     /// Label like `"90p"`.
     pub fn label(&self) -> String {
         format!("{}p", self.percentile)
@@ -129,11 +121,9 @@ mod tests {
     }
 
     #[test]
-    fn fig15_sweep_labels() {
-        let sweep = OnlyTransientsPolicy::fig15_sweep();
-        assert_eq!(sweep.len(), 6);
-        assert_eq!(sweep[0].label(), "99p");
-        assert_eq!(sweep[5].label(), "50p");
+    fn label_names_the_percentile() {
+        assert_eq!(OnlyTransientsPolicy::new(99.0).label(), "99p");
+        assert_eq!(OnlyTransientsPolicy::new(50.0).label(), "50p");
     }
 
     #[test]

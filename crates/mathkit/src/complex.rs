@@ -99,12 +99,6 @@ impl Complex64 {
         self.re.hypot(self.im)
     }
 
-    /// The argument (phase angle) in `(-pi, pi]`.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// The complex exponential `exp(z)`.
     ///
     /// # Examples
@@ -147,15 +141,6 @@ impl Complex64 {
     #[inline]
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
-    }
-
-    /// Fused multiply-add: `self * b + c`, evaluated with ordinary arithmetic.
-    ///
-    /// Exists to keep hot simulator loops terse rather than for extra
-    /// precision.
-    #[inline]
-    pub fn mul_add(self, b: Complex64, c: Complex64) -> Self {
-        self * b + c
     }
 
     /// Approximate equality within an absolute tolerance on both parts.
@@ -317,7 +302,7 @@ mod tests {
     #[test]
     fn polar_roundtrip() {
         let z = Complex64::new(-0.3, 0.8);
-        let back = Complex64::from_polar(z.abs(), z.arg());
+        let back = Complex64::from_polar(z.abs(), z.im.atan2(z.re));
         assert!(z.approx_eq(back, TOL));
     }
 

@@ -256,23 +256,6 @@ pub fn ground_energy(a: &CMatrix) -> Result<f64, EigError> {
     Ok(herm_eig(a)?.values[0])
 }
 
-/// Ground state (eigenvector of the smallest eigenvalue) of a Hermitian
-/// matrix, normalized.
-///
-/// # Errors
-///
-/// Same as [`herm_eig`].
-pub fn ground_state(a: &CMatrix) -> Result<(f64, Vec<Complex64>), EigError> {
-    let eig = herm_eig(a)?;
-    let n = a.rows();
-    let mut v: Vec<Complex64> = (0..n).map(|r| eig.vectors.at(r, 0)).collect();
-    let norm = v.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
-    for z in &mut v {
-        *z = *z / norm;
-    }
-    Ok((eig.values[0], v))
-}
-
 /// Solves the generalized symmetric eigenproblem `F C = S C e` with `S`
 /// positive definite, via Loewdin orthogonalization `S^{-1/2}`.
 ///
@@ -393,16 +376,6 @@ mod tests {
                 assert!(av[r].approx_eq(v[r] * e.values[k], 1e-9));
             }
         }
-    }
-
-    #[test]
-    fn ground_state_of_shifted_z() {
-        // H = Z + 0.5 X has ground energy -sqrt(1.25).
-        let h = CMatrix::from_rows(&[&[c(1.0, 0.0), c(0.5, 0.0)], &[c(0.5, 0.0), c(-1.0, 0.0)]]);
-        let (e0, v) = ground_state(&h).unwrap();
-        assert!((e0 + 1.25f64.sqrt()).abs() < 1e-10);
-        let norm: f64 = v.iter().map(|z| z.norm_sqr()).sum();
-        assert!((norm - 1.0).abs() < 1e-12);
     }
 
     #[test]

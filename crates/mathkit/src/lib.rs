@@ -14,8 +14,8 @@
 //! * [`sym_eig`] / [`herm_eig`] — Jacobi eigensolvers, used for exact ground
 //!   energies of TFIM / H2 Hamiltonians and for Loewdin orthogonalization in
 //!   the Hartree-Fock solver.
-//! * [`solve`] / [`invert`] — LU-based linear algebra for readout-error
-//!   calibration matrices.
+//! * [`solve`] — LU-based linear algebra for readout-error calibration
+//!   matrices.
 //! * [`percentile`], [`geomean`], ... — the statistics the paper's evaluation
 //!   quotes (percentile thresholds, geometric-mean improvements), and
 //!   [`SortedWindow`], the sliding |Tm| history behind the online thresholds.
@@ -53,16 +53,15 @@ mod special;
 mod stats;
 
 pub use complex::Complex64;
-pub use eig::{generalized_sym_eig, ground_energy, ground_state, herm_eig, sym_eig};
+pub use eig::{generalized_sym_eig, ground_energy, herm_eig, sym_eig};
 pub use eig::{EigError, HermEig, SymEig};
-pub use linsolve::{invert, solve, Lu};
+pub use linsolve::{solve, Lu};
 pub use matrix::{CMatrix, MatrixError, RMatrix};
 pub use rng::{
-    bernoulli, derive_seed, exponential, geometric, normal, pareto, rng_from_seed, sample_discrete,
-    standard_normal,
+    bernoulli, derive_seed, exponential, geometric, normal, pareto, rng_from_seed, standard_normal,
 };
-pub use special::{boys_f0, erf, erfc};
+pub use special::{boys_f0, erf};
 pub use stats::{
-    geomean, max, mean, median, min, moving_average, pearson, percentile, percentile_sorted,
-    running_min, stddev, variance, variance_population, SortedWindow,
+    geomean, max, mean, median, min, pearson, percentile, percentile_sorted, stddev, variance,
+    SortedWindow,
 };

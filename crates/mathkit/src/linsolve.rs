@@ -1,6 +1,6 @@
-//! Linear system solving and matrix inversion via partial-pivot LU.
+//! Linear system solving via partial-pivot LU.
 //!
-//! Used by the readout-error mitigation to invert calibration matrices and by
+//! Used by the readout-error mitigation to solve calibration systems and by
 //! the chemistry SCF utilities. Matrix sizes are small (at most `2^6 = 64`
 //! for full calibration matrices), so a textbook LU is appropriate.
 
@@ -129,27 +129,6 @@ pub fn solve(a: &RMatrix, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
     Ok(Lu::factor(a)?.solve(b))
 }
 
-/// Inverts a square matrix.
-///
-/// # Errors
-///
-/// Propagates factorization failures ([`MatrixError::Singular`] etc.).
-pub fn invert(a: &RMatrix) -> Result<RMatrix, MatrixError> {
-    let lu = Lu::factor(a)?;
-    let n = a.rows();
-    let mut out = RMatrix::zeros(n, n);
-    let mut e = vec![0.0; n];
-    for col in 0..n {
-        e[col] = 1.0;
-        let x = lu.solve(&e);
-        e[col] = 0.0;
-        for row in 0..n {
-            out.set(row, col, x[row]);
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,17 +151,9 @@ mod tests {
     }
 
     #[test]
-    fn invert_roundtrip() {
-        let a = RMatrix::from_rows(&[&[4.0, 2.0, 0.5], &[2.0, 5.0, 1.0], &[0.5, 1.0, 3.0]]);
-        let inv = invert(&a).unwrap();
-        let prod = &a * &inv;
-        assert!(prod.approx_eq(&RMatrix::identity(3), 1e-10));
-    }
-
-    #[test]
     fn singular_detected() {
         let a = RMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert_eq!(invert(&a).unwrap_err(), MatrixError::Singular);
+        assert_eq!(solve(&a, &[1.0, 2.0]).unwrap_err(), MatrixError::Singular);
     }
 
     #[test]

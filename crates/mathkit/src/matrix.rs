@@ -157,16 +157,6 @@ macro_rules! impl_matrix_common {
                 self.data[r * self.cols + c]
             }
 
-            /// Mutable element access.
-            ///
-            /// # Panics
-            ///
-            /// Panics if out of bounds.
-            #[inline]
-            pub fn at_mut(&mut self, r: usize, c: usize) -> &mut $elem {
-                &mut self.data[r * self.cols + c]
-            }
-
             /// Sets one element.
             ///
             /// # Panics
@@ -181,12 +171,6 @@ macro_rules! impl_matrix_common {
             #[inline]
             pub fn as_slice(&self) -> &[$elem] {
                 &self.data
-            }
-
-            /// Mutable row-major backing slice.
-            #[inline]
-            pub fn as_mut_slice(&mut self) -> &mut [$elem] {
-                &mut self.data
             }
 
             /// One row as a slice.
@@ -451,17 +435,6 @@ impl CMatrix {
         for i in 0..self.rows {
             for j in 0..self.cols {
                 out.set(j, i, self.at(i, j));
-            }
-        }
-        out
-    }
-
-    /// Builds a complex matrix from a real one.
-    pub fn from_real(m: &RMatrix) -> CMatrix {
-        let mut out = CMatrix::zeros(m.rows(), m.cols());
-        for i in 0..m.rows() {
-            for j in 0..m.cols() {
-                out.set(i, j, Complex64::from_re(m.at(i, j)));
             }
         }
         out

@@ -95,27 +95,6 @@ pub fn bernoulli<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
     rng.gen::<f64>() < p.clamp(0.0, 1.0)
 }
 
-/// Samples an index from a discrete (unnormalized) non-negative weight
-/// vector. Returns the last index if rounding pushes the accumulated mass
-/// past the end.
-///
-/// # Panics
-///
-/// Panics if `weights` is empty or the total mass is not positive.
-pub fn sample_discrete<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
-    assert!(!weights.is_empty(), "weights must be non-empty");
-    let total: f64 = weights.iter().sum();
-    assert!(total > 0.0, "total weight must be positive");
-    let mut target = rng.gen::<f64>() * total;
-    for (i, &w) in weights.iter().enumerate() {
-        target -= w;
-        if target <= 0.0 {
-            return i;
-        }
-    }
-    weights.len() - 1
-}
-
 /// Samples a heavy-tailed magnitude from a Pareto distribution with minimum
 /// `x_min` and tail index `alpha`. Used for transient-burst magnitudes, which
 /// the paper characterizes as rare but occasionally extreme.
@@ -195,20 +174,6 @@ mod tests {
         let hits = (0..n).filter(|_| bernoulli(&mut rng, 0.3)).count();
         let freq = hits as f64 / n as f64;
         assert!((freq - 0.3).abs() < 0.01, "freq {freq}");
-    }
-
-    #[test]
-    fn discrete_sampling_respects_weights() {
-        let mut rng = rng_from_seed(12);
-        let weights = [1.0, 0.0, 3.0];
-        let n = 100_000;
-        let mut counts = [0usize; 3];
-        for _ in 0..n {
-            counts[sample_discrete(&mut rng, &weights)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let f0 = counts[0] as f64 / n as f64;
-        assert!((f0 - 0.25).abs() < 0.01, "f0 {f0}");
     }
 
     #[test]

@@ -33,15 +33,6 @@ pub fn erf(x: f64) -> f64 {
     }
 }
 
-/// Complementary error function `erfc(x) = 1 - erf(x)`.
-pub fn erfc(x: f64) -> f64 {
-    if x <= 2.0 {
-        1.0 - erf(x)
-    } else {
-        erfc_cf(x)
-    }
-}
-
 /// Maclaurin series: `erf(x) = 2/sqrt(pi) * sum (-1)^n x^(2n+1) / (n! (2n+1))`.
 fn erf_series(x: f64) -> f64 {
     let x2 = x * x;
@@ -149,13 +140,6 @@ mod tests {
     fn erf_is_odd() {
         for &(x, _) in ERF_TABLE {
             assert!((erf(-x) + erf(x)).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn erfc_complements() {
-        for x in [0.2, 1.3, 2.4, 3.7, 5.0] {
-            assert!((erf(x) + erfc(x) - 1.0).abs() < 1e-12, "x = {x}");
         }
     }
 

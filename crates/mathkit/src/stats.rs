@@ -40,15 +40,6 @@ pub fn stddev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
-/// Population variance (`n` denominator). Returns `0.0` for an empty slice.
-pub fn variance_population(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
 /// Linearly interpolated percentile, `p` in `[0, 100]`.
 ///
 /// Matches the common "linear" (NumPy default) definition. Returns `NaN` for
@@ -217,38 +208,6 @@ pub fn max(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(f64::NAN, f64::max)
 }
 
-/// Running (cumulative) minimum — useful for "best objective so far" curves.
-pub fn running_min(xs: &[f64]) -> Vec<f64> {
-    let mut best = f64::INFINITY;
-    xs.iter()
-        .map(|&x| {
-            best = best.min(x);
-            best
-        })
-        .collect()
-}
-
-/// Simple trailing moving average with window `w` (window is clipped at the
-/// start of the series).
-///
-/// # Panics
-///
-/// Panics if `w == 0`.
-pub fn moving_average(xs: &[f64], w: usize) -> Vec<f64> {
-    assert!(w > 0, "window must be positive");
-    let mut out = Vec::with_capacity(xs.len());
-    let mut acc = 0.0;
-    for i in 0..xs.len() {
-        acc += xs[i];
-        if i >= w {
-            acc -= xs[i - w];
-        }
-        let n = (i + 1).min(w);
-        out.push(acc / n as f64);
-    }
-    out
-}
-
 /// Pearson correlation of two equal-length series. Returns `NaN` when either
 /// series is constant or the lengths differ.
 pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
@@ -279,7 +238,6 @@ mod tests {
     fn mean_and_variance() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs), 5.0);
-        assert!((variance_population(&xs) - 4.0).abs() < 1e-12);
         assert!((variance(&xs) - 32.0 / 7.0).abs() < 1e-12);
     }
 
@@ -355,19 +313,6 @@ mod tests {
     fn geomean_rejects_nonpositive() {
         assert!(geomean(&[1.0, -1.0]).is_nan());
         assert!(geomean(&[1.0, 0.0]).is_nan());
-    }
-
-    #[test]
-    fn running_min_is_monotone() {
-        let xs = [3.0, 1.0, 2.0, 0.5, 4.0];
-        assert_eq!(running_min(&xs), vec![3.0, 1.0, 1.0, 0.5, 0.5]);
-    }
-
-    #[test]
-    fn moving_average_window() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(moving_average(&xs, 2), vec![1.0, 1.5, 2.5, 3.5]);
-        assert_eq!(moving_average(&xs, 1), xs.to_vec());
     }
 
     #[test]

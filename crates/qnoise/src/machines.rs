@@ -72,15 +72,6 @@ impl Machine {
         }
     }
 
-    /// Physical qubit count of the IBMQ namesake.
-    pub fn device_qubits(self) -> usize {
-        match self {
-            Machine::Guadalupe => 16,
-            Machine::Casablanca | Machine::Jakarta => 7,
-            _ => 27,
-        }
-    }
-
     /// Deterministic per-machine seed stream label.
     pub fn seed_stream(self) -> u64 {
         match self {
@@ -194,10 +185,8 @@ mod tests {
     }
 
     #[test]
-    fn names_and_widths() {
+    fn names() {
         assert_eq!(Machine::Guadalupe.name(), "Guadalupe");
-        assert_eq!(Machine::Jakarta.device_qubits(), 7);
-        assert_eq!(Machine::Toronto.device_qubits(), 27);
         assert_eq!(Machine::Sydney.to_string(), "Sydney");
     }
 

@@ -24,16 +24,6 @@ pub struct QubitProfile {
 }
 
 impl QubitProfile {
-    /// A typical mid-tier transmon qubit.
-    pub fn typical() -> Self {
-        QubitProfile {
-            t1_us: 100.0,
-            t2_us: 90.0,
-            readout_p01: 0.015,
-            readout_p10: 0.03,
-        }
-    }
-
     /// Average symmetric readout error.
     pub fn readout_error(&self) -> f64 {
         0.5 * (self.readout_p01 + self.readout_p10)
@@ -113,11 +103,6 @@ impl StaticNoiseModel {
     /// Device width.
     pub fn n_qubits(&self) -> usize {
         self.qubits.len()
-    }
-
-    /// Mean T1 over the device in microseconds.
-    pub fn mean_t1_us(&self) -> f64 {
-        qismet_mathkit::mean(&self.qubits.iter().map(|q| q.t1_us).collect::<Vec<_>>())
     }
 
     /// The expectation *attenuation factor* of a circuit under this model:
@@ -304,12 +289,5 @@ mod tests {
         let json = serde_json::to_string(&m).unwrap();
         let back: StaticNoiseModel = serde_json::from_str(&json).unwrap();
         assert_eq!(m, back);
-    }
-
-    #[test]
-    fn mean_t1_reported() {
-        let mut m = StaticNoiseModel::uniform(2, 100.0, 90.0, 0.0, 0.0, 0.0);
-        m.qubits[1].t1_us = 50.0;
-        assert!((m.mean_t1_us() - 75.0).abs() < 1e-12);
     }
 }

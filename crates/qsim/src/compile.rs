@@ -1148,11 +1148,6 @@ impl CompiledObservable {
         self.n_terms
     }
 
-    /// Number of diagonal (Z/I-only) terms fused into the probability sweep.
-    pub fn n_diagonal_terms(&self) -> usize {
-        self.diag.len()
-    }
-
     /// Diagonal contribution of one cache-block of amplitudes starting at
     /// global index `start`.
     fn diag_block<A: Amp>(&self, amps: &[A], start: usize) -> f64 {
@@ -1545,7 +1540,7 @@ mod tests {
     fn diagonal_only_observable_uses_single_sweep() {
         let h = PauliSum::from_labels(&[(0.5, "ZZ"), (-0.25, "IZ"), (1.5, "II")]).unwrap();
         let obs = CompiledObservable::compile(&h);
-        assert_eq!(obs.n_diagonal_terms(), 3);
+        assert_eq!(obs.diag.len(), 3);
         let sv = StateVector::from_circuit(&random_circuit(2, 9)).unwrap();
         assert!((obs.expectation(&sv) - reference::expectation(&sv, &h)).abs() < TOL);
     }

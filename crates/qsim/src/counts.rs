@@ -54,11 +54,6 @@ impl Counts {
         self.shots
     }
 
-    /// Number of distinct outcomes observed.
-    pub fn n_outcomes(&self) -> usize {
-        self.map.len()
-    }
-
     /// Records `count` occurrences of `outcome`.
     ///
     /// # Panics
@@ -180,7 +175,7 @@ mod tests {
         assert_eq!(c.count(0b101), 15);
         assert_eq!(c.count(0b111), 0);
         assert!((c.probability(0b101) - 0.15).abs() < 1e-12);
-        assert_eq!(c.n_outcomes(), 2);
+        assert_eq!(c.map.len(), 2);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::counts::Counts;
 use crate::gate::{Gate, GateError};
 use crate::pauli::{PauliString, PauliSum};
 use crate::statevector::StateVector;
-use qismet_mathkit::{CMatrix, Complex64};
+use qismet_mathkit::Complex64;
 use rand::Rng;
 
 /// A mixed quantum state over `n` qubits, stored as a dense `2^n x 2^n`
@@ -392,11 +392,6 @@ impl DensityMatrix {
             }
         }
         acc.re.clamp(0.0, 1.0 + 1e-9)
-    }
-
-    /// Dense matrix copy (for diagnostics and tests).
-    pub fn to_cmatrix(&self) -> CMatrix {
-        CMatrix::from_vec(self.dim, self.dim, self.rho.clone()).expect("consistent dims")
     }
 }
 

@@ -213,40 +213,6 @@ impl KrausChannel {
         Ok(KrausChannel { ops, dim: 4 })
     }
 
-    /// Bit-flip channel (X error with probability `p`).
-    ///
-    /// # Errors
-    ///
-    /// [`ChannelError::BadParameter`] if `p` is outside `[0, 1]`.
-    pub fn bit_flip(p: f64) -> Result<Self, ChannelError> {
-        check_unit("p", p)?;
-        let x = crate::pauli::Pauli::X.matrix();
-        Ok(KrausChannel {
-            ops: vec![
-                CMatrix::identity(2).scaled((1.0 - p).sqrt()),
-                x.scaled(p.sqrt()),
-            ],
-            dim: 2,
-        })
-    }
-
-    /// Phase-flip channel (Z error with probability `p`).
-    ///
-    /// # Errors
-    ///
-    /// [`ChannelError::BadParameter`] if `p` is outside `[0, 1]`.
-    pub fn phase_flip(p: f64) -> Result<Self, ChannelError> {
-        check_unit("p", p)?;
-        let z = crate::pauli::Pauli::Z.matrix();
-        Ok(KrausChannel {
-            ops: vec![
-                CMatrix::identity(2).scaled((1.0 - p).sqrt()),
-                z.scaled(p.sqrt()),
-            ],
-            dim: 2,
-        })
-    }
-
     /// Combined thermal relaxation over duration `t` with times `t1`, `t2`
     /// (`t2 <= 2 t1`): amplitude damping composed with pure dephasing.
     ///
@@ -308,12 +274,6 @@ mod tests {
                 .unwrap()
                 .is_trace_preserving(1e-12));
             assert!(KrausChannel::depolarizing(p)
-                .unwrap()
-                .is_trace_preserving(1e-12));
-            assert!(KrausChannel::bit_flip(p)
-                .unwrap()
-                .is_trace_preserving(1e-12));
-            assert!(KrausChannel::phase_flip(p)
                 .unwrap()
                 .is_trace_preserving(1e-12));
             assert!(KrausChannel::two_qubit_depolarizing(p)

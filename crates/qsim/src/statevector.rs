@@ -9,7 +9,7 @@ use crate::circuit::Circuit;
 use crate::counts::Counts;
 use crate::gate::{Gate, GateError};
 use crate::kernels;
-use crate::pauli::{Pauli, PauliString, PauliSum};
+use crate::pauli::{PauliString, PauliSum};
 use qismet_mathkit::Complex64;
 use rand::Rng;
 
@@ -45,26 +45,6 @@ impl StateVector {
         assert!(n_qubits <= 26, "state vector limited to 26 qubits");
         let mut amps = vec![Complex64::ZERO; 1 << n_qubits];
         amps[0] = Complex64::ONE;
-        StateVector { n_qubits, amps }
-    }
-
-    /// Builds from raw amplitudes (must be length `2^n` and normalized).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length is not a power of two or the norm is not ~1.
-    pub fn from_amplitudes(amps: Vec<Complex64>) -> Self {
-        let dim = amps.len();
-        assert!(
-            dim.is_power_of_two(),
-            "amplitude count must be a power of two"
-        );
-        let n_qubits = dim.trailing_zeros() as usize;
-        let norm: f64 = amps.iter().map(|a| a.norm_sqr()).sum();
-        assert!(
-            (norm - 1.0).abs() < 1e-8,
-            "state vector must be normalized (norm^2 = {norm})"
-        );
         StateVector { n_qubits, amps }
     }
 
@@ -321,25 +301,6 @@ impl StateVector {
     /// State fidelity `|<self|other>|^2`.
     pub fn fidelity(&self, other: &StateVector) -> f64 {
         self.inner_product(other).norm_sqr()
-    }
-
-    /// Appends basis-change gates so a subsequent Z-basis measurement
-    /// measures each qubit in the basis given by `basis[q]`:
-    /// H for X, S-dagger then H for Y, nothing for Z/I.
-    pub fn rotate_to_basis(&mut self, basis: &[Pauli]) {
-        assert_eq!(basis.len(), self.n_qubits, "basis width");
-        for (q, &p) in basis.iter().enumerate() {
-            match p {
-                Pauli::X => {
-                    self.apply_gate(Gate::H, &[q]).expect("fixed gate");
-                }
-                Pauli::Y => {
-                    self.apply_gate(Gate::Sdg, &[q]).expect("fixed gate");
-                    self.apply_gate(Gate::H, &[q]).expect("fixed gate");
-                }
-                Pauli::Z | Pauli::I => {}
-            }
-        }
     }
 }
 
@@ -760,28 +721,6 @@ mod tests {
         assert!((counts.probability(3) - 0.5).abs() < 0.02);
         assert_eq!(counts.count(1), 0);
         assert_eq!(counts.count(2), 0);
-    }
-
-    #[test]
-    fn basis_rotation_measures_x() {
-        // |+> measured in X basis is deterministic.
-        let mut c = Circuit::new(1);
-        c.h(0);
-        let mut sv = StateVector::from_circuit(&c).unwrap();
-        sv.rotate_to_basis(&[Pauli::X]);
-        let probs = sv.probabilities();
-        assert!((probs[0] - 1.0).abs() < TOL);
-    }
-
-    #[test]
-    fn basis_rotation_measures_y() {
-        // S|+> = |+i>, eigenstate of Y.
-        let mut c = Circuit::new(1);
-        c.h(0).s(0);
-        let mut sv = StateVector::from_circuit(&c).unwrap();
-        sv.rotate_to_basis(&[Pauli::Y]);
-        let probs = sv.probabilities();
-        assert!((probs[0] - 1.0).abs() < TOL);
     }
 
     #[test]

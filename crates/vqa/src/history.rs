@@ -1,8 +1,6 @@
 //! Metrics over tuning histories — the quantities the paper's evaluation
 //! reports.
 
-use crate::runner::RunRecord;
-
 /// The "VQE Expectation rel. Baseline" metric of Figs. 13 and 17: the ratio
 /// of final energies, valid when both are negative (a minimization target
 /// below zero). A value of 1.42 means the scheme's final expectation is
@@ -31,35 +29,6 @@ pub fn approximation_ratio(energy: f64, ground_energy: f64) -> f64 {
         return f64::NAN;
     }
     energy / ground_energy
-}
-
-/// Summary of one run for report tables.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunSummary {
-    /// Final measured energy (trailing-window mean).
-    pub final_measured: f64,
-    /// Final exact (transient-free) energy of the tracked parameters.
-    pub final_exact: f64,
-    /// Total jobs consumed.
-    pub jobs: usize,
-    /// Total circuit-level evaluations.
-    pub evals: u64,
-    /// Accept / reject counts.
-    pub accepted: usize,
-    /// Rejected candidates.
-    pub rejected: usize,
-}
-
-/// Condenses a [`RunRecord`] with a trailing window of `window` iterations.
-pub fn summarize(record: &RunRecord, window: usize) -> RunSummary {
-    RunSummary {
-        final_measured: record.final_energy(window),
-        final_exact: record.final_exact_energy(window),
-        jobs: record.jobs,
-        evals: record.evals,
-        accepted: record.accepted,
-        rejected: record.rejected,
-    }
 }
 
 /// Counts the transient spikes in a measured series: iterations whose value
@@ -112,23 +81,5 @@ mod tests {
         assert_eq!(n, 2);
         let quiet = vec![-1.0; 50];
         assert_eq!(count_spikes(&quiet, 5, 0.5), 0);
-    }
-
-    #[test]
-    fn summarize_copies_counters() {
-        let rec = RunRecord {
-            measured: vec![-1.0, -2.0],
-            exact: vec![-1.1, -2.1],
-            final_params: vec![0.0],
-            jobs: 2,
-            evals: 7,
-            accepted: 2,
-            rejected: 0,
-        };
-        let s = summarize(&rec, 1);
-        assert_eq!(s.final_measured, -2.0);
-        assert_eq!(s.final_exact, -2.1);
-        assert_eq!(s.jobs, 2);
-        assert_eq!(s.evals, 7);
     }
 }

@@ -54,10 +54,7 @@ mod tfim;
 
 pub use ansatz::{Ansatz, AnsatzKind, CompiledAnsatz, Entanglement};
 pub use apps::{AppInstance, AppSpec};
-pub use history::{
-    approximation_ratio, count_spikes, improvement_percent, relative_expectation, summarize,
-    RunSummary,
-};
+pub use history::{approximation_ratio, count_spikes, improvement_percent, relative_expectation};
 pub use job::{JobLayout, JobRequest, JobResult};
 pub use objective::{ExactObjective, NoisyObjective, NoisyObjectiveConfig, ObjectiveError};
 pub use qaoa::{

@@ -207,11 +207,6 @@ impl ExactObjective {
         &self.hamiltonian
     }
 
-    /// Name of the execution backend in use.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.borrow().name()
-    }
-
     /// Evaluates `<psi(theta)| H |psi(theta)>` exactly: the remembered
     /// energy when `params` matches a recent point bit for bit, else by
     /// rebinding the compiled plan in place — the allocation-free hot path.
@@ -426,12 +421,13 @@ impl NoisyObjective {
     /// transient-trace slot; the measurement is not counted and no
     /// randomness is consumed.
     pub fn try_measure(&mut self, params: &[f64]) -> Result<f64, ObjectiveError> {
-        let job = self.job;
-        self.try_measure_at_job(params, job)
+        let ideal = self.exact.eval(params);
+        self.noisy_from_ideal(ideal, self.job)
     }
 
-    /// Full measurement pinned to an explicit job index (QISMET's executor
-    /// uses this to evaluate reference reruns inside the current job).
+    /// Applies the noise stack (static attenuation, transient attenuation,
+    /// shot noise) to an ideal expectation at `job`. Shared by the per-call
+    /// and job paths so both consume the RNG identically.
     ///
     /// The transient acts as an **extra attenuation of the signal** — a
     /// temporary additional depolarization, exactly what a T1/T2 dip does to
@@ -440,34 +436,6 @@ impl NoisyObjective {
     /// `1 - v * wobble`, clamped to the physical band
     /// `[-0.25, 1.25]` (a transient cannot produce signal out of thin air;
     /// small overshoot accounts for readout artifacts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `job` exceeds the trace length; see
-    /// [`NoisyObjective::try_measure_at_job`] for the typed variant.
-    pub fn measure_at_job(&mut self, params: &[f64], job: usize) -> f64 {
-        self.try_measure_at_job(params, job)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`NoisyObjective::measure_at_job`], but reports trace
-    /// exhaustion as a typed error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`ObjectiveError::TraceExhausted`] when `job` has no trace slot.
-    pub fn try_measure_at_job(
-        &mut self,
-        params: &[f64],
-        job: usize,
-    ) -> Result<f64, ObjectiveError> {
-        let ideal = self.exact.eval(params);
-        self.noisy_from_ideal(ideal, job)
-    }
-
-    /// Applies the noise stack (static attenuation, transient attenuation,
-    /// shot noise) to an ideal expectation at `job`. Shared by the per-call
-    /// and job paths so both consume the RNG identically.
     fn noisy_from_ideal(&mut self, ideal: f64, job: usize) -> Result<f64, ObjectiveError> {
         let v_job = self.trace.get(job).ok_or(ObjectiveError::TraceExhausted {
             job,
@@ -626,20 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn measure_at_job_pins_the_slot() {
-        let mut values = vec![0.0; 10];
-        values[5] = 0.8;
-        let trace = TransientTrace::from_values(values);
-        let (mut obj, _) = setup(trace, 5);
-        let params = obj.exact().ansatz().initial_params(9);
-        let at5: Vec<f64> = (0..32).map(|_| obj.measure_at_job(&params, 5)).collect();
-        let at0: Vec<f64> = (0..32).map(|_| obj.measure_at_job(&params, 0)).collect();
-        assert!(qismet_mathkit::mean(&at5) > qismet_mathkit::mean(&at0) + 0.2);
-        // Pinning does not advance the job counter.
-        assert_eq!(obj.job(), 0);
-    }
-
-    #[test]
     fn eval_counter_tracks_overhead() {
         let trace = TransientTrace::zeros(10);
         let (mut obj, _) = setup(trace, 6);
@@ -673,14 +627,6 @@ mod tests {
         assert!(err.to_string().contains("transient trace exhausted"));
         // A failed measurement is not accounted as an evaluation.
         assert_eq!(obj.evals(), evals_before);
-        // Pinned lookups report the requested job.
-        assert_eq!(
-            obj.try_measure_at_job(&params, 7),
-            Err(ObjectiveError::TraceExhausted {
-                job: 7,
-                capacity: 2
-            })
-        );
         // Batched execution surfaces the same typed error.
         let req = JobRequest::shared_job(vec![params.clone()]);
         assert!(matches!(
@@ -760,8 +706,6 @@ mod tests {
                 Box::new(StatevectorBackend::new()),
             )
         };
-        assert_eq!(reused.backend_name(), "statevector");
-        assert_eq!(fresh().backend_name(), "statevector");
         let params = reused.ansatz().initial_params(12);
         assert_eq!(
             reused.eval(&params).to_bits(),
@@ -774,7 +718,6 @@ mod tests {
         );
         // Cloning an objective clones its backend.
         let cloned = reused.clone();
-        assert_eq!(cloned.backend_name(), "statevector");
         assert_eq!(
             cloned.eval(&params).to_bits(),
             fresh().eval(&params).to_bits()

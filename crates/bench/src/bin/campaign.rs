@@ -117,14 +117,11 @@ SERVICE MODE (campaign-as-a-service; the way to run on remote machines):
 
 RESILIENCE & CHAOS OPTIONS:
     --assign-timeout <secs>    Coordinator read deadline per assignment: a worker
-                               silent for this long (no Done, no Ping keepalive)
-                               is hung — cut the channel, re-dispatch its work
-                               (default: off)
+                               silent for this long (no Done, no Ping keepalive,
+                               no Ready after its batch) is hung — cut the
+                               channel, re-dispatch its work (default: off)
     --heartbeat <secs>         Worker keepalive interval while a batch computes;
                                must be shorter than --assign-timeout (default: 2)
-    --handshake-timeout <secs> Handshake deadline for new sessions, coordinator
-                               and --daemon alike (default: 10)
-    --connect-timeout <secs>   --register: TCP dial deadline per connect attempt
     --speculative              Duplicate in-flight work onto idle workers near
                                the campaign tail; first result wins, reports
                                stay bitwise-identical
@@ -172,8 +169,6 @@ const COORDINATOR_VALUE_FLAGS: &[&str] = &[
     "--max-respawns",
     "--jsonl",
     "--assign-timeout",
-    "--handshake-timeout",
-    "--connect-timeout",
     "--quarantine-after",
     "--chaos-plan",
     "--chaos-seed",
@@ -366,9 +361,6 @@ fn main() {
         config.state_dir = args.state_dir.clone();
         config.quarantine_after = args.quarantine_after;
         config.assign_timeout = args.assign_timeout;
-        if let Some(timeout) = args.handshake_timeout {
-            config.handshake_timeout = timeout;
-        }
         let planner = CampaignPlanner {
             report_dir: args.report_dir.clone().unwrap_or_else(results_dir),
         };
@@ -416,9 +408,6 @@ fn main() {
         };
         if let Some(heartbeat) = args.heartbeat {
             opts.heartbeat = Some(heartbeat);
-        }
-        if let Some(timeout) = args.connect_timeout {
-            opts.connect_timeout = timeout;
         }
         match register_worker(addr, &opts) {
             Ok(stats) => {
@@ -503,7 +492,6 @@ fn main() {
             stream_jsonl: args.jsonl.clone(),
             summary_only: args.summary_only,
             assign_timeout: args.assign_timeout,
-            handshake_timeout: args.handshake_timeout,
             speculative: args.speculative,
             quarantine_after: args.quarantine_after,
         };

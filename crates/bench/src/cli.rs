@@ -114,8 +114,6 @@ pub struct Args {
     pub worker_mode: bool,
     pub assign_timeout: Option<Duration>,
     pub heartbeat: Option<Duration>,
-    pub handshake_timeout: Option<Duration>,
-    pub connect_timeout: Option<Duration>,
     pub speculative: bool,
     pub quarantine_after: Option<usize>,
     pub chaos_plan: Option<PathBuf>,
@@ -172,8 +170,6 @@ impl Default for Args {
             worker_mode: false,
             assign_timeout: None,
             heartbeat: None,
-            handshake_timeout: None,
-            connect_timeout: None,
             speculative: false,
             quarantine_after: None,
             chaos_plan: None,
@@ -487,12 +483,6 @@ pub fn parse_args(argv: &[String]) -> Result<Args, CliError> {
             }
             "--heartbeat" => {
                 args.heartbeat = Some(parse_secs(flag, value)?);
-            }
-            "--handshake-timeout" => {
-                args.handshake_timeout = Some(parse_secs(flag, value)?);
-            }
-            "--connect-timeout" => {
-                args.connect_timeout = Some(parse_secs(flag, value)?);
             }
             "--quarantine-after" => {
                 args.quarantine_after = match value.parse::<usize>() {

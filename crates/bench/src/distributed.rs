@@ -1,21 +1,26 @@
 //! Sharded multi-process campaign execution — the bench-side adapter over
-//! [`qismet_cluster`]'s one-shot worker pool. (Remote fleets go through
-//! the campaign service in [`crate::service`] instead.)
+//! [`qismet_cluster`]'s coordinator engine for one-shot `--workers` runs.
+//! (Remote fleets go through the campaign service in [`crate::service`].)
 //!
 //! Both halves of the protocol live here:
 //!
 //! * [`run_campaign_distributed`] is the coordinator: it expands the
 //!   campaign, subtracts any runs already completed in the checkpoint
-//!   journal (`--resume`), fans the remaining spec indices across a
+//!   journal (`--resume`), hands the remaining spec indices to a
 //!   [`WorkerPool`] of spawned `campaign --worker` processes, journals
 //!   every completion, and merges the records into a [`CampaignReport`]
 //!   that is **byte-identical** to a sequential in-process run.
-//! * [`serve_worker`] is the stdio worker loop the hidden `--worker` mode
-//!   enters. It re-expands the same campaign from the same grid flags,
-//!   authenticates the coordinator's shared token, handshakes with the
-//!   campaign fingerprint, and answers batched `Assign(indices)` with one
-//!   `Done(record)` per index — running each batch through a (possibly
-//!   threaded) [`SweepExecutor`].
+//! * The worker side is one session loop, `PullWorker::serve`, for
+//!   every worker: after its handshake a worker sends `Ready`, expands
+//!   the campaign a `JobOpen` ships (if any), and answers each batched
+//!   `Assign(indices)` with one `Done(record)` per index — running each
+//!   batch through a (possibly threaded) [`SweepExecutor`] — until
+//!   `Shutdown`. [`serve_worker`], behind the hidden `--worker` mode,
+//!   opens its session over stdio: it re-expands the same campaign from
+//!   the same grid flags, authenticates the coordinator's shared token,
+//!   and answers the coordinator's `Hello` with its own campaign
+//!   fingerprint. `campaign --register` opens its session over TCP
+//!   instead ([`crate::service::register_worker`]).
 //!
 //! Specs never cross the process boundary — they are pure data both sides
 //! derive identically, so the wire carries only indices and records.
@@ -23,14 +28,16 @@
 use crate::executor::{resolve_threads, try_run_one};
 use crate::report::{CampaignReport, ReportMeta, RunRecord, RunsJsonlWriter};
 use crate::scenario::{Campaign, RunSpec};
+use crate::service::GridSpec;
 use crate::SweepExecutor;
+use qismet_cluster::protocol::{JobOpen, JobReady, ServiceErr};
 use qismet_cluster::{
-    load_journal, BuildStamp, CheckpointEntry, ClusterError, Connector, Done, FaultPlan,
-    FaultTransport, Hello, JournalWriter, Message, Outcome, ProcessConnector, StdioTransport,
-    Transport, WorkerLaunch, WorkerPool, WorkerStats, WORKER_ID_ENV,
+    resume_journal, BuildStamp, CheckpointEntry, ClusterError, Connector, Done, FaultPlan,
+    FaultTransport, Hello, JournalWriter, Message, Outcome, ProcessConnector, ServiceErrKind,
+    StdioTransport, Transport, WorkerLaunch, WorkerPool, WorkerStats, WORKER_ID_ENV,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::io;
 use std::path::PathBuf;
 use std::sync::{mpsc, Mutex};
@@ -61,9 +68,6 @@ pub struct DistributedOptions {
     /// `Done`, no `Ping`) is treated as hung and its channel cut. `None`
     /// disables the deadline (legacy behavior).
     pub assign_timeout: Option<Duration>,
-    /// Handshake read deadline per session attempt; `None` keeps the pool
-    /// default.
-    pub handshake_timeout: Option<Duration>,
     /// Straggler mitigation: when idle workers outnumber remaining work,
     /// duplicate in-flight indices onto them (first result wins).
     pub speculative: bool,
@@ -83,7 +87,6 @@ impl Default for DistributedOptions {
             stream_jsonl: None,
             summary_only: false,
             assign_timeout: None,
-            handshake_timeout: None,
             speculative: false,
             quarantine_after: None,
         }
@@ -157,21 +160,17 @@ pub fn run_campaign_distributed(
     // Replay the journal: a record is only adopted if its (fingerprint,
     // index, seed) triple still matches the campaign being run.
     let mut resumed: BTreeMap<usize, RunRecord> = BTreeMap::new();
-    if opts.resume {
-        let path = opts.checkpoint.as_ref().expect("checked above");
-        let loaded =
-            load_journal(path, fingerprint).map_err(|e| ClusterError::Io(e.to_string()))?;
-        for (index, entry) in loaded.entries {
-            if index >= total || specs[index].seed != entry.seed {
-                continue;
-            }
-            if let Ok(record) = RunRecord::from_value(&entry.record) {
-                resumed.insert(index, record);
-            }
-        }
-    }
-
     let journal = match &opts.checkpoint {
+        Some(path) if opts.resume => {
+            let seeds: Vec<u64> = specs.iter().map(|s| s.seed).collect();
+            let (entries, writer) = resume_journal(path, fingerprint, &seeds).map_err(io_err)?;
+            for entry in entries {
+                if let Ok(record) = RunRecord::from_value(&entry.record) {
+                    resumed.insert(entry.index, record);
+                }
+            }
+            Some(writer)
+        }
         Some(path) => Some(JournalWriter::append_to(path).map_err(io_err)?),
         None => None,
     };
@@ -198,21 +197,18 @@ pub fn run_campaign_distributed(
     let pending: Vec<usize> = (0..total).filter(|i| !resumed.contains_key(i)).collect();
     let executed = pending.len();
 
-    // The pool calls `on_done` from its collector threads; a journal or
-    // stream failure is fatal — the pool aborts instead of completing runs
+    // The engine calls `on_done` from its session threads; a journal or
+    // stream failure is fatal — the run stops instead of completing runs
     // whose durability was silently lost (everything already journaled
     // remains resumable).
     let summary_only = opts.summary_only;
     let sink_state = Mutex::new((journal, stream));
-    let mut pool = WorkerPool::new(connectors)
+    let pool = WorkerPool::new(connectors)
         .with_max_respawns(opts.max_respawns)
         .with_token(opts.token.clone())
         .with_assign_timeout(opts.assign_timeout)
         .with_speculative(opts.speculative)
         .with_quarantine_after(opts.quarantine_after);
-    if let Some(timeout) = opts.handshake_timeout {
-        pool = pool.with_handshake_timeout(timeout);
-    }
     let outcome = pool.run(
         fingerprint,
         total,
@@ -322,7 +318,7 @@ pub enum SessionOutcome {
 
 /// Classifies a channel I/O failure: clean closes and connection cuts are
 /// normal session ends for a worker; anything else is a real error.
-pub(crate) fn channel_end(op: &str, e: io::Error) -> Result<SessionOutcome, ClusterError> {
+fn channel_end(op: &str, e: io::Error) -> Result<SessionOutcome, ClusterError> {
     match e.kind() {
         io::ErrorKind::UnexpectedEof | io::ErrorKind::BrokenPipe => {
             Ok(SessionOutcome::CoordinatorGone)
@@ -343,7 +339,7 @@ pub(crate) fn channel_end(op: &str, e: io::Error) -> Result<SessionOutcome, Clus
 /// every one taken before it. Inert while telemetry is disabled: every
 /// `Done` then carries `stats: None`.
 #[derive(Default)]
-pub(crate) struct StatsTracker {
+struct StatsTracker {
     last: [u64; 4],
     rtt_count: u64,
     rtt_ns_sum: u64,
@@ -385,10 +381,8 @@ impl StatsTracker {
     }
 }
 
-/// Executes one `Assign` batch and streams its `Done`s — the worker-side
-/// inner loop shared by the one-shot session protocol ([`serve_session`])
-/// and the service-registration protocol
-/// ([`register_worker`](crate::service::register_worker)).
+/// Executes one `Assign` batch and streams its `Done`s — the inner step of
+/// [`PullWorker::serve`].
 ///
 /// The whole batch fans across the executor's threads; panics come back
 /// as per-spec typed errors, so one poisoned spec fails its index, not
@@ -405,7 +399,7 @@ impl StatsTracker {
 /// Returns `Ok(None)` when the batch was fully acknowledged and
 /// `Ok(Some(end))` when the channel ended mid-batch (the executor is
 /// still drained so no run is left dangling).
-pub(crate) fn run_assignment(
+fn run_assignment(
     executor: &SweepExecutor,
     specs: &[RunSpec],
     worker_id: usize,
@@ -497,8 +491,146 @@ pub(crate) fn run_assignment(
     }
 }
 
-/// Serves one coordinator session over `transport`: mutual handshake, then
-/// batched `Assign` -> `Done` streaming until `Shutdown` or disconnect.
+/// The worker side of every session after its handshake: the executor,
+/// the campaigns this worker has expanded, and the batches it has served.
+/// A registered worker keeps one across reconnects.
+pub(crate) struct PullWorker<'s> {
+    executor: SweepExecutor,
+    heartbeat: Option<Duration>,
+    /// Leave voluntarily (`Deregister`) once this many batches are served.
+    deregister_after: Option<usize>,
+    /// The campaign a stdio worker was launched with; assignments that no
+    /// `JobOpen` preceded index into it.
+    launched: &'s [RunSpec],
+    /// Campaigns shipped by `JobOpen`, by job id: fingerprint and specs.
+    /// An expansion is pure, so a worker that rejoins re-derives the same
+    /// specs; keeping them saves the work.
+    pub(crate) jobs: BTreeMap<u64, (u64, Vec<RunSpec>)>,
+    /// Batches served to completion, across sessions.
+    pub(crate) batches: usize,
+}
+
+impl<'s> PullWorker<'s> {
+    pub(crate) fn new(
+        threads: usize,
+        heartbeat: Option<Duration>,
+        deregister_after: Option<usize>,
+        launched: &'s [RunSpec],
+    ) -> Self {
+        PullWorker {
+            executor: SweepExecutor::with_threads(threads),
+            heartbeat,
+            deregister_after,
+            launched,
+            jobs: BTreeMap::new(),
+            batches: 0,
+        }
+    }
+
+    /// Serves one session after its handshake: `Ready` out; `JobOpen`
+    /// (answered `JobReady` once the payload expands), `Assign` (answered
+    /// with one `Done` per index) or `Shutdown` in; until `Shutdown`, a
+    /// voluntary `Deregister`, or the channel ends.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ClusterError`] on protocol violations or channel I/O
+    /// failures mid-session. A cleanly closed or cut channel is a normal
+    /// [`SessionOutcome`], not an error.
+    pub(crate) fn serve(
+        &mut self,
+        transport: &mut dyn Transport,
+        worker_id: usize,
+    ) -> Result<SessionOutcome, ClusterError> {
+        let mut stats = StatsTracker::default();
+        let mut current: Option<u64> = None;
+        loop {
+            if matches!(self.deregister_after, Some(limit) if self.batches >= limit) {
+                // Voluntary leave: no strike. The daemon acknowledges with
+                // Shutdown (best-effort — it may already be gone).
+                let _ = transport.send(&Message::Deregister);
+                let _ = transport.recv();
+                eprintln!("[worker] deregistered after {} batch(es)", self.batches);
+                return Ok(SessionOutcome::Shutdown);
+            }
+            if let Err(e) = transport.send(&Message::Ready) {
+                return channel_end("ready", e);
+            }
+            let mut message = match transport.recv() {
+                Ok(message) => message,
+                // Coordinator exited or the channel was cut: stop quietly.
+                Err(e) => return channel_end("worker read", e),
+            };
+            if let Message::JobOpen(open) = &message {
+                if let Err(detail) = self.open_job(open) {
+                    // Typed refusal; the daemon cuts this session and
+                    // re-dispatches elsewhere.
+                    let _ = transport.send(&Message::ServiceErr(ServiceErr {
+                        kind: ServiceErrKind::BadPayload,
+                        detail,
+                    }));
+                    return Ok(SessionOutcome::Dropped);
+                }
+                let (fingerprint, specs) = &self.jobs[&open.job_id];
+                let ready = Message::JobReady(JobReady {
+                    job_id: open.job_id,
+                    fingerprint: *fingerprint,
+                    spec_count: specs.len(),
+                });
+                if let Err(e) = transport.send(&ready) {
+                    return channel_end("job ready", e);
+                }
+                current = Some(open.job_id);
+                message = match transport.recv() {
+                    Ok(message) => message,
+                    Err(e) => return channel_end("worker read", e),
+                };
+            }
+            let assign = match message {
+                Message::Assign(assign) => assign,
+                Message::Shutdown => return Ok(SessionOutcome::Shutdown),
+                other => {
+                    return Err(ClusterError::Protocol {
+                        worker: worker_id,
+                        detail: format!("expected JobOpen/Assign/Shutdown, got {other:?}"),
+                    })
+                }
+            };
+            let specs = match current {
+                Some(job_id) => &self.jobs[&job_id].1,
+                None => self.launched,
+            };
+            if let Some(end) = run_assignment(
+                &self.executor,
+                specs,
+                worker_id,
+                &assign.indices,
+                transport,
+                self.heartbeat,
+                &mut stats,
+            )? {
+                return Ok(end);
+            }
+            self.batches += 1;
+        }
+    }
+
+    /// Expands a `JobOpen` payload (once per job id) — the worker's own
+    /// expansion, which the daemon checks against its fingerprint.
+    fn open_job(&mut self, open: &JobOpen) -> Result<(), String> {
+        if let Entry::Vacant(slot) = self.jobs.entry(open.job_id) {
+            let campaign = GridSpec::from_json(&open.payload)?.to_campaign()?;
+            let specs = campaign.expand();
+            slot.insert((campaign.fingerprint(), specs));
+        }
+        Ok(())
+    }
+}
+
+/// Serves one coordinator session over `transport`: the stdio handshake
+/// (the coordinator's `Hello` in; this worker's `Hello`, or `Reject` on a
+/// token mismatch, out), then the pull loop every worker runs, until
+/// `Shutdown` or disconnect.
 ///
 /// # Errors
 ///
@@ -512,7 +644,7 @@ pub fn serve_session(
     opts: &WorkerOptions,
 ) -> Result<SessionOutcome, ClusterError> {
     let threads = resolve_threads(opts.threads);
-    let executor = SweepExecutor::with_threads(threads);
+    let mut worker = PullWorker::new(threads, opts.heartbeat, None, specs);
     let coordinator = match transport.recv() {
         Ok(Message::Hello(hello)) => hello,
         Ok(other) => {
@@ -523,7 +655,6 @@ pub fn serve_session(
         }
         Err(e) => return channel_end("handshake read", e),
     };
-    let worker_id = coordinator.worker_id;
     if coordinator.token != opts.token {
         // Never echo this worker's own token to an unauthenticated peer.
         let _ = transport.send(&Message::Reject("token mismatch".into()));
@@ -531,7 +662,7 @@ pub fn serve_session(
     }
     transport
         .send(&Message::Hello(Hello {
-            worker_id,
+            worker_id: coordinator.worker_id,
             fingerprint: campaign.fingerprint(),
             spec_count: specs.len(),
             token: opts.token.clone(),
@@ -539,37 +670,7 @@ pub fn serve_session(
             build: BuildStamp::local(false),
         }))
         .map_err(|e| ClusterError::Io(format!("hello reply failed: {e}")))?;
-    let mut stats = StatsTracker::default();
-
-    loop {
-        let message = match transport.recv() {
-            Ok(message) => message,
-            // Coordinator exited or the channel was cut: stop quietly.
-            Err(e) => return channel_end("worker read", e),
-        };
-        match message {
-            Message::Assign(assign) => {
-                if let Some(end) = run_assignment(
-                    &executor,
-                    specs,
-                    worker_id,
-                    &assign.indices,
-                    transport,
-                    opts.heartbeat,
-                    &mut stats,
-                )? {
-                    return Ok(end);
-                }
-            }
-            Message::Shutdown => return Ok(SessionOutcome::Shutdown),
-            other => {
-                return Err(ClusterError::Protocol {
-                    worker: worker_id,
-                    detail: format!("unexpected message {other:?}"),
-                })
-            }
-        }
-    }
+    worker.serve(transport, coordinator.worker_id)
 }
 
 /// The stdio worker half: serves exactly one coordinator session over

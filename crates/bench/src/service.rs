@@ -8,11 +8,12 @@
 //!   settles, merges its records into a [`CampaignReport`] written under
 //!   the report directory — byte-identical to a sequential run of the
 //!   same campaign, whatever the fleet did.
-//! * [`register_worker`] — the elastic worker loop behind
+//! * [`register_worker`] — the elastic worker behind
 //!   `campaign --register <addr>`: registers at the daemon's rendezvous
-//!   address, pulls batches (re-expanding each job's grid payload once
-//!   and caching it), and re-dials with backoff when the daemon
-//!   connection drops. Workers join a live campaign, leave voluntarily
+//!   address, then runs the same pull loop as a stdio worker
+//!   (re-expanding each job's grid payload once and keeping it), and
+//!   re-dials with backoff when the daemon connection drops. Workers join
+//!   a live campaign, leave voluntarily
 //!   ([`RegisterOptions::deregister_after`]), and a name quarantined by
 //!   the daemon gets a typed [`ServiceError::Refused`] back.
 //! * The client verbs — [`submit_job`], [`job_status`], [`cancel_job`],
@@ -26,21 +27,20 @@
 //! prove it with the fingerprint handshake, exactly like the one-shot
 //! coordinator path.
 
-use crate::distributed::{channel_end, run_assignment, SessionOutcome, StatsTracker};
+use crate::distributed::{PullWorker, SessionOutcome};
 use crate::executor::resolve_threads;
 use crate::report::{CampaignReport, ReportMeta, RunRecord};
-use crate::scenario::{parse_scheme, Campaign, CampaignGrid, RunSpec};
-use crate::{Scheme, SweepExecutor};
+use crate::scenario::{parse_scheme, Campaign, CampaignGrid};
+use crate::Scheme;
 use qismet_cluster::daemon::{JobPlan, JobPlanner};
 use qismet_cluster::queue::JobSpec;
 use qismet_cluster::{
-    BuildStamp, DrainOk, Hello, Message, Register, ServiceErrKind, StatusReply, Submit, Submitted,
-    TcpTransport, Transport,
+    BuildStamp, ClusterError, DrainOk, Hello, Message, Register, ServiceErrKind, StatusReply,
+    Submit, Submitted, TcpTransport, Transport,
 };
 use qismet_qnoise::Machine;
 use qismet_vqa::AppSpec;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -386,9 +386,11 @@ pub struct RegisterOptions {
     /// Deregister voluntarily after serving this many batches (elastic
     /// leave; `None` = serve until the daemon shuts the fleet down).
     pub deregister_after: Option<usize>,
-    /// TCP dial deadline per attempt.
-    pub connect_timeout: Duration,
 }
+
+/// TCP dial deadline per connection attempt, which also bounds the wait
+/// for the daemon's `RegisterAck`.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
 impl Default for RegisterOptions {
     fn default() -> Self {
@@ -399,7 +401,6 @@ impl Default for RegisterOptions {
             heartbeat: Some(Duration::from_secs(2)),
             max_reconnects: 10,
             deregister_after: None,
-            connect_timeout: Duration::from_secs(5),
         }
     }
 }
@@ -413,14 +414,6 @@ pub struct RegisterStats {
     pub batches: usize,
     /// Distinct jobs this worker expanded.
     pub jobs: usize,
-}
-
-/// How one registered session ended, worker-side.
-enum RegisteredEnd {
-    /// Daemon sent `Shutdown` (drain, or an acknowledged deregister).
-    Finished,
-    /// The channel dropped; re-dial if budget remains.
-    Lost,
 }
 
 /// The elastic worker loop behind `campaign --register <addr>`: dials the
@@ -439,18 +432,20 @@ pub fn register_worker(addr: &str, opts: &RegisterOptions) -> Result<RegisterSta
     // stats deltas (never affects computed records).
     qismet_telemetry::set_enabled(true);
     let threads = resolve_threads(opts.threads);
-    let executor = SweepExecutor::with_threads(threads);
-    // Per-job expansion cache: jobs are re-announced per session, but an
-    // expansion is pure, so re-joining workers re-derive identical specs.
-    let mut jobs: BTreeMap<u64, (u64, Vec<RunSpec>)> = BTreeMap::new();
-    let mut stats = RegisterStats::default();
+    let mut worker = PullWorker::new(threads, opts.heartbeat, opts.deregister_after, &[]);
+    let mut sessions = 0usize;
+    let stats = |worker: &PullWorker<'_>, sessions| RegisterStats {
+        sessions,
+        batches: worker.batches,
+        jobs: worker.jobs.len(),
+    };
     let mut reconnects_left = opts.max_reconnects;
     let mut backoff = Duration::from_millis(50);
     loop {
-        let mut transport = match TcpTransport::connect(addr, opts.connect_timeout) {
+        let mut transport = match TcpTransport::connect(addr, CONNECT_TIMEOUT) {
             Ok(t) => t,
             Err(e) => {
-                if stats.sessions == 0 || reconnects_left == 0 {
+                if sessions == 0 || reconnects_left == 0 {
                     return Err(ServiceError::io(format!("dial {addr} failed: {e}")));
                 }
                 reconnects_left -= 1;
@@ -459,7 +454,7 @@ pub fn register_worker(addr: &str, opts: &RegisterOptions) -> Result<RegisterSta
                 continue;
             }
         };
-        let _ = transport.set_read_timeout(Some(opts.connect_timeout));
+        let _ = transport.set_read_timeout(Some(CONNECT_TIMEOUT));
         if let Err(e) = transport.send(&Message::Register(Register {
             name: opts.name.clone(),
             token: opts.token.clone(),
@@ -483,14 +478,16 @@ pub fn register_worker(addr: &str, opts: &RegisterOptions) -> Result<RegisterSta
             }
             Err(e) => return Err(ServiceError::io(format!("registration reply failed: {e}"))),
         };
-        stats.sessions += 1;
+        sessions += 1;
         eprintln!(
-            "[register] session {}: `{}` holds slot {slot} at {addr}",
-            stats.sessions, opts.name
+            "[register] session {sessions}: `{}` holds slot {slot} at {addr}",
+            opts.name
         );
-        match serve_registered(&mut transport, &executor, opts, &mut jobs, &mut stats, slot) {
-            Ok(RegisteredEnd::Finished) => return Ok(stats),
-            Ok(RegisteredEnd::Lost) => {
+        // The daemon may park us while no work is runnable: no read deadline.
+        let _ = transport.set_read_timeout(None);
+        match worker.serve(&mut transport, slot as usize) {
+            Ok(SessionOutcome::Shutdown) => return Ok(stats(&worker, sessions)),
+            Ok(_) => {
                 if reconnects_left == 0 {
                     return Err(ServiceError::Io(
                         "daemon connection lost with no reconnect budget left".into(),
@@ -500,126 +497,9 @@ pub fn register_worker(addr: &str, opts: &RegisterOptions) -> Result<RegisterSta
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(Duration::from_secs(5));
             }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Serves one registered session: `Ready`-pull loop until shutdown,
-/// voluntary leave, or channel loss.
-fn serve_registered(
-    transport: &mut TcpTransport,
-    executor: &SweepExecutor,
-    opts: &RegisterOptions,
-    jobs: &mut BTreeMap<u64, (u64, Vec<RunSpec>)>,
-    stats: &mut RegisterStats,
-    slot: u64,
-) -> Result<RegisteredEnd, ServiceError> {
-    let mut wire_stats = StatsTracker::default();
-    // The daemon may park us while no work is runnable: no read deadline.
-    let _ = transport.set_read_timeout(None);
-    let mut current: Option<u64> = None;
-    loop {
-        if matches!(opts.deregister_after, Some(limit) if stats.batches >= limit) {
-            // Voluntary leave: no strike, daemon acknowledges with
-            // Shutdown (best-effort — it may already be gone).
-            let _ = transport.send(&Message::Deregister);
-            let _ = transport.recv();
-            eprintln!(
-                "[register] `{}` deregistered after {} batch(es)",
-                opts.name, stats.batches
-            );
-            return Ok(RegisteredEnd::Finished);
-        }
-        if transport.send(&Message::Ready).is_err() {
-            return Ok(RegisteredEnd::Lost);
-        }
-        let message = match transport.recv() {
-            Ok(message) => message,
-            Err(e) => {
-                return match channel_end("registered read", e) {
-                    Ok(_) => Ok(RegisteredEnd::Lost),
-                    Err(e) => Err(ServiceError::io(e)),
-                }
+            Err(ClusterError::Protocol { detail, .. }) => {
+                return Err(ServiceError::Protocol(detail))
             }
-        };
-        let assign = match message {
-            Message::Shutdown => return Ok(RegisteredEnd::Finished),
-            Message::JobOpen(open) => {
-                // Re-expand the payload ourselves and prove we agree via
-                // the fingerprint — same trust model as the Hello
-                // handshake on the one-shot path.
-                let expanded = GridSpec::from_json(&open.payload)
-                    .and_then(|grid| grid.to_campaign())
-                    .map(|campaign| {
-                        let specs = campaign.expand();
-                        (campaign.fingerprint(), specs)
-                    });
-                let (fingerprint, specs) = match expanded {
-                    Ok(pair) => pair,
-                    Err(detail) => {
-                        // Typed refusal; the daemon cuts this session and
-                        // re-dispatches elsewhere.
-                        let _ = transport.send(&Message::ServiceErr(
-                            qismet_cluster::protocol::ServiceErr {
-                                kind: ServiceErrKind::BadPayload,
-                                detail,
-                            },
-                        ));
-                        return Ok(RegisteredEnd::Lost);
-                    }
-                };
-                if jobs.insert(open.job_id, (fingerprint, specs)).is_none() {
-                    stats.jobs += 1;
-                }
-                let (fingerprint, specs) = &jobs[&open.job_id];
-                if transport
-                    .send(&Message::JobReady(qismet_cluster::protocol::JobReady {
-                        job_id: open.job_id,
-                        fingerprint: *fingerprint,
-                        spec_count: specs.len(),
-                    }))
-                    .is_err()
-                {
-                    return Ok(RegisteredEnd::Lost);
-                }
-                current = Some(open.job_id);
-                match transport.recv() {
-                    Ok(Message::Assign(assign)) => assign,
-                    Ok(Message::Shutdown) => return Ok(RegisteredEnd::Finished),
-                    Ok(other) => {
-                        return Err(ServiceError::Protocol(format!(
-                            "expected Assign after JobReady, got {other:?}"
-                        )))
-                    }
-                    Err(_) => return Ok(RegisteredEnd::Lost),
-                }
-            }
-            Message::Assign(assign) => assign,
-            other => {
-                return Err(ServiceError::Protocol(format!(
-                    "expected JobOpen/Assign/Shutdown, got {other:?}"
-                )))
-            }
-        };
-        let Some(job_id) = current else {
-            return Err(ServiceError::Protocol(
-                "daemon assigned a batch before opening a job".into(),
-            ));
-        };
-        let specs = &jobs[&job_id].1;
-        match run_assignment(
-            executor,
-            specs,
-            slot as usize,
-            &assign.indices,
-            transport,
-            opts.heartbeat,
-            &mut wire_stats,
-        ) {
-            Ok(None) => stats.batches += 1,
-            Ok(Some(SessionOutcome::Shutdown)) => return Ok(RegisteredEnd::Finished),
-            Ok(Some(_)) => return Ok(RegisteredEnd::Lost),
             Err(e) => return Err(ServiceError::io(e)),
         }
     }

@@ -26,6 +26,9 @@ fn removed_engine_flags_are_unknown() {
         // The static TCP worker pool: remote fleets use --daemon/--register.
         ("--serve", "127.0.0.1:0"),
         ("--connect", "a:1"),
+        // Session deadlines are constants: 10 s handshakes, 5 s dials.
+        ("--handshake-timeout", "10"),
+        ("--connect-timeout", "5"),
     ] {
         let (code, stderr) = run_campaign_cli(&[flag, value]);
         assert_eq!(code, 2, "{flag} must exit 2");

@@ -1,9 +1,10 @@
 //! Integration tests for the worker side of the stdio transport: threaded
 //! `campaign --worker` processes must produce reports byte-identical to a
 //! sequential in-process run; a coordinator presenting the wrong token
-//! must be refused with a typed error before any record lands; and a
-//! worker's keepalive round trips must reach the coordinator in the last
-//! `Done` of its session.
+//! must be refused with a typed error before any record lands; a spawned
+//! worker must answer the coordinator's `Hello` before anything else and
+//! exit cleanly on `Shutdown`; and a worker's keepalive round trips must
+//! reach the coordinator in the last `Done` of its session.
 //!
 //! Process workers are the real `campaign` binary in `--worker` mode;
 //! the heartbeat test drives [`serve_session`] against a scripted
@@ -14,7 +15,8 @@ use qismet_bench::{
     DistributedOptions, Scheme, SessionOutcome, SweepExecutor, WorkerOptions,
 };
 use qismet_cluster::{
-    load_journal, Assign, BuildStamp, ClusterError, Done, Hello, Message, Transport, WorkerLaunch,
+    load_journal, Assign, BuildStamp, ChildTransport, ClusterError, Done, Hello, Message,
+    Transport, WorkerLaunch,
 };
 use std::collections::VecDeque;
 use std::io;
@@ -152,6 +154,40 @@ fn stdio_worker_token_mismatch_is_rejected_with_no_records() {
     let loaded = load_journal(&journal, case.campaign.fingerprint()).unwrap();
     assert!(loaded.entries.is_empty(), "a rejected session ran specs");
     let _ = std::fs::remove_file(&journal);
+}
+
+/// The exchange a benchmark times as a sharded run's session setup: spawn
+/// a `--worker` child, send the coordinator `Hello`, and read the worker's
+/// `Hello` — which must come before any other frame and carry the
+/// campaign's fingerprint and spec count. `Shutdown` then ends the worker
+/// with exit code 0.
+#[test]
+fn spawned_worker_answers_hello_first_and_exits_cleanly_on_shutdown() {
+    let case = grid_case("net-probe", 9, &[1, 2], 2, 20);
+    let mut transport = ChildTransport::spawn(&launch(&case), 0).expect("spawn worker");
+    transport
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    transport
+        .send(&Message::Hello(Hello {
+            worker_id: 0,
+            fingerprint: case.campaign.fingerprint(),
+            spec_count: case.campaign.len(),
+            token: TOKEN.into(),
+            threads: 0,
+            build: BuildStamp::local(false),
+        }))
+        .unwrap();
+    match transport.recv().unwrap() {
+        Message::Hello(hello) => {
+            assert_eq!(hello.fingerprint, case.campaign.fingerprint());
+            assert_eq!(hello.spec_count, case.campaign.len());
+        }
+        other => panic!("the worker's first frame must be its Hello, got {other:?}"),
+    }
+    transport.send(&Message::Shutdown).unwrap();
+    let status = transport.wait().unwrap();
+    assert_eq!(status.code(), Some(0), "worker exit status {status}");
 }
 
 /// A coordinator played from a script: greets, assigns, answers every

@@ -1,23 +1,20 @@
-//! The shared spec-dispatch queue and batch exchange.
+//! The per-job spec-dispatch queue and batch exchange.
 //!
-//! Extracted from the coordinator so both the one-shot [`WorkerPool`]
-//! (one queue for the whole run) and the service daemon (one queue per
-//! queued job) share the same crash-blame/poison/speculation semantics.
-//! [`Dispatch::pop_batch`] is the blocking form used by the pool's
-//! dedicated slot threads; [`Dispatch::try_pop_batch`] is the
-//! non-blocking form the daemon uses to pick work across many jobs
-//! without parking a session thread on one job's condvar. Both then hand
-//! the popped [`Batch`] to [`exchange_batch`], the one `Assign` ->
-//! `Done`/`Ping` exchange with a worker.
-//!
-//! [`WorkerPool`]: crate::coordinator::WorkerPool
+//! The coordinator engine ([`crate::daemon`]) keeps one [`Dispatch`] per
+//! open job, whether the job is a one-shot `--workers` run or one of the
+//! service's queued campaigns, so crash blame, poisoning and speculation
+//! behave the same everywhere. [`Dispatch::try_pop_batch`] never blocks: the
+//! engine scans its open jobs and parks the session on its own condvar
+//! when nothing is claimable. The popped [`Batch`] goes to
+//! [`exchange_batch`], the one `Assign` -> `Done`/`Ping` exchange with a
+//! worker.
 
 use crate::protocol::{Assign, Done, Message, Outcome};
 use crate::transport::Transport;
 use qismet_telemetry::{counter, event, fleet_update, gauge};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 /// Precise crash strikes (suspect-singleton losses) after which a spec is
 /// poisoned: isolated and reported instead of retried.
@@ -34,8 +31,7 @@ pub(crate) struct Batch {
     pub(crate) speculative: bool,
 }
 
-/// The shared dispatch queue, guarded by one mutex/condvar pair so idle
-/// workers can wait for work that a dying peer might hand back.
+/// One job's dispatch queue.
 ///
 /// Fresh work flows through `queue` in batches; crash-implicated work
 /// flows through `suspects` one index at a time (so repeated crashes are
@@ -44,7 +40,6 @@ pub(crate) struct Batch {
 /// two when speculation duplicates a straggler's assignment.
 pub(crate) struct Dispatch {
     state: Mutex<DispatchState>,
-    wake: Condvar,
     aborted: AtomicBool,
     speculative: bool,
 }
@@ -150,7 +145,6 @@ impl Dispatch {
                 poisoned: BTreeSet::new(),
                 target: pending.len(),
             }),
-            wake: Condvar::new(),
             aborted: AtomicBool::new(false),
             speculative,
         }
@@ -158,32 +152,11 @@ impl Dispatch {
 
     /// Pops the next assignment: a suspect singleton first, else up to `k`
     /// fresh indices, else (with speculation) duplicates of in-flight
-    /// work. Waits while other workers still hold in-flight work (a dying
-    /// peer may hand it back); returns `None` once every index is settled
-    /// or the pool aborted.
-    pub(crate) fn pop_batch(&self, k: usize) -> Option<Batch> {
-        let k = k.max(1);
-        let mut state = self.state.lock().expect("dispatch mutex poisoned");
-        loop {
-            if self.is_aborted() {
-                return None;
-            }
-            if let Some(batch) = state.pop_ready(k, self.speculative) {
-                return Some(batch);
-            }
-            if state.is_finished() {
-                return None;
-            }
-            state = self.wake.wait(state).expect("dispatch mutex poisoned");
-        }
-    }
-
-    /// Non-blocking [`Dispatch::pop_batch`]: returns `None` immediately
-    /// when nothing is claimable right now (in-flight work may still hand
-    /// back later). The daemon uses this to scan across jobs instead of
-    /// parking on one job's queue.
+    /// work. Never blocks: `None` means nothing is claimable right now
+    /// (in-flight work may still come back), the job is settled, or it
+    /// aborted.
     pub(crate) fn try_pop_batch(&self, k: usize) -> Option<Batch> {
-        if self.is_aborted() {
+        if self.aborted.load(Ordering::Relaxed) {
             return None;
         }
         let mut state = self.state.lock().expect("dispatch mutex poisoned");
@@ -201,10 +174,7 @@ impl Dispatch {
                 state.holders.remove(&index);
             }
         }
-        let first = state.completed.insert(index);
-        drop(state);
-        self.wake.notify_all();
-        first
+        state.completed.insert(index)
     }
 
     /// Settles a lost session's outstanding indices: anything no other
@@ -213,12 +183,6 @@ impl Dispatch {
     /// that can poison the spec. Returns whether blame was assigned (a
     /// blamed loss does not charge the worker's respawn budget).
     pub(crate) fn settle_loss(&self, outstanding: &VecDeque<usize>, was_suspect: bool) -> bool {
-        if outstanding.is_empty() {
-            // In-flight already settled; still wake waiters so idle-exit
-            // conditions re-evaluate.
-            self.wake.notify_all();
-            return false;
-        }
         let mut state = self.state.lock().expect("dispatch mutex poisoned");
         let mut blamed = false;
         for &index in outstanding {
@@ -251,24 +215,12 @@ impl Dispatch {
             }
             state.suspects.push_back(index);
         }
-        drop(state);
-        self.wake.notify_all();
         blamed
     }
 
-    /// Fatal-error broadcast: waiters wake and bail.
+    /// Stops handing out work (the job failed or was cancelled).
     pub(crate) fn abort(&self) {
         self.aborted.store(true, Ordering::Relaxed);
-        self.wake.notify_all();
-    }
-
-    pub(crate) fn is_aborted(&self) -> bool {
-        self.aborted.load(Ordering::Relaxed)
-    }
-
-    /// Wakes waiters when a slot is lost (so survivors re-check the queue).
-    pub(crate) fn worker_gone(&self) {
-        self.wake.notify_all();
     }
 
     /// Whether every index is settled (completed or poisoned).
@@ -293,15 +245,13 @@ impl Dispatch {
 /// Why [`exchange_batch`] stopped before every index was answered. The
 /// indices still outstanding stay in the caller's deque, which decides
 /// how to settle them.
-pub(crate) enum ExchangeEnd<E> {
+pub(crate) enum ExchangeEnd {
     /// The channel failed: a send or read error, or a read deadline that
     /// expired without a frame.
     Lost(String),
     /// The worker sent something other than a `Ping` or a `Done` for an
     /// outstanding index.
     Violation(String),
-    /// The caller's result handler stopped the exchange.
-    Stopped(E),
 }
 
 /// Sends `batch` to a worker as one `Assign` and reads frames until every
@@ -314,13 +264,13 @@ pub(crate) enum ExchangeEnd<E> {
 /// `outstanding` starts as the batch's indices; whatever it still holds
 /// when this returns an [`ExchangeEnd`] is unanswered work for the caller
 /// to settle back into its dispatch queue.
-pub(crate) fn exchange_batch<E>(
+pub(crate) fn exchange_batch(
     slot: u64,
     transport: &mut dyn Transport,
     batch: &Batch,
     outstanding: &mut VecDeque<usize>,
-    mut on_result: impl FnMut(usize, u64, Outcome) -> Result<(), E>,
-) -> Result<(), ExchangeEnd<E>> {
+    mut on_result: impl FnMut(usize, u64, Outcome),
+) -> Result<(), ExchangeEnd> {
     let assign = Message::Assign(Assign {
         indices: batch.indices.clone(),
     });
@@ -379,7 +329,7 @@ pub(crate) fn exchange_batch<E>(
             )));
         };
         outstanding.remove(pos);
-        on_result(index, seed, outcome).map_err(ExchangeEnd::Stopped)?;
+        on_result(index, seed, outcome);
     }
     Ok(())
 }
@@ -448,6 +398,5 @@ mod tests {
         let d = Dispatch::new(&[0, 1], false);
         d.abort();
         assert!(d.try_pop_batch(2).is_none());
-        assert!(d.pop_batch(2).is_none());
     }
 }

@@ -15,6 +15,9 @@
 //! resuming from a record that was never durably written. Bare legacy
 //! lines without a checksum still load, so pre-existing journals resume
 //! unchanged.
+//!
+//! [`resume_journal`] is the one replay both coordinators run: the
+//! one-shot `--resume` and the service daemon reopening a job.
 
 use crate::protocol::{CheckpointEntry, Message};
 use crate::Fingerprint;
@@ -174,6 +177,28 @@ pub fn load_journal(path: &Path, fingerprint: u64) -> io::Result<LoadedJournal> 
     Ok(loaded)
 }
 
+/// Replays the journal at `path` into a campaign whose spec `i` runs with
+/// `seeds[i]`, keeping an entry only if its fingerprint, index and seed
+/// still match (a stale journal never leaks a record into a reshuffled
+/// campaign), then reopens the file for append. Entries come in index
+/// order.
+///
+/// # Errors
+///
+/// Propagates read failures other than `NotFound` and the reopen failure.
+pub fn resume_journal(
+    path: &Path,
+    fingerprint: u64,
+    seeds: &[u64],
+) -> io::Result<(Vec<CheckpointEntry>, JournalWriter)> {
+    let kept = load_journal(path, fingerprint)?
+        .entries
+        .into_values()
+        .filter(|entry| seeds.get(entry.index) == Some(&entry.seed))
+        .collect();
+    Ok((kept, JournalWriter::append_to(path)?))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,6 +346,28 @@ mod tests {
         let loaded = load_journal(Path::new("/nonexistent/qismet.jsonl"), 1).unwrap();
         assert!(loaded.entries.is_empty());
         assert_eq!(loaded.foreign + loaded.corrupt, 0);
+    }
+
+    #[test]
+    fn resume_keeps_only_entries_whose_index_and_seed_still_match() {
+        let path = temp_path("resume");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut w = JournalWriter::append_to(&path).unwrap();
+            w.append(&entry(7, 0, 1.0)).unwrap();
+            w.append(&entry(7, 1, 2.0)).unwrap(); // reseeded below
+            w.append(&entry(7, 5, 3.0)).unwrap(); // out of range
+            w.append(&entry(9, 2, 4.0)).unwrap(); // foreign campaign
+        }
+        let seeds = [0x5eed, 1, 0x5eed + 2];
+        let (kept, mut writer) = resume_journal(&path, 7, &seeds).unwrap();
+        let indices: Vec<usize> = kept.iter().map(|e| e.index).collect();
+        assert_eq!(indices, vec![0]);
+        writer.append(&entry(7, 2, 5.0)).unwrap();
+        let (kept, _) = resume_journal(&path, 7, &seeds).unwrap();
+        let indices: Vec<usize> = kept.iter().map(|e| e.index).collect();
+        assert_eq!(indices, vec![0, 2]);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -6,24 +6,40 @@
 //! run payloads travel as [`serde::Value`] trees — and splits into these
 //! layers:
 //!
-//! * [`protocol`] — the six length-framed serde-JSON messages
-//!   (`Hello`/`Reject`/`Assign`/`Done`/`Checkpoint`/`Shutdown`) exchanged
-//!   with workers. Specs are pure data addressed by index: both sides
-//!   expand the same campaign and agree on it via a [`Fingerprint`]
+//! * [`protocol`] — the length-framed serde-JSON messages exchanged with
+//!   workers and clients. Specs are pure data addressed by index: both
+//!   sides expand the same campaign and agree on it via a [`Fingerprint`]
 //!   handshake that also carries a shared authentication token.
 //! * [`transport`] — the byte-stream layer beneath the protocol: a
 //!   blocking [`transport::Transport`]/[`transport::Listener`] trait pair
 //!   with child-process stdio-pipe and TCP (`TCP_NODELAY`, read timeouts,
 //!   graceful EOF -> worker-lost) implementations, plus the
-//!   [`transport::Connector`] the one-shot pool uses to (re)spawn worker
-//!   processes.
+//!   [`transport::Connector`] that (re)spawns the worker processes of a
+//!   one-shot run.
+//! * [`daemon`] — the coordinator engine, the one scheduler for both ways
+//!   a campaign leaves its process. [`daemon::serve`] feeds it from a
+//!   listener: a long-running, multi-tenant campaign service that
+//!   classifies connections into worker registrations and one-command
+//!   client sessions (`submit`/`status`/`cancel`/`drain`), schedules
+//!   batches across concurrent jobs, and settles each into its report
+//!   artifact via a [`daemon::JobPlanner`]. A one-shot `--workers N` run
+//!   ([`coordinator::WorkerPool::run`]) is the same engine with a one-job
+//!   queue that drains from the start and N slots fed by spawned worker
+//!   processes. Either way every worker session pulls batches with the
+//!   same loop (`Ready` in; `JobOpen`/`Assign`/`Shutdown` out).
+//! * [`coordinator`] — [`coordinator::WorkerPool`], the builder of a
+//!   one-shot run, with the typed [`ClusterError`]s it can end in. Crashed
+//!   workers respawn, and a slot that stays gone has its unfinished work
+//!   re-dispatched to the surviving workers.
+//! * [`registry`] — the worker slot table. Quarantine strikes follow a
+//!   worker's *name* across sessions: an operator-chosen name for a
+//!   registered worker, the slot name for a one-shot slot.
+//! * [`queue`] — the persistent, priority-ordered, multi-tenant job
+//!   queue: submissions and phase transitions append to a checksummed
+//!   event log, each job journals checkpoints into its own file, and an
+//!   interrupted daemon resumes every job on restart.
 //! * [`shard`] — the order-preserving, exactly-once merge of results that
 //!   arrive from workers in completion order.
-//! * [`coordinator`] — [`coordinator::WorkerPool`], the one-shot pool of
-//!   spawned worker processes (one connector per slot), streaming
-//!   thread-count-sized `Assign` batches from a shared dispatch queue.
-//!   Crashed workers respawn, and a slot that stays gone has its
-//!   unfinished work re-dispatched to the surviving workers.
 //! * [`journal`] — an append-only JSONL checkpoint keyed by (campaign
 //!   fingerprint, spec index, seed), each line checksummed, so an
 //!   interrupted campaign resumes instead of restarting — even past
@@ -31,25 +47,6 @@
 //! * [`chaos`] — deterministic fault injection: a seeded, serializable
 //!   [`chaos::FaultPlan`] executed by a transport wrapper, so every fault
 //!   the coordinator must survive is reproducible on demand.
-//!
-//! The one-shot pool is for single runs on one machine. Remote fleets go
-//! through the **campaign service**: a long-running daemon serving many
-//! campaigns to an elastic fleet of workers that register with it. The
-//! pool and the daemon share one dispatch queue and one batch exchange
-//! (`Assign` out; `Done`/`Ping` back).
-//!
-//! * [`registry`] — the dynamic worker slot table. Workers *register* at
-//!   the daemon's rendezvous address instead of being dialed; quarantine
-//!   strikes follow the worker's operator-chosen *name* across sessions.
-//! * [`queue`] — the persistent, priority-ordered, multi-tenant job
-//!   queue: submissions and phase transitions append to a checksummed
-//!   event log, each job journals checkpoints into its own file, and an
-//!   interrupted daemon resumes every job on restart.
-//! * [`daemon`] — [`daemon::serve`]: the accept loop that classifies
-//!   connections into worker registrations and one-command client
-//!   sessions (`submit`/`status`/`cancel`/`drain`), schedules batches
-//!   across concurrent jobs, and settles each into its report artifact
-//!   via a [`daemon::JobPlanner`].
 //!
 //! The merged result is **bit-identical** to a sequential in-process run —
 //! whatever the worker count or fleet: every record is produced by the same pure
@@ -73,7 +70,7 @@ pub mod transport;
 pub use chaos::{Fault, FaultKind, FaultPlan, FaultTransport};
 pub use coordinator::{ClusterError, ClusterOutcome, WorkerPool};
 pub use daemon::{serve, JobPlan, JobPlanner, ServiceConfig, ServiceSummary};
-pub use journal::{load_journal, JournalWriter, LoadedJournal};
+pub use journal::{load_journal, resume_journal, JournalWriter, LoadedJournal};
 pub use protocol::{
     read_message, write_message, Assign, BuildStamp, CheckpointEntry, Done, DrainOk, Hello,
     JobOpen, JobReady, JobStatusInfo, Message, Outcome, Register, ServiceErr, ServiceErrKind,

@@ -1,6 +1,6 @@
 //! The coordinator <-> worker wire protocol.
 //!
-//! Six message kinds cover the whole lifecycle:
+//! These message kinds cover the whole worker lifecycle:
 //!
 //! * [`Hello`]: the mutual handshake. The coordinator sends one first
 //!   (announcing its campaign [`fingerprint`](crate::Fingerprint), spec
@@ -11,6 +11,10 @@
 //! * [`Reject`](Message::Reject) (worker -> coordinator): the worker
 //!   refused the handshake (token mismatch). Carries the reason and never
 //!   echoes the worker's own token.
+//! * [`Ready`](Message::Ready) (worker -> coordinator): the worker is idle
+//!   and pulls its next batch, right after its handshake and after every
+//!   batch. The coordinator answers with an `Assign`, or with `Shutdown`
+//!   once nothing is left.
 //! * [`Assign`] (coordinator -> worker): run a batch of spec indices. The
 //!   batch size tracks the worker's advertised [`Hello::threads`], so a
 //!   threaded worker can fan a whole batch across its own
@@ -31,8 +35,8 @@
 //!   which the worker reads before doing anything else on the channel;
 //!   the reply exercises both directions of the channel and times the
 //!   control-plane round trip.
-//! * [`Shutdown`](Message::Shutdown) (coordinator -> worker): drain and
-//!   end the session.
+//! * [`Shutdown`](Message::Shutdown) (coordinator -> worker): end the
+//!   session.
 //!
 //! ## Service frames
 //!
@@ -40,14 +44,14 @@
 //! with an extended vocabulary:
 //!
 //! * [`Register`] / [`RegisterAck`](Message::RegisterAck): an elastic
-//!   worker joins the fleet by *dialing the daemon* (where the one-shot
-//!   pool spawns its workers) and is assigned a dynamic slot id.
-//!   [`Deregister`](Message::Deregister) leaves voluntarily — no strike.
-//! * [`Ready`](Message::Ready) (worker -> daemon): the worker is idle and
-//!   pulls its next assignment. The daemon answers with [`JobOpen`] when
-//!   the next batch belongs to a job the worker has not expanded yet
-//!   (the worker replies [`JobReady`] after verifying the fingerprint),
-//!   then a plain [`Assign`]; or `Shutdown` when the service drains.
+//!   worker joins the fleet by *dialing the daemon* (where a one-shot run
+//!   spawns its workers and greets them with `Hello`) and is assigned a
+//!   dynamic slot id. [`Deregister`](Message::Deregister), sent in place
+//!   of a `Ready`, leaves voluntarily — no strike.
+//! * [`JobOpen`] (daemon -> worker): answers a `Ready` whose next batch
+//!   belongs to a job the worker has not expanded yet; the worker replies
+//!   [`JobReady`] after verifying the fingerprint, then gets a plain
+//!   [`Assign`].
 //! * [`Submit`] / [`Submitted`](Message::Submitted),
 //!   [`Status`](Message::Status) / [`StatusReply`],
 //!   [`Cancel`] / [`CancelOk`](Message::CancelOk),
@@ -77,6 +81,17 @@ const MAX_FRAME_BYTES: usize = 1 << 30;
 /// plus the newline. Bounds the header read, so a peer that never sends
 /// `\n` cannot grow it without limit.
 const MAX_HEADER_BYTES: u64 = MAX_FRAME_BYTES.ilog10() as u64 + 2;
+
+/// Body cap for the first frame of a connection whose peer is not yet
+/// authenticated (see [`crate::transport::Transport::recv_capped`]): 64 KiB.
+/// The only legitimate first frames are a client [`Hello`] and a worker
+/// [`Register`]. Their fixed fields take under 200 bytes and the
+/// [`BuildStamp`] a few hundred more (its target-feature list is the
+/// longest part, ~330 bytes for an x86-64 AVX-512 build); the rest is the
+/// token and the worker name, which operators choose. 64 KiB leaves those
+/// strings ample room while an unauthenticated peer can make the daemon
+/// buffer at most 64 KiB per connection instead of [`MAX_FRAME_BYTES`].
+pub(crate) const FIRST_FRAME_MAX: usize = 64 << 10;
 
 /// Build provenance carried by the [`Hello`] handshake so mismatched
 /// binaries (different commit, different ISA features, different feature
@@ -464,6 +479,13 @@ pub fn write_message<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
 /// newline, an oversized frame, or an unparsable or too deeply nested
 /// body).
 pub fn read_message<R: BufRead>(r: &mut R) -> io::Result<Message> {
+    read_message_capped(r, MAX_FRAME_BYTES)
+}
+
+/// [`read_message`] with a tighter body cap: a frame whose length header
+/// exceeds `max_bytes` is refused ([`io::ErrorKind::InvalidData`]) before
+/// any body byte is read.
+pub(crate) fn read_message_capped<R: BufRead>(r: &mut R, max_bytes: usize) -> io::Result<Message> {
     let mut header = String::new();
     let n = io::Read::take(&mut *r, MAX_HEADER_BYTES).read_line(&mut header)?;
     if n == 0 {
@@ -484,10 +506,10 @@ pub fn read_message<R: BufRead>(r: &mut R) -> io::Result<Message> {
             format!("invalid frame length header {header:?}"),
         )
     })?;
-    if len > MAX_FRAME_BYTES {
+    if len > max_bytes {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"),
+            format!("frame length {len} exceeds the {max_bytes}-byte cap"),
         ));
     }
     // The length is untrusted: it bounds the read but never sizes an
@@ -737,5 +759,50 @@ mod tests {
         // The cap is exactly the longest valid header.
         let max = format!("{MAX_FRAME_BYTES}\n");
         assert_eq!(max.len() as u64, MAX_HEADER_BYTES);
+    }
+
+    #[test]
+    fn first_frame_cap_refuses_a_huge_claim_after_the_header() {
+        // A 1 GiB claim followed by streamed bytes: refused once the
+        // header is parsed, with no body byte read.
+        let header = format!("{}\n", 1usize << 30);
+        let mut bytes = header.clone().into_bytes();
+        bytes.extend(std::iter::repeat_n(b'x', 1 << 20));
+        let mut cursor = io::Cursor::new(bytes);
+        let err = read_message_capped(&mut cursor, FIRST_FRAME_MAX).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(cursor.position(), header.len() as u64);
+        // A frame at the cap still parses.
+        let body = format!("{{\"Reject\":\"{}\"}}", "t".repeat(FIRST_FRAME_MAX - 13));
+        assert_eq!(body.len(), FIRST_FRAME_MAX);
+        let frame = format!("{}\n{body}\n", body.len());
+        let parsed = read_message_capped(&mut io::Cursor::new(frame), FIRST_FRAME_MAX);
+        assert!(matches!(parsed, Ok(Message::Reject(_))));
+    }
+
+    #[test]
+    fn largest_legitimate_first_frames_fit_the_cap_many_times_over() {
+        let build = BuildStamp::local(false);
+        let frames = [
+            Message::Hello(Hello {
+                worker_id: usize::MAX,
+                fingerprint: u64::MAX,
+                spec_count: usize::MAX,
+                token: "t".repeat(256),
+                threads: usize::MAX,
+                build: build.clone(),
+            }),
+            Message::Register(Register {
+                name: "n".repeat(256),
+                token: "t".repeat(256),
+                threads: usize::MAX,
+                build,
+            }),
+        ];
+        for frame in &frames {
+            let mut buf = Vec::new();
+            write_message(&mut buf, frame).unwrap();
+            assert!(buf.len() * 16 < FIRST_FRAME_MAX, "{} bytes", buf.len());
+        }
     }
 }

@@ -1,14 +1,14 @@
-//! The dynamic worker registry behind the service daemon.
+//! The worker registry behind the coordinator engine.
 //!
-//! The one-shot [`WorkerPool`](crate::coordinator::WorkerPool) owns a
-//! fixed slot table sized by `--workers`; the service daemon instead grows
-//! and shrinks its fleet as workers *register* at the rendezvous address. Each
-//! accepted [`Register`](crate::protocol::Register) mints a fresh,
+//! Every worker session registers here: on the service, each accepted
+//! [`Register`](crate::protocol::Register); in a one-shot run, each
+//! session a spawned slot opens. Each registration mints a fresh,
 //! monotonically-increasing slot id — sessions are disposable, so a
 //! reconnecting worker gets a new slot, never a recycled one.
 //!
-//! The pool's quarantine machinery generalizes to this elastic world by
-//! accruing channel strikes to the worker's *name* rather than its slot:
+//! Quarantine works in this elastic world by accruing channel strikes to
+//! the worker's *name* rather than its slot (a one-shot slot registers
+//! every session under its slot name):
 //! a crashy worker cannot launder its record by reconnecting (the strikes
 //! follow the name), and once the name crosses the quarantine threshold
 //! further registrations under it are refused with a typed

@@ -15,11 +15,11 @@
 //! * [`Listener`] — accepts inbound transports; [`TcpTransportListener`]
 //!   wraps `std::net::TcpListener` for the `campaign --daemon` service,
 //!   which remote workers dial with `--register`.
-//! * [`Connector`] — how the one-shot coordinator obtains (and re-obtains,
-//!   after a crash) the transport for one worker slot:
+//! * [`Connector`] — how the coordinator engine obtains (and re-obtains,
+//!   after a crash) the transport for one slot of a one-shot run:
 //!   [`ProcessConnector`] spawns a local worker process.
 
-use crate::protocol::{read_message, write_message, Message};
+use crate::protocol::{read_message, read_message_capped, write_message, Message};
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -54,6 +54,19 @@ pub trait Transport: Send {
     /// corruption; timeout kinds when a read deadline (set via
     /// [`Transport::set_read_timeout`]) expires.
     fn recv(&mut self) -> io::Result<Message>;
+
+    /// [`Transport::recv`] for a peer not yet authenticated: a frame
+    /// claiming more than `max_bytes` is refused with
+    /// [`io::ErrorKind::InvalidData`] before its body is read. Channels that
+    /// carry whole messages, not bytes, ignore the cap.
+    ///
+    /// # Errors
+    ///
+    /// As [`Transport::recv`], plus `InvalidData` for an over-cap frame.
+    fn recv_capped(&mut self, max_bytes: usize) -> io::Result<Message> {
+        let _ = max_bytes;
+        self.recv()
+    }
 
     /// Peer label for diagnostics (`"process 1234"`, `"127.0.0.1:9000"`).
     fn peer(&self) -> String;
@@ -181,6 +194,17 @@ impl ChildTransport {
             reader: Some(reader),
             read_timeout: None,
         })
+    }
+}
+
+impl ChildTransport {
+    /// Waits for the worker to exit on its own (after a `Shutdown`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the wait failure.
+    pub fn wait(&mut self) -> io::Result<std::process::ExitStatus> {
+        self.child.wait()
     }
 }
 
@@ -340,6 +364,10 @@ impl Transport for TcpTransport {
         read_message(&mut self.reader)
     }
 
+    fn recv_capped(&mut self, max_bytes: usize) -> io::Result<Message> {
+        read_message_capped(&mut self.reader, max_bytes)
+    }
+
     fn peer(&self) -> String {
         self.peer.clone()
     }
@@ -399,10 +427,11 @@ impl Listener for TcpTransportListener {
 // Connectors
 // ---------------------------------------------------------------------------
 
-/// How the coordinator obtains the transport for one worker slot.
+/// How the coordinator engine obtains the transport for one slot of a
+/// one-shot run.
 ///
 /// `connect` is called again after a channel loss — for a process worker
-/// that is a respawn. A slot whose connector keeps failing past the pool's
+/// that is a respawn. A slot whose connector keeps failing past its
 /// respawn budget is declared lost and its unfinished work re-dispatched
 /// to the surviving slots.
 pub trait Connector: Send + Sync {
@@ -410,7 +439,7 @@ pub trait Connector: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Propagates spawn/dial failures; the pool treats them like a lost
+    /// Propagates spawn/dial failures; the engine treats them like a lost
     /// channel (they consume respawn budget, they are not fatal).
     fn connect(&self, worker: usize) -> io::Result<Box<dyn Transport>>;
 

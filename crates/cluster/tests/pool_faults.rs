@@ -111,8 +111,8 @@ enum Script {
     PingThenSolid(usize),
     /// Serve `n` results, then fail the channel on the next read.
     DieAfter(usize),
-    /// Never produce a result: every post-handshake read times out, the
-    /// way a transport deadline surfaces a hung peer.
+    /// Pull a batch, then never produce a result: every read for one
+    /// times out, the way a transport deadline surfaces a hung peer.
     Hang,
     /// Reset the channel whenever this spec index is next in line.
     CrashOnSpec(usize),
@@ -212,6 +212,10 @@ impl Transport for ScriptedTransport {
                 build: theirs.build.clone(),
             }));
         }
+        let Some(&next) = self.pending.front() else {
+            // An idle worker pulls its next batch.
+            return Ok(Message::Ready);
+        };
         if matches!(self.script, Script::Hang) {
             assert!(
                 self.deadline.is_some(),
@@ -222,9 +226,6 @@ impl Transport for ScriptedTransport {
                 "scripted hang: read deadline expired",
             ));
         }
-        let Some(&next) = self.pending.front() else {
-            return Err(io::ErrorKind::UnexpectedEof.into());
-        };
         match self.script {
             Script::DieAfter(n) if self.served >= n => {
                 return Err(io::Error::new(
@@ -834,7 +835,6 @@ fn service_config() -> ServiceConfig {
         ("alice".to_string(), "a-token".to_string()),
         ("bob".to_string(), "b-token".to_string()),
     ];
-    config.handshake_timeout = Duration::from_secs(5);
     config
 }
 
@@ -1207,9 +1207,8 @@ fn service_errors_are_typed() {
 fn nonsense_pool_configuration_is_rejected_before_any_session() {
     let _watchdog = watchdog!();
     let log = Arc::new(PoolLog::default());
-    let cases: [Box<dyn Fn(WorkerPool) -> WorkerPool>; 3] = [
+    let cases: [Box<dyn Fn(WorkerPool) -> WorkerPool>; 2] = [
         Box::new(|p| p.with_assign_timeout(Some(Duration::ZERO))),
-        Box::new(|p| p.with_handshake_timeout(Duration::ZERO)),
         Box::new(|p| p.with_quarantine_after(Some(0))),
     ];
     for misconfigure in cases {

@@ -88,7 +88,7 @@ EXECUTION OPTIONS:
     --checkpoint <path>   Append every completed run to a resume journal
     --resume              Skip runs already completed in the --checkpoint journal
     --max-respawns <n>    Respawn budget per worker (default: 2)
-    --jsonl <path>        Stream per-run records to a JSONL file as they complete
+    --jsonl <path>        Stream per-run records to a JSONL file in campaign order
     --summary-only        Drop per-run series from the merged report once streamed
                           (requires --jsonl; series stay in the JSONL)
 

@@ -57,7 +57,8 @@ pub struct DistributedOptions {
     pub resume: bool,
     /// Per-worker respawn budget.
     pub max_respawns: usize,
-    /// Stream every completed record to this JSONL path as it finishes.
+    /// Stream every completed record to this JSONL path, in expansion
+    /// order (a record that completes early waits for every lower index).
     pub stream_jsonl: Option<PathBuf>,
     /// Drop per-run series from coordinator residency once streamed: the
     /// merged report keeps every aggregate (final energy, jobs, skips...)
@@ -176,11 +177,15 @@ pub fn run_campaign_distributed(
     };
     let stream = match &opts.stream_jsonl {
         Some(path) => {
-            let mut w = RunsJsonlWriter::create(path).map_err(io_err)?;
-            // Resumed records stream first so the file is a complete
-            // account of the campaign, not just of this invocation.
-            for record in resumed.values() {
-                w.append(record).map_err(io_err)?;
+            let mut w = OrderedStream {
+                writer: RunsJsonlWriter::create(path).map_err(io_err)?,
+                next: 0,
+                held: BTreeMap::new(),
+            };
+            // Resumed records go in too, so the file is a complete account
+            // of the campaign, not just of this invocation.
+            for (&index, record) in &resumed {
+                w.push(index, record.clone()).map_err(io_err)?;
             }
             Some(w)
         }
@@ -223,12 +228,13 @@ pub fn run_campaign_distributed(
             if let Some(s) = stream {
                 let mut record = RunRecord::from_value(&entry.record)
                     .map_err(|e| format!("spec {}: malformed record: {e}", entry.index))?;
-                s.append(&record)
-                    .map_err(|e| format!("jsonl stream append failed: {e}"))?;
                 if summary_only {
-                    record.series.clear();
+                    let series = std::mem::take(&mut record.series);
                     entry.record = record.to_value();
+                    record.series = series;
                 }
+                s.push(entry.index, record)
+                    .map_err(|e| format!("jsonl stream append failed: {e}"))?;
             }
             Ok(())
         },
@@ -264,6 +270,27 @@ pub fn run_campaign_distributed(
         quarantined_workers: outcome.quarantined_workers,
     };
     Ok((report, stats))
+}
+
+/// The `--jsonl` stream of a distributed run, written in expansion order:
+/// a record that completes early waits in `held` until every lower index
+/// is written, so the file is byte-identical to an in-process run's.
+struct OrderedStream {
+    writer: RunsJsonlWriter,
+    /// The lowest index not yet written.
+    next: usize,
+    held: BTreeMap<usize, RunRecord>,
+}
+
+impl OrderedStream {
+    fn push(&mut self, index: usize, record: RunRecord) -> io::Result<()> {
+        self.held.insert(index, record);
+        while let Some(record) = self.held.remove(&self.next) {
+            self.writer.append(&record)?;
+            self.next += 1;
+        }
+        Ok(())
+    }
 }
 
 fn io_err(e: io::Error) -> ClusterError {

@@ -425,10 +425,10 @@ impl RunsJsonlWriter {
 
     /// Appends one record as a compact JSON line and flushes it.
     ///
-    /// Records appear in completion order (not necessarily expansion
-    /// order when produced by parallel or sharded executors); each line
-    /// carries its full grid identity (`scenario`, `trial`, `seed`), so
-    /// readers regroup without positional assumptions.
+    /// The campaign CLI appends in expansion order, in-process and
+    /// distributed alike; each line also carries its full grid identity
+    /// (`scenario`, `trial`, `seed`), so readers regroup without
+    /// positional assumptions.
     ///
     /// # Errors
     ///
@@ -488,10 +488,10 @@ pub fn read_runs_jsonl(path: &Path) -> io::Result<Vec<RunRecord>> {
 }
 
 /// Rebuilds a full-fidelity [`CampaignReport`] from a streamed JSONL file
-/// by re-sorting the records (which arrive in completion order) into
-/// campaign expansion order — `(scenario, trial)` lexicographic, which is
-/// exactly how [`crate::scenario::Campaign::expand`] orders runs. This is
-/// the summary-only merge's counterpart: the resident report keeps only
+/// by sorting the records into campaign expansion order — `(scenario,
+/// trial)` lexicographic, which is exactly how
+/// [`crate::scenario::Campaign::expand`] orders runs. This is the
+/// summary-only merge's counterpart: the resident report keeps only
 /// aggregates, and downstream consumers that need series re-aggregate from
 /// the stream.
 ///

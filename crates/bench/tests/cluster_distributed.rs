@@ -12,8 +12,8 @@
 
 use proptest::prelude::*;
 use qismet_bench::{
-    run_campaign_distributed, Campaign, CampaignGrid, CampaignReport, DistributedOptions, Scheme,
-    SweepExecutor,
+    run_campaign_distributed, Campaign, CampaignGrid, CampaignReport, DistributedOptions,
+    RunsJsonlWriter, Scheme, SweepExecutor,
 };
 use qismet_cluster::{load_journal, ClusterError, Fault, FaultKind, FaultPlan, WorkerLaunch};
 use qismet_vqa::AppSpec;
@@ -71,13 +71,14 @@ fn launch(case: &GridCase) -> WorkerLaunch {
     WorkerLaunch::new(PathBuf::from(WORKER_BIN), case.flags.clone())
 }
 
-/// Workers whose processes exit after sending `after_dones` results.
-fn crashing_launch(case: &GridCase, after_dones: usize) -> WorkerLaunch {
+/// Workers that all run `kind` once they have sent `after_dones` results
+/// (`CrashProcess`: the process exits).
+fn faulty_launch(case: &GridCase, after_dones: usize, kind: FaultKind) -> WorkerLaunch {
     let plan = FaultPlan {
         faults: vec![Fault {
             worker: None,
             after_dones,
-            kind: FaultKind::CrashProcess,
+            kind,
         }],
     };
     let mut flags = case.flags.clone();
@@ -143,7 +144,7 @@ fn interrupted_campaign_resumes_rerunning_only_missing_specs() {
     // respawn budget — the invocation fails mid-campaign, like a kill -9.
     let err = run_campaign_distributed(
         &case.campaign,
-        Some(crashing_launch(&case, 2)),
+        Some(faulty_launch(&case, 2, FaultKind::CrashProcess)),
         &DistributedOptions {
             workers: 1,
             checkpoint: Some(journal_path.clone()),
@@ -276,6 +277,88 @@ fn journal_from_another_campaign_resumes_nothing() {
     assert_eq!(stats.executed, case.campaign.len());
     assert_reports_bitwise_equal(&SweepExecutor::sequential().run(&case.campaign), &report);
 
+    std::fs::remove_file(&journal_path).unwrap();
+}
+
+/// The bytes an in-process `campaign --jsonl` run writes for `report`.
+fn in_process_jsonl(report: &CampaignReport) -> Vec<u8> {
+    let path = temp_journal("jsonl-reference");
+    let mut w = RunsJsonlWriter::create(&path).unwrap();
+    for record in &report.records {
+        w.append(record).unwrap();
+    }
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    bytes
+}
+
+#[test]
+fn distributed_and_resumed_jsonl_match_in_process_bytes() {
+    let case = grid_case("dist-jsonl", 0x15a1, &[1, 2], 2, 22);
+    let total = case.campaign.len();
+    let want = in_process_jsonl(&SweepExecutor::sequential().run(&case.campaign));
+    let stream = temp_journal("jsonl-stream");
+    let journal_path = temp_journal("jsonl-checkpoint");
+    let _ = std::fs::remove_file(&journal_path);
+
+    // Two workers finish records in any order; the stream is written in
+    // expansion order.
+    let (_, stats) = run_campaign_distributed(
+        &case.campaign,
+        Some(launch(&case)),
+        &DistributedOptions {
+            workers: 2,
+            stream_jsonl: Some(stream.clone()),
+            ..DistributedOptions::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(stats.executed, total);
+    assert!(
+        std::fs::read(&stream).unwrap() == want,
+        "2-worker JSONL differs from the in-process bytes"
+    );
+
+    // Spec 0 kills every session it reaches: every other spec completes
+    // and is journaled, but each waits for index 0, so none is written.
+    let err = run_campaign_distributed(
+        &case.campaign,
+        Some(faulty_launch(&case, 0, FaultKind::PoisonSpec(0))),
+        &DistributedOptions {
+            workers: 2,
+            checkpoint: Some(journal_path.clone()),
+            stream_jsonl: Some(stream.clone()),
+            ..DistributedOptions::default()
+        },
+    )
+    .unwrap_err();
+    assert!(
+        matches!(err, ClusterError::PoisonedSpecs { .. }),
+        "unexpected error: {err}"
+    );
+    assert!(std::fs::read(&stream).unwrap().is_empty());
+
+    // Resume: indices 1.. come back from the journal and are written once
+    // spec 0 lands.
+    let (_, stats) = run_campaign_distributed(
+        &case.campaign,
+        Some(launch(&case)),
+        &DistributedOptions {
+            workers: 2,
+            checkpoint: Some(journal_path.clone()),
+            resume: true,
+            stream_jsonl: Some(stream.clone()),
+            ..DistributedOptions::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(stats.resumed, total - 1);
+    assert!(
+        std::fs::read(&stream).unwrap() == want,
+        "resumed JSONL differs from the in-process bytes"
+    );
+
+    std::fs::remove_file(&stream).unwrap();
     std::fs::remove_file(&journal_path).unwrap();
 }
 

@@ -234,7 +234,9 @@ fn heartbeat_round_trips_reach_the_last_done_of_a_session() {
     // Worker sessions always run with telemetry on; without it `Done`
     // carries no stats.
     qismet_telemetry::set_enabled(true);
-    let case = grid_case("net-rtt", 5, &[1], 1, 20);
+    // 2000 iterations run ~15 ms in a release build: far past the 50us
+    // heartbeat even when other tests' threads hold both cores.
+    let case = grid_case("net-rtt", 5, &[1], 1, 2000);
     let hello = Hello {
         worker_id: 0,
         fingerprint: case.campaign.fingerprint(),

@@ -37,8 +37,8 @@
 //!     &[Complex64::ZERO, Complex64::new(-1.0, 0.0)],
 //! ]);
 //! let zz = z.kron(&z);
-//! let eig = herm_eig(&zz).unwrap();
-//! assert!((eig.values[0] + 1.0).abs() < 1e-10);
+//! let values = herm_eig(&zz).unwrap();
+//! assert!((values[0] + 1.0).abs() < 1e-10);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,8 +53,7 @@ mod special;
 mod stats;
 
 pub use complex::Complex64;
-pub use eig::{generalized_sym_eig, ground_energy, herm_eig, sym_eig};
-pub use eig::{EigError, HermEig, SymEig};
+pub use eig::{generalized_sym_eig, herm_eig, sym_eig, EigError, SymEig};
 pub use linsolve::{solve, Lu};
 pub use matrix::{CMatrix, MatrixError, RMatrix};
 pub use rng::{

@@ -331,22 +331,9 @@ impl RMatrix {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
-    /// Largest absolute off-diagonal element (convergence metric for Jacobi).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn max_offdiag_abs(&self) -> f64 {
-        assert!(self.is_square());
-        let mut m: f64 = 0.0;
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                if i != j {
-                    m = m.max(self.at(i, j).abs());
-                }
-            }
-        }
-        m
+    /// Mutable row-major backing slice (the eigensolvers' in-place sweeps).
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
     }
 
     /// Returns `true` if `|a - b| <= tol` element-wise (same shape required).
@@ -661,11 +648,5 @@ mod tests {
         let im = m.imag_part();
         assert_eq!(re.at(0, 1), 3.0);
         assert_eq!(im.at(0, 1), -4.0);
-    }
-
-    #[test]
-    fn max_offdiag_finds_extremum() {
-        let a = RMatrix::from_rows(&[&[9.0, -7.0], &[0.5, 9.0]]);
-        assert_eq!(a.max_offdiag_abs(), 7.0);
     }
 }

@@ -366,7 +366,7 @@ impl PauliSum {
     ///
     /// Propagates eigensolver failures.
     pub fn ground_energy(&self) -> Result<f64, EigError> {
-        Ok(herm_eig(&self.to_matrix())?.values[0])
+        Ok(herm_eig(&self.to_matrix())?[0])
     }
 
     /// Greedily groups terms into qubit-wise commuting sets that can be
@@ -542,8 +542,8 @@ mod tests {
         let e = h.ground_energy().unwrap();
         // Dense check.
         let m = h.to_matrix();
-        let eig = qismet_mathkit::herm_eig(&m).unwrap();
-        assert!((e - eig.values[0]).abs() < 1e-12);
+        let values = qismet_mathkit::herm_eig(&m).unwrap();
+        assert!((e - values[0]).abs() < 1e-12);
         assert!(e < -1.0);
     }
 

@@ -28,6 +28,13 @@ fn campaign_solves_ground_energy_once_and_racing_threads_share_one_solve() {
     let snap = telemetry::snapshot();
     assert_eq!(snap.counter("vqa.ground_energy.solves"), 1);
     assert_eq!(snap.counter("vqa.ground_energy.hits"), 23);
+    // The solve's wall time is counted; a hit adds nothing to it.
+    let solve_ns = snap.counter("vqa.ground_energy.solve_ns");
+    assert!(solve_ns > 0);
+    Tfim::paper_6q().exact_ground_energy().unwrap();
+    let snap = telemetry::snapshot();
+    assert_eq!(snap.counter("vqa.ground_energy.hits"), 24);
+    assert_eq!(snap.counter("vqa.ground_energy.solve_ns"), solve_ns);
 
     // Eight threads race on a key nobody has solved: exactly one solves,
     // the rest wait on the memo lock and hit.
@@ -46,7 +53,8 @@ fn campaign_solves_ground_energy_once_and_racing_threads_share_one_solve() {
     assert!(bits.iter().all(|&b| b == bits[0]), "{bits:?}");
     let snap = telemetry::snapshot();
     assert_eq!(snap.counter("vqa.ground_energy.solves"), 2);
-    assert_eq!(snap.counter("vqa.ground_energy.hits"), 23 + 7);
+    assert_eq!(snap.counter("vqa.ground_energy.hits"), 24 + 7);
+    assert!(snap.counter("vqa.ground_energy.solve_ns") > solve_ns);
 
     telemetry::set_enabled(false);
     telemetry::reset();

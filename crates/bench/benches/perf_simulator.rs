@@ -11,7 +11,6 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use qismet::{decide, TransientEstimate};
 use qismet_bench::{Campaign, ScenarioSpec, Scheme, SweepExecutor};
-use qismet_mathkit::rng_from_seed;
 use qismet_optim::{GainSchedule, Proposer, Spsa};
 use qismet_qsim::{
     statevector, Backend, Circuit, CompiledCircuit, CompiledObservable, DensityMatrix,
@@ -48,10 +47,6 @@ fn bench_statevector(c: &mut Criterion) {
     let bound = ansatz.bind(&vec![0.3; ansatz.n_params()]).unwrap();
     let sv = StateVector::from_circuit(&bound).unwrap();
     group.bench_function("tfim6_expectation", |b| b.iter(|| sv.expectation(&h)));
-    let mut rng = rng_from_seed(1);
-    group.bench_function("sample_8192_shots_6q", |b| {
-        b.iter(|| sv.sample_counts(&mut rng, 8192))
-    });
     group.finish();
 }
 

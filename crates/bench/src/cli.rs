@@ -7,7 +7,7 @@
 //! adding a mode. The binary maps [`CliError`] onto the typed
 //! [exit codes](EXIT_USAGE) shared with the runtime error paths.
 
-use crate::scenario::{parse_scheme, parse_threshold};
+use crate::scenario::{parse_scheme, parse_threshold, valid_magnitude};
 use crate::service::machine_by_name;
 use crate::{scaled, Scheme};
 use qismet_cluster::ClusterError;
@@ -435,7 +435,9 @@ pub fn parse_args(argv: &[String]) -> Result<Args, CliError> {
                 args.thresholds = parse_list(value, "threshold percentile", parse_threshold)?;
             }
             "--magnitudes" => {
-                args.magnitudes = parse_list(value, "magnitude", |s| s.parse::<f64>().ok())?;
+                args.magnitudes = parse_list(value, "magnitude (finite and >= 0)", |s| {
+                    s.parse().ok().filter(|&m| valid_magnitude(m))
+                })?;
             }
             "--iterations" => {
                 args.iterations = value

@@ -59,7 +59,7 @@ pub fn scaled(iterations: usize) -> usize {
 /// The comparison schemes of Section 6.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheme {
-    /// Traditional VQA (measurement-error-mitigated, no transient handling).
+    /// Traditional VQA: plain SPSA tuning with no transient handling.
     Baseline,
     /// QISMET at the paper's default 90p threshold.
     Qismet,

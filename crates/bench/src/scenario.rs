@@ -388,6 +388,13 @@ pub fn parse_threshold(s: &str) -> Option<u32> {
         .filter(|p| (1..=99).contains(p))
 }
 
+/// Whether `m` can be a [`CampaignGrid::magnitudes`] entry: finite and
+/// non-negative. The transient generator panics on anything else, so both
+/// the CLI and a submitted grid reject it up front.
+pub(crate) fn valid_magnitude(m: f64) -> bool {
+    m.is_finite() && m >= 0.0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

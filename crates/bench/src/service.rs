@@ -30,7 +30,7 @@
 use crate::distributed::{PullWorker, SessionOutcome};
 use crate::executor::resolve_threads;
 use crate::report::{CampaignReport, ReportMeta, RunRecord};
-use crate::scenario::{parse_scheme, Campaign, CampaignGrid};
+use crate::scenario::{parse_scheme, valid_magnitude, Campaign, CampaignGrid};
 use crate::Scheme;
 use qismet_cluster::daemon::{JobPlan, JobPlanner};
 use qismet_cluster::queue::JobSpec;
@@ -77,7 +77,9 @@ impl GridSpec {
     ///
     /// # Errors
     ///
-    /// Reports the first unknown app id, machine name, or scheme name.
+    /// Reports the first unknown app id, machine name, or scheme name, an
+    /// empty grid, zero iterations, or a magnitude that is negative or not
+    /// finite.
     pub fn to_campaign(&self) -> Result<Campaign, String> {
         let mut apps = Vec::with_capacity(self.apps.len());
         for &id in &self.apps {
@@ -100,6 +102,9 @@ impl GridSpec {
         }
         if self.iterations == 0 {
             return Err("iterations must be positive".into());
+        }
+        if let Some(m) = self.magnitudes.iter().find(|&&m| !valid_magnitude(m)) {
+            return Err(format!("invalid magnitude {m}: must be finite and >= 0"));
         }
         let grid = CampaignGrid {
             apps,
@@ -545,7 +550,7 @@ mod tests {
     }
 
     #[test]
-    fn grid_spec_rejects_unknown_identifiers() {
+    fn grid_spec_rejects_invalid_grids() {
         let mut bad = grid();
         bad.apps = vec![99];
         assert!(bad.to_campaign().unwrap_err().contains("app id 99"));
@@ -559,6 +564,12 @@ mod tests {
         bad.schemes.clear();
         bad.thresholds.clear();
         assert!(bad.to_campaign().is_err());
+        for m in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut bad = grid();
+            bad.magnitudes = vec![0.25, m];
+            let err = bad.to_campaign().unwrap_err();
+            assert!(err.contains("invalid magnitude"), "{m}: {err}");
+        }
     }
 
     #[test]

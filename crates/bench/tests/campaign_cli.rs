@@ -224,8 +224,9 @@ fn metrics_out_in_process_carries_qsim_taxonomy() {
     let _ = std::fs::remove_file(&trace_path);
 }
 
-/// Validation conflicts — whatever the flag combination — exit with the
-/// usage code and a named conflict, never a partial run.
+/// Validation conflicts — whatever the flag combination — and bad flag
+/// values exit with the usage code and a named error, never a partial run
+/// (a negative or non-finite magnitude would panic inside a spec).
 #[test]
 fn typed_conflicts_exit_with_usage_code() {
     for (args, needle) in [
@@ -241,6 +242,18 @@ fn typed_conflicts_exit_with_usage_code() {
         (
             &["--to", "127.0.0.1:1"][..],
             "submit/status/cancel/drain require --to",
+        ),
+        (
+            &["--magnitudes", "-1"][..],
+            "invalid magnitude (finite and >= 0): `-1`",
+        ),
+        (
+            &["--magnitudes", "nan"][..],
+            "invalid magnitude (finite and >= 0): `nan`",
+        ),
+        (
+            &["--magnitudes", "inf"][..],
+            "invalid magnitude (finite and >= 0): `inf`",
         ),
     ] {
         let (code, stderr) = run_campaign_cli(args);

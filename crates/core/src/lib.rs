@@ -23,8 +23,7 @@
 //! Thresholds calibrate online from the |Tm| history to a target skip rate
 //! ([`ThresholdCalibrator`]; the paper's `99p`/`90p`/`75p`). The crate also
 //! ships the comparison machinery the paper evaluates against
-//! ([`run_only_transients`], [`run_filtered_baseline`]) and readout-error
-//! mitigation ([`ReadoutMitigator`]) matching the baseline's setup.
+//! ([`run_only_transients`], [`run_filtered_baseline`]).
 //!
 //! # Examples
 //!
@@ -53,14 +52,12 @@
 mod config;
 mod controller;
 mod estimator;
-mod mitigation;
 mod runner;
 mod threshold;
 
 pub use config::QismetConfig;
 pub use controller::{decide, Decision, DecisionReason};
 pub use estimator::TransientEstimate;
-pub use mitigation::{MitigationError, MitigationStrategy, ReadoutMitigator};
 pub use runner::{
     run_filtered_baseline, run_only_transients, run_only_transients_budgeted, run_qismet,
     run_qismet_budgeted, QismetRecord,

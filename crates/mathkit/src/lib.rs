@@ -14,8 +14,8 @@
 //! * [`sym_eig`] / [`herm_eig`] — Jacobi eigensolvers, used for exact ground
 //!   energies of TFIM / H2 Hamiltonians and for Loewdin orthogonalization in
 //!   the Hartree-Fock solver.
-//! * [`solve`] — LU-based linear algebra for readout-error calibration
-//!   matrices.
+//! * [`solve`] — an LU linear solve for the second-order SPSA proposer's
+//!   Newton step.
 //! * [`percentile`], [`geomean`], ... — the statistics the paper's evaluation
 //!   quotes (percentile thresholds, geometric-mean improvements), and
 //!   [`SortedWindow`], the sliding |Tm| history behind the online thresholds.
@@ -54,7 +54,7 @@ mod stats;
 
 pub use complex::Complex64;
 pub use eig::{generalized_sym_eig, herm_eig, sym_eig, EigError, SymEig};
-pub use linsolve::{solve, Lu};
+pub use linsolve::solve;
 pub use matrix::{CMatrix, MatrixError, RMatrix};
 pub use rng::{
     bernoulli, derive_seed, exponential, geometric, normal, pareto, rng_from_seed, standard_normal,

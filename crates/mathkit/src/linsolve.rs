@@ -1,8 +1,8 @@
 //! Linear system solving via partial-pivot LU.
 //!
-//! Used by the readout-error mitigation to solve calibration systems and by
-//! the chemistry SCF utilities. Matrix sizes are small (at most `2^6 = 64`
-//! for full calibration matrices), so a textbook LU is appropriate.
+//! Used by the second-order SPSA proposer to solve its preconditioned
+//! Newton step. Its systems are parameter-count sized (tens of unknowns),
+//! so a textbook LU is appropriate.
 
 // Dense index arithmetic reads clearest with explicit loop indices; the
 // iterator rewrites clippy suggests obscure the row/column structure.
@@ -12,13 +12,11 @@ use crate::matrix::{MatrixError, RMatrix};
 
 /// LU decomposition with partial pivoting: `P A = L U`.
 #[derive(Debug, Clone)]
-pub struct Lu {
+struct Lu {
     /// Combined L (unit lower, below diagonal) and U (upper incl. diagonal).
     lu: RMatrix,
     /// Row permutation applied to the input.
     perm: Vec<usize>,
-    /// Sign of the permutation (+1 or -1), used by the determinant.
-    sign: f64,
 }
 
 impl Lu {
@@ -28,14 +26,13 @@ impl Lu {
     ///
     /// * [`MatrixError::NotSquare`] for non-square input.
     /// * [`MatrixError::Singular`] if a pivot underflows.
-    pub fn factor(a: &RMatrix) -> Result<Lu, MatrixError> {
+    fn factor(a: &RMatrix) -> Result<Lu, MatrixError> {
         if !a.is_square() {
             return Err(MatrixError::NotSquare { shape: a.shape() });
         }
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
         for col in 0..n {
             // Pivot selection.
             let mut pivot_row = col;
@@ -57,7 +54,6 @@ impl Lu {
                     lu.set(pivot_row, c, tmp);
                 }
                 perm.swap(col, pivot_row);
-                sign = -sign;
             }
             let inv_p = 1.0 / lu.at(col, col);
             for r in (col + 1)..n {
@@ -69,7 +65,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu { lu, perm, sign })
+        Ok(Lu { lu, perm })
     }
 
     /// Solves `A x = b` using the stored factorization.
@@ -77,7 +73,7 @@ impl Lu {
     /// # Panics
     ///
     /// Panics if `b.len()` does not match the factored dimension.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+    fn solve(&self, b: &[f64]) -> Vec<f64> {
         let n = self.lu.rows();
         assert_eq!(b.len(), n, "rhs length");
         // Apply permutation, then forward/back substitution.
@@ -97,16 +93,6 @@ impl Lu {
             x[i] = acc / self.lu.at(i, i);
         }
         x
-    }
-
-    /// Determinant of the factored matrix.
-    pub fn det(&self) -> f64 {
-        let n = self.lu.rows();
-        let mut d = self.sign;
-        for i in 0..n {
-            d *= self.lu.at(i, i);
-        }
-        d
     }
 }
 
@@ -154,20 +140,6 @@ mod tests {
     fn singular_detected() {
         let a = RMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
         assert_eq!(solve(&a, &[1.0, 2.0]).unwrap_err(), MatrixError::Singular);
-    }
-
-    #[test]
-    fn determinant_matches() {
-        let a = RMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let lu = Lu::factor(&a).unwrap();
-        assert!((lu.det() + 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn determinant_sign_with_pivot_swap() {
-        let a = RMatrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let lu = Lu::factor(&a).unwrap();
-        assert!((lu.det() + 1.0).abs() < 1e-12);
     }
 
     #[test]

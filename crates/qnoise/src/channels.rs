@@ -7,10 +7,7 @@
 //! Qiskit Aer builds device noise models from calibration data.
 
 use crate::static_model::StaticNoiseModel;
-use qismet_qsim::{
-    ChannelError, Circuit, Counts, DensityMatrix, GateError, KrausChannel, PauliSum,
-};
-use rand::Rng;
+use qismet_qsim::{ChannelError, Circuit, DensityMatrix, GateError, KrausChannel, PauliSum};
 
 /// Errors from the noisy executor.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,7 +50,7 @@ impl From<ChannelError> for NoisySimError {
 /// use qismet_qnoise::{NoisySimulator, StaticNoiseModel};
 /// use qismet_qsim::{Circuit, PauliSum};
 ///
-/// let model = StaticNoiseModel::uniform(2, 100.0, 90.0, 1e-3, 1e-2, 0.0);
+/// let model = StaticNoiseModel::uniform(2, 100.0, 90.0, 1e-3, 1e-2);
 /// let sim = NoisySimulator::new(model);
 /// let mut bell = Circuit::new(2);
 /// bell.h(0).cx(0, 1);
@@ -123,30 +120,14 @@ impl NoisySimulator {
         Ok(rho)
     }
 
-    /// Noisy expectation value `tr(rho H)` (no readout error — expectation is
-    /// taken analytically from the final state).
+    /// Noisy expectation value `tr(rho H)`, taken analytically from the final
+    /// state.
     ///
     /// # Errors
     ///
     /// Same as [`Self::run`].
     pub fn expectation(&self, circuit: &Circuit, h: &PauliSum) -> Result<f64, NoisySimError> {
         Ok(self.run(circuit)?.expectation(h))
-    }
-
-    /// Samples measurement outcomes including readout (assignment) errors.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::run`].
-    pub fn sample<R: Rng + ?Sized>(
-        &self,
-        circuit: &Circuit,
-        shots: u64,
-        rng: &mut R,
-    ) -> Result<Counts, NoisySimError> {
-        let rho = self.run(circuit)?;
-        let raw = rho.sample_counts(rng, shots);
-        Ok(self.model.apply_readout_errors(&raw, rng))
     }
 
     /// Output-distribution fidelity of a circuit against its ideal execution
@@ -173,7 +154,6 @@ impl NoisySimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qismet_mathkit::rng_from_seed;
 
     fn bell() -> Circuit {
         let mut c = Circuit::new(2);
@@ -191,7 +171,7 @@ mod tests {
 
     #[test]
     fn gate_errors_contract_expectation() {
-        let model = StaticNoiseModel::uniform(2, f64::INFINITY, f64::INFINITY, 1e-3, 1e-2, 0.0);
+        let model = StaticNoiseModel::uniform(2, f64::INFINITY, f64::INFINITY, 1e-3, 1e-2);
         let mut model = model;
         for q in &mut model.qubits {
             q.t1_us = f64::INFINITY;
@@ -207,7 +187,7 @@ mod tests {
     fn attenuation_factor_tracks_density_sim() {
         // The cheap contraction model should approximate the faithful
         // density-matrix result for a GHZ-parity observable.
-        let model = StaticNoiseModel::uniform(3, 120.0, 100.0, 5e-4, 6e-3, 0.0);
+        let model = StaticNoiseModel::uniform(3, 120.0, 100.0, 5e-4, 6e-3);
         let sim = NoisySimulator::new(model.clone());
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).cx(1, 2);
@@ -223,7 +203,7 @@ mod tests {
 
     #[test]
     fn t1_override_reduces_fidelity() {
-        let model = StaticNoiseModel::uniform(3, 150.0, 120.0, 3e-4, 6e-3, 0.0);
+        let model = StaticNoiseModel::uniform(3, 150.0, 120.0, 3e-4, 6e-3);
         let sim = NoisySimulator::new(model);
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).cx(1, 2).cx(0, 1).cx(1, 2);
@@ -236,26 +216,11 @@ mod tests {
 
     #[test]
     fn fidelity_in_unit_interval() {
-        let model = StaticNoiseModel::uniform(2, 60.0, 50.0, 1e-3, 1e-2, 0.02);
+        let model = StaticNoiseModel::uniform(2, 60.0, 50.0, 1e-3, 1e-2);
         let sim = NoisySimulator::new(model);
         let f = sim.circuit_fidelity(&bell(), None).unwrap();
         assert!((0.0..=1.0).contains(&f));
         assert!(f > 0.8, "bell pair should stay high fidelity, got {f}");
-    }
-
-    #[test]
-    fn sampling_includes_readout_errors() {
-        let model = StaticNoiseModel::uniform(1, f64::INFINITY, f64::INFINITY, 0.0, 0.0, 0.1);
-        let mut model = model;
-        model.qubits[0].t1_us = f64::INFINITY;
-        model.qubits[0].t2_us = f64::INFINITY;
-        let sim = NoisySimulator::new(model.clone());
-        let c = Circuit::new(1); // stays |0>
-        let mut rng = rng_from_seed(9);
-        let counts = sim.sample(&c, 20_000, &mut rng).unwrap();
-        let p1 = counts.probability(1);
-        // p01 = 0.1 * 0.6 = 0.06 flips expected.
-        assert!((p1 - model.qubits[0].readout_p01).abs() < 0.01, "p1 = {p1}");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! transient component that static error-mitigation assumptions miss; this
 //! crate provides both layers:
 //!
-//! * [`StaticNoiseModel`] — calibration-cycle noise: per-qubit T1/T2 and
-//!   readout error, per-gate depolarizing error, gate durations, plus the
+//! * [`StaticNoiseModel`] — calibration-cycle noise: per-qubit T1/T2,
+//!   per-gate depolarizing error, gate durations, plus the
 //!   circuit-level *attenuation factor* used by the fast objective model.
 //! * [`NoisySimulator`] — the faithful density-matrix executor that applies
 //!   thermal-relaxation and depolarizing Kraus channels gate by gate.

@@ -88,16 +88,16 @@ impl Machine {
     /// The static (calibration-cycle) noise model restricted to the
     /// `n_qubits` the application uses.
     pub fn static_model(self, n_qubits: usize) -> StaticNoiseModel {
-        let (t1, t2, e1, e2, ro) = match self {
-            Machine::Guadalupe => (105.0, 95.0, 3.2e-4, 9.0e-3, 0.020),
-            Machine::Toronto => (90.0, 75.0, 4.5e-4, 1.3e-2, 0.035),
-            Machine::Sydney => (110.0, 90.0, 3.0e-4, 1.0e-2, 0.028),
-            Machine::Casablanca => (120.0, 100.0, 2.6e-4, 8.0e-3, 0.022),
-            Machine::Jakarta => (95.0, 60.0, 3.8e-4, 1.1e-2, 0.030),
-            Machine::Mumbai => (115.0, 100.0, 3.1e-4, 9.5e-3, 0.024),
-            Machine::Cairo => (85.0, 65.0, 5.0e-4, 1.5e-2, 0.038),
+        let (t1, t2, e1, e2) = match self {
+            Machine::Guadalupe => (105.0, 95.0, 3.2e-4, 9.0e-3),
+            Machine::Toronto => (90.0, 75.0, 4.5e-4, 1.3e-2),
+            Machine::Sydney => (110.0, 90.0, 3.0e-4, 1.0e-2),
+            Machine::Casablanca => (120.0, 100.0, 2.6e-4, 8.0e-3),
+            Machine::Jakarta => (95.0, 60.0, 3.8e-4, 1.1e-2),
+            Machine::Mumbai => (115.0, 100.0, 3.1e-4, 9.5e-3),
+            Machine::Cairo => (85.0, 65.0, 5.0e-4, 1.5e-2),
         };
-        StaticNoiseModel::uniform(n_qubits, t1, t2, e1, e2, ro)
+        StaticNoiseModel::uniform(n_qubits, t1, t2, e1, e2)
     }
 
     /// The machine's transient process at its native intensity.

@@ -1,13 +1,12 @@
 //! Static (calibration-cycle) noise model.
 //!
 //! This is the per-device noise description that error-mitigation work
-//! traditionally assumes stable: per-qubit T1/T2 and readout error, per-gate
-//! depolarizing error, and gate durations. The paper's point is that reality
+//! traditionally assumes stable: per-qubit T1/T2, per-gate depolarizing
+//! error, and gate durations. The paper's point is that reality
 //! adds a *transient* component on top (see [`crate::transient`]); this
 //! module is the stable floor.
 
-use qismet_qsim::{Circuit, Counts};
-use rand::Rng;
+use qismet_qsim::Circuit;
 use serde::{Deserialize, Serialize};
 
 /// Calibration data for one qubit.
@@ -17,17 +16,6 @@ pub struct QubitProfile {
     pub t1_us: f64,
     /// Phase coherence time constant in microseconds (`t2 <= 2 t1`).
     pub t2_us: f64,
-    /// Probability of reading `1` when the qubit is `0`.
-    pub readout_p01: f64,
-    /// Probability of reading `0` when the qubit is `1`.
-    pub readout_p10: f64,
-}
-
-impl QubitProfile {
-    /// Average symmetric readout error.
-    pub fn readout_error(&self) -> f64 {
-        0.5 * (self.readout_p01 + self.readout_p10)
-    }
 }
 
 /// The full static noise model of a device.
@@ -36,7 +24,7 @@ impl QubitProfile {
 ///
 /// ```
 /// use qismet_qnoise::StaticNoiseModel;
-/// let model = StaticNoiseModel::uniform(6, 100.0, 90.0, 3e-4, 8e-3, 0.02);
+/// let model = StaticNoiseModel::uniform(6, 100.0, 90.0, 3e-4, 8e-3);
 /// assert_eq!(model.n_qubits(), 6);
 /// assert!(model.gate_error_2q > model.gate_error_1q);
 /// ```
@@ -62,8 +50,6 @@ impl StaticNoiseModel {
                 QubitProfile {
                     t1_us: f64::INFINITY,
                     t2_us: f64::INFINITY,
-                    readout_p01: 0.0,
-                    readout_p10: 0.0,
                 };
                 n_qubits
             ],
@@ -81,18 +67,9 @@ impl StaticNoiseModel {
         t2_us: f64,
         gate_error_1q: f64,
         gate_error_2q: f64,
-        readout_error: f64,
     ) -> Self {
         StaticNoiseModel {
-            qubits: vec![
-                QubitProfile {
-                    t1_us,
-                    t2_us,
-                    readout_p01: readout_error * 0.6,
-                    readout_p10: readout_error * 1.4,
-                };
-                n_qubits
-            ],
+            qubits: vec![QubitProfile { t1_us, t2_us }; n_qubits],
             gate_error_1q,
             gate_error_2q,
             gate_time_1q_ns: 35.0,
@@ -154,58 +131,11 @@ impl StaticNoiseModel {
         }
         scratch.attenuation_factor(circuit)
     }
-
-    /// Applies per-qubit readout (assignment) errors to sampled counts by
-    /// stochastically flipping measured bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the counts width exceeds the model width.
-    pub fn apply_readout_errors<R: Rng + ?Sized>(&self, counts: &Counts, rng: &mut R) -> Counts {
-        assert!(
-            counts.n_qubits() <= self.n_qubits(),
-            "counts wider than device"
-        );
-        let mut noisy = Counts::new(counts.n_qubits());
-        for (outcome, k) in counts.iter() {
-            for _ in 0..k {
-                let mut o = outcome;
-                for (q, profile) in self.qubits[..counts.n_qubits()].iter().enumerate() {
-                    let bit = o >> q & 1;
-                    let flip_p = if bit == 0 {
-                        profile.readout_p01
-                    } else {
-                        profile.readout_p10
-                    };
-                    if rng.gen::<f64>() < flip_p {
-                        o ^= 1 << q;
-                    }
-                }
-                noisy.record(o, 1);
-            }
-        }
-        noisy
-    }
-
-    /// The `2x2` single-qubit assignment matrix `A[measured][prepared]` for
-    /// qubit `q`, used by tensored readout mitigation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is out of range.
-    pub fn assignment_matrix_1q(&self, q: usize) -> [[f64; 2]; 2] {
-        let p = &self.qubits[q];
-        [
-            [1.0 - p.readout_p01, p.readout_p10],
-            [p.readout_p01, 1.0 - p.readout_p10],
-        ]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qismet_mathkit::rng_from_seed;
 
     fn ghz(n: usize) -> Circuit {
         let mut c = Circuit::new(n);
@@ -225,7 +155,7 @@ mod tests {
 
     #[test]
     fn attenuation_decreases_with_depth() {
-        let m = StaticNoiseModel::uniform(6, 100.0, 90.0, 3e-4, 8e-3, 0.02);
+        let m = StaticNoiseModel::uniform(6, 100.0, 90.0, 3e-4, 8e-3);
         let shallow = ghz(6);
         let mut deep = ghz(6);
         for _ in 0..10 {
@@ -241,7 +171,7 @@ mod tests {
 
     #[test]
     fn low_t1_override_hurts_fidelity() {
-        let m = StaticNoiseModel::uniform(4, 100.0, 90.0, 3e-4, 8e-3, 0.02);
+        let m = StaticNoiseModel::uniform(4, 100.0, 90.0, 3e-4, 8e-3);
         let c = ghz(4);
         let healthy = m.attenuation_with_t1(&c, &[100.0; 4]);
         let sick = m.attenuation_with_t1(&c, &[100.0, 5.0, 100.0, 100.0]);
@@ -249,43 +179,8 @@ mod tests {
     }
 
     #[test]
-    fn readout_errors_perturb_counts() {
-        let m = StaticNoiseModel::uniform(3, 100.0, 90.0, 0.0, 0.0, 0.05);
-        let clean = Counts::from_pairs(3, [(0b000, 5000)]);
-        let mut rng = rng_from_seed(3);
-        let noisy = m.apply_readout_errors(&clean, &mut rng);
-        assert_eq!(noisy.shots(), 5000);
-        // Expect roughly p01 * 0.6-scaled flips per qubit.
-        let p_flip = m.qubits[0].readout_p01;
-        let expected_zero = (1.0 - p_flip).powi(3);
-        let observed_zero = noisy.probability(0);
-        assert!(
-            (observed_zero - expected_zero).abs() < 0.02,
-            "observed {observed_zero}, expected {expected_zero}"
-        );
-    }
-
-    #[test]
-    fn readout_error_zero_is_identity() {
-        let m = StaticNoiseModel::noiseless(2);
-        let clean = Counts::from_pairs(2, [(0b01, 100), (0b10, 50)]);
-        let mut rng = rng_from_seed(4);
-        let noisy = m.apply_readout_errors(&clean, &mut rng);
-        assert_eq!(noisy.count(0b01), 100);
-        assert_eq!(noisy.count(0b10), 50);
-    }
-
-    #[test]
-    fn assignment_matrix_columns_sum_to_one() {
-        let m = StaticNoiseModel::uniform(2, 100.0, 90.0, 0.0, 0.0, 0.04);
-        let a = m.assignment_matrix_1q(0);
-        assert!((a[0][0] + a[1][0] - 1.0).abs() < 1e-12);
-        assert!((a[0][1] + a[1][1] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn serde_roundtrip() {
-        let m = StaticNoiseModel::uniform(3, 80.0, 70.0, 1e-3, 1e-2, 0.03);
+        let m = StaticNoiseModel::uniform(3, 80.0, 70.0, 1e-3, 1e-2);
         let json = serde_json::to_string(&m).unwrap();
         let back: StaticNoiseModel = serde_json::from_str(&json).unwrap();
         assert_eq!(m, back);

@@ -21,6 +21,7 @@
 use qismet_mathkit::{bernoulli, geometric, normal, pareto};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// Parameters of the quiet/burst transient process.
 ///
@@ -105,26 +106,28 @@ impl TransientModel {
     ///
     /// Returns a message naming the offending field.
     pub fn validate(&self) -> Result<(), String> {
+        // Each check names the valid range and rejects its complement, so a
+        // NaN field (which fails every comparison) is rejected too.
         if !(0.0..=1.0).contains(&self.burst_rate) {
             return Err("burst_rate must be in [0, 1]".into());
         }
-        if self.mean_burst_jobs < 1.0 {
+        if !(1.0..).contains(&self.mean_burst_jobs) {
             return Err("mean_burst_jobs must be >= 1".into());
         }
-        if self.burst_magnitude < 0.0 {
-            return Err("burst_magnitude must be non-negative".into());
+        if !(0.0..f64::INFINITY).contains(&self.burst_magnitude) {
+            return Err("burst_magnitude must be finite and non-negative".into());
         }
-        if self.tail_alpha <= 0.0 {
+        if self.tail_alpha.partial_cmp(&0.0) != Some(Ordering::Greater) {
             return Err("tail_alpha must be positive".into());
         }
-        if self.amplitude_cap < 1.0 {
+        if !(1.0..).contains(&self.amplitude_cap) {
             return Err("amplitude_cap must be >= 1".into());
         }
         if !(0.0..=1.0).contains(&self.adverse_probability) {
             return Err("adverse_probability must be in [0, 1]".into());
         }
-        if self.quiet_sigma < 0.0 {
-            return Err("quiet_sigma must be non-negative".into());
+        if !(0.0..f64::INFINITY).contains(&self.quiet_sigma) {
+            return Err("quiet_sigma must be finite and non-negative".into());
         }
         Ok(())
     }
@@ -337,15 +340,34 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_models() {
-        let mut m = TransientModel::moderate(0.1);
-        m.burst_rate = 1.5;
-        assert!(m.validate().is_err());
-        let mut m = TransientModel::moderate(0.1);
-        m.mean_burst_jobs = 0.5;
-        assert!(m.validate().is_err());
-        let mut m = TransientModel::moderate(0.1);
-        m.amplitude_cap = 0.5;
-        assert!(m.validate().is_err());
+        type Setter = fn(&mut TransientModel, f64);
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let cases: [(&str, Setter, &[f64]); 7] = [
+            ("burst_rate", |m, v| m.burst_rate = v, &[1.5, -0.1, nan]),
+            ("mean_burst_jobs", |m, v| m.mean_burst_jobs = v, &[0.5, nan]),
+            (
+                "burst_magnitude",
+                |m, v| m.burst_magnitude = v,
+                &[-1.0, nan, inf],
+            ),
+            ("tail_alpha", |m, v| m.tail_alpha = v, &[0.0, -1.0, nan]),
+            ("amplitude_cap", |m, v| m.amplitude_cap = v, &[0.5, nan]),
+            (
+                "adverse_probability",
+                |m, v| m.adverse_probability = v,
+                &[2.0, nan],
+            ),
+            ("quiet_sigma", |m, v| m.quiet_sigma = v, &[-0.1, nan, inf]),
+        ];
+        assert!(TransientModel::moderate(0.1).validate().is_ok());
+        for (field, set, bad) in cases {
+            for &v in bad {
+                let mut m = TransientModel::moderate(0.1);
+                set(&mut m, v);
+                let err = m.validate().unwrap_err();
+                assert!(err.starts_with(field), "{field} = {v}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -9,12 +9,10 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::circuit::Circuit;
-use crate::counts::Counts;
 use crate::gate::{Gate, GateError};
 use crate::pauli::{PauliString, PauliSum};
 use crate::statevector::StateVector;
 use qismet_mathkit::Complex64;
-use rand::Rng;
 
 /// A mixed quantum state over `n` qubits, stored as a dense `2^n x 2^n`
 /// complex matrix (row-major in a flat vector).
@@ -319,25 +317,6 @@ impl DensityMatrix {
         Ok(())
     }
 
-    /// Samples `shots` computational-basis outcomes from the diagonal.
-    pub fn sample_counts<R: Rng + ?Sized>(&self, rng: &mut R, shots: u64) -> Counts {
-        let probs = self.probabilities();
-        let mut cdf = Vec::with_capacity(probs.len());
-        let mut acc = 0.0;
-        for p in &probs {
-            acc += p;
-            cdf.push(acc);
-        }
-        let total = acc.max(f64::MIN_POSITIVE);
-        let mut counts = Counts::new(self.n_qubits);
-        for _ in 0..shots {
-            let u = rng.gen::<f64>() * total;
-            let idx = cdf.partition_point(|&c| c < u).min(probs.len() - 1);
-            counts.record(idx as u64, 1);
-        }
-        counts
-    }
-
     /// Expectation `tr(rho P)` of a Pauli string.
     ///
     /// # Panics
@@ -399,7 +378,6 @@ impl DensityMatrix {
 mod tests {
     use super::*;
     use crate::kraus::KrausChannel;
-    use qismet_mathkit::rng_from_seed;
 
     const TOL: f64 = 1e-10;
 
@@ -517,16 +495,6 @@ mod tests {
             .unwrap();
         let f = rho.fidelity_with_pure(&ideal);
         assert!(f < 1.0 && f > 0.4, "fidelity {f}");
-    }
-
-    #[test]
-    fn sampling_respects_diagonal() {
-        let c = bell();
-        let rho = DensityMatrix::from_circuit(&c).unwrap();
-        let mut rng = rng_from_seed(17);
-        let counts = rho.sample_counts(&mut rng, 20_000);
-        assert!((counts.probability(0) - 0.5).abs() < 0.02);
-        assert!((counts.probability(3) - 0.5).abs() < 0.02);
     }
 
     #[test]

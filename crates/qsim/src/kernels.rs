@@ -417,27 +417,6 @@ pub(crate) fn write_probabilities(amps: &[Complex64], out: &mut [f64]) {
     }
 }
 
-/// Fills `cdf` with the running prefix sum of `|amp|^2` and returns the
-/// total. The squared norms are computed block-by-block through
-/// [`write_probabilities`]; the prefix accumulation itself adds them in
-/// index order, so the CDF is bit-identical to the historical
-/// one-amplitude-at-a-time loop.
-pub(crate) fn cdf_fill(amps: &[Complex64], cdf: &mut Vec<f64>) -> f64 {
-    cdf.clear();
-    cdf.reserve(amps.len());
-    let mut block = [0.0f64; 256];
-    let mut acc = 0.0f64;
-    for chunk in amps.chunks(block.len()) {
-        let probs = &mut block[..chunk.len()];
-        write_probabilities(chunk, probs);
-        for &p in probs.iter() {
-            acc += p;
-            cdf.push(acc);
-        }
-    }
-    acc
-}
-
 /// Sum of `|amp|^2` over one block (same add order as the historical
 /// straight loop within the block).
 pub(crate) fn norm_sqr_block(amps: &[Complex64]) -> f64 {

@@ -2,9 +2,8 @@
 //!
 //! These channels are the physical vocabulary of the static noise model
 //! (Section 6.2 of the paper uses Qiskit's equivalents): amplitude damping
-//! from T1 decay, phase damping from T2 dephasing, depolarizing noise for
-//! gate infidelity, and bit flips for readout error modeling at the state
-//! level.
+//! from T1 decay, phase damping from T2 dephasing, their combination as
+//! thermal relaxation, and depolarizing noise for gate infidelity.
 
 use qismet_mathkit::{CMatrix, Complex64};
 

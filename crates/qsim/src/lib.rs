@@ -8,7 +8,7 @@
 //! * [`Circuit`] / [`Gate`] — parameterized circuits over a NISQ-style gate
 //!   alphabet (rotations, Clifford staples, `CX`/`CZ`/`SWAP`/`RZZ`).
 //! * [`StateVector`] — exact pure-state evolution with analytic expectation
-//!   values and finite-shot sampling.
+//!   values and outcome probabilities.
 //! * [`CompiledCircuit`] / [`CompiledObservable`] — the compile-once,
 //!   rebind-forever execution plans behind the allocation-free objective
 //!   hot path (fused single-qubit runs, entangler ladders as one
@@ -23,8 +23,8 @@
 //!   fast objective model.
 //! * [`PauliString`] / [`PauliSum`] — Hamiltonians as real-weighted Pauli
 //!   sums with dense materialization and exact ground energies.
-//! * [`MeasurementPlan`] and [`basis_change_circuit`] — the basis-rotation
-//!   measurement pipeline of a real VQE (paper Fig. 8).
+//! * [`exact_energy`] — the infinite-shot energy of a circuit's output
+//!   state, the value the objective scores (paper Section 6.2).
 //! * [`hellinger_fidelity`] — the circuit fidelity metric.
 //!
 //! # Examples
@@ -48,7 +48,6 @@
 mod backend;
 mod circuit;
 mod compile;
-mod counts;
 mod density;
 mod expectation;
 mod fidelity;
@@ -61,9 +60,8 @@ pub mod statevector;
 pub use backend::{Backend, BackendPool, StatevectorBackend};
 pub use circuit::{Circuit, CircuitError, Op};
 pub use compile::{CompiledCircuit, CompiledObservable};
-pub use counts::Counts;
 pub use density::DensityMatrix;
-pub use expectation::{basis_change_circuit, exact_energy, MeasurementGroup, MeasurementPlan};
+pub use expectation::exact_energy;
 pub use fidelity::hellinger_fidelity;
 pub use gate::{Gate, GateError, Param};
 pub use kraus::{ChannelError, KrausChannel};

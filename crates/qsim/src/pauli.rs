@@ -220,27 +220,6 @@ impl PauliString {
         }
         m
     }
-
-    /// Whether two strings are qubit-wise commuting: on every qubit the
-    /// factors are equal or one of them is identity. Such groups share a
-    /// measurement basis.
-    ///
-    /// # Errors
-    ///
-    /// [`PauliError::WidthMismatch`] when widths differ.
-    pub fn qubit_wise_commutes(&self, other: &PauliString) -> Result<bool, PauliError> {
-        if self.n_qubits() != other.n_qubits() {
-            return Err(PauliError::WidthMismatch {
-                left: self.n_qubits(),
-                right: other.n_qubits(),
-            });
-        }
-        Ok(self
-            .paulis
-            .iter()
-            .zip(other.paulis.iter())
-            .all(|(&a, &b)| a == Pauli::I || b == Pauli::I || a == b))
-    }
 }
 
 impl fmt::Display for PauliString {
@@ -369,61 +348,6 @@ impl PauliSum {
         Ok(herm_eig(&self.to_matrix())?[0])
     }
 
-    /// Greedily groups terms into qubit-wise commuting sets that can be
-    /// measured together. The identity term (if any) is attached to the
-    /// first group (its value is constant and needs no measurement).
-    ///
-    /// Returns indices into [`PauliSum::terms`].
-    pub fn measurement_groups(&self) -> Vec<Vec<usize>> {
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (idx, (_, s)) in self.terms.iter().enumerate() {
-            if s.is_identity() {
-                continue;
-            }
-            let mut placed = false;
-            for group in groups.iter_mut() {
-                if group
-                    .iter()
-                    .all(|&g| self.terms[g].1.qubit_wise_commutes(s).unwrap_or(false))
-                {
-                    group.push(idx);
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                groups.push(vec![idx]);
-            }
-        }
-        groups
-    }
-
-    /// The shared measurement basis of a qubit-wise commuting group: for each
-    /// qubit the (non-identity) Pauli to measure, defaulting to Z.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group is not qubit-wise commuting (internal misuse).
-    pub fn group_basis(&self, group: &[usize]) -> Vec<Pauli> {
-        let mut basis = vec![Pauli::Z; self.n_qubits];
-        let mut assigned = vec![false; self.n_qubits];
-        for &idx in group {
-            let s = &self.terms[idx].1;
-            for q in 0..self.n_qubits {
-                let p = s.pauli(q);
-                if p != Pauli::I {
-                    if assigned[q] {
-                        assert_eq!(basis[q], p, "group is not qubit-wise commuting");
-                    } else {
-                        basis[q] = p;
-                        assigned[q] = true;
-                    }
-                }
-            }
-        }
-        basis
-    }
-
     /// Scales all coefficients.
     pub fn scaled(&self, k: f64) -> PauliSum {
         PauliSum {
@@ -516,17 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn qubit_wise_commutation() {
-        let a = PauliString::from_label("XIZ").unwrap();
-        let b = PauliString::from_label("XZI").unwrap();
-        let c = PauliString::from_label("ZIZ").unwrap();
-        assert!(a.qubit_wise_commutes(&b).unwrap());
-        assert!(!a.qubit_wise_commutes(&c).unwrap());
-        let short = PauliString::from_label("XZ").unwrap();
-        assert!(a.qubit_wise_commutes(&short).is_err());
-    }
-
-    #[test]
     fn sum_ground_energy_of_zz() {
         // H = Z Z has ground energy -1.
         let h = PauliSum::from_labels(&[(1.0, "ZZ")]).unwrap();
@@ -568,35 +481,6 @@ mod tests {
         let h = PauliSum::from_labels(&[(0.25, "II"), (1.0, "ZZ")]).unwrap();
         assert_eq!(h.identity_coefficient(), 0.25);
         assert_eq!(h.one_norm(), 1.25);
-    }
-
-    #[test]
-    fn measurement_groups_split_x_and_z() {
-        // TFIM-style: ZZ terms group together, X terms group together.
-        let h = PauliSum::from_labels(&[
-            (1.0, "ZZI"),
-            (1.0, "IZZ"),
-            (0.5, "XII"),
-            (0.5, "IXI"),
-            (0.5, "IIX"),
-        ])
-        .unwrap();
-        let groups = h.measurement_groups();
-        assert_eq!(groups.len(), 2);
-        let sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-        assert!(sizes.contains(&2) && sizes.contains(&3));
-    }
-
-    #[test]
-    fn group_basis_resolves_paulis() {
-        let h = PauliSum::from_labels(&[(1.0, "XIX"), (1.0, "ZZI")]).unwrap();
-        let groups = h.measurement_groups();
-        // XIX and ZZI are qubit-wise commuting? qubit0: X vs I ok; qubit1:
-        // I vs Z ok; qubit2: X vs Z -> not commuting. Two groups.
-        assert_eq!(groups.len(), 2);
-        let basis0 = h.group_basis(&groups[0]);
-        assert_eq!(basis0[0], Pauli::X);
-        assert_eq!(basis0[2], Pauli::X);
     }
 
     #[test]

@@ -6,12 +6,10 @@
 //! validated.
 
 use crate::circuit::Circuit;
-use crate::counts::Counts;
 use crate::gate::{Gate, GateError};
 use crate::kernels;
 use crate::pauli::{PauliString, PauliSum};
 use qismet_mathkit::Complex64;
-use rand::Rng;
 
 /// A pure quantum state over `n` qubits (qubit 0 = least significant bit of
 /// the amplitude index).
@@ -201,41 +199,6 @@ impl StateVector {
         out
     }
 
-    /// Samples `shots` measurement outcomes in the computational basis.
-    pub fn sample_counts<R: Rng + ?Sized>(&self, rng: &mut R, shots: u64) -> Counts {
-        let mut cdf = Vec::new();
-        self.sample_counts_into(rng, shots, &mut cdf)
-    }
-
-    /// Like [`StateVector::sample_counts`], but builds the cumulative
-    /// distribution into a caller-provided scratch buffer so repeated
-    /// sampling (the hot path of shot-based estimation loops) performs no
-    /// per-call allocation. The buffer is cleared and refilled; its capacity
-    /// is reused across calls. Results are bit-identical to
-    /// [`StateVector::sample_counts`].
-    pub fn sample_counts_into<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        shots: u64,
-        cdf: &mut Vec<f64>,
-    ) -> Counts {
-        // Single pass: accumulate |amp|^2 directly into the CDF, skipping
-        // the intermediate probability vector entirely. The squared norms
-        // are produced by the chunked kernel helper; the prefix sum adds
-        // them in index order, keeping the CDF bits (and hence the RNG
-        // consumption) identical to the historical scalar loop.
-        let acc = kernels::cdf_fill(&self.amps, cdf);
-        let total = acc.max(f64::MIN_POSITIVE);
-        let last = cdf.len() - 1;
-        let mut counts = Counts::new(self.n_qubits);
-        for _ in 0..shots {
-            let u = rng.gen::<f64>() * total;
-            let idx = cdf.partition_point(|&c| c < u).min(last);
-            counts.record(idx as u64, 1);
-        }
-        counts
-    }
-
     /// Analytic expectation value `<psi| P |psi>` of a Pauli string.
     ///
     /// # Panics
@@ -373,6 +336,7 @@ mod tests {
     use super::*;
     use crate::gate::Param;
     use qismet_mathkit::rng_from_seed;
+    use rand::Rng;
 
     const TOL: f64 = 1e-12;
 
@@ -658,88 +622,9 @@ mod tests {
     }
 
     #[test]
-    fn sample_counts_pinned_regression() {
-        // Exact counts produced by the pre-optimization implementation for
-        // this seeded RNG; the single-pass/reused-buffer path must keep the
-        // RNG consumption and CDF values bit-identical.
-        let mut c = Circuit::new(4);
-        c.h(0)
-            .ry(0.7, 1)
-            .cx(0, 1)
-            .rz(0.3, 2)
-            .cx(1, 2)
-            .ry(1.1, 3)
-            .cx(2, 3);
-        let sv = StateVector::from_circuit(&c).unwrap();
-        let mut rng = rng_from_seed(0xc0de);
-        let counts = sv.sample_counts(&mut rng, 1000);
-        let mut got: Vec<(u64, u64)> = counts.iter().collect();
-        got.sort_unstable();
-        let want = [
-            (0u64, 318u64),
-            (1, 44),
-            (6, 10),
-            (7, 121),
-            (8, 113),
-            (9, 16),
-            (14, 44),
-            (15, 334),
-        ];
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn sample_counts_into_reuses_buffer_and_matches() {
-        let sv = random_state(5, 9);
-        let mut rng_a = rng_from_seed(21);
-        let mut rng_b = rng_from_seed(21);
-        let mut buf = Vec::new();
-        let direct = sv.sample_counts(&mut rng_a, 4096);
-        let buffered = sv.sample_counts_into(&mut rng_b, 4096, &mut buf);
-        assert_eq!(buf.len(), 32);
-        let cap = buf.capacity();
-        let mut pairs_a: Vec<_> = direct.iter().collect();
-        let mut pairs_b: Vec<_> = buffered.iter().collect();
-        pairs_a.sort_unstable();
-        pairs_b.sort_unstable();
-        assert_eq!(pairs_a, pairs_b);
-        // Second call reuses the allocation.
-        let mut rng_c = rng_from_seed(22);
-        sv.sample_counts_into(&mut rng_c, 64, &mut buf);
-        assert_eq!(buf.capacity(), cap);
-    }
-
-    #[test]
-    fn sampling_matches_probabilities() {
-        let mut c = Circuit::new(2);
-        c.h(0).cx(0, 1);
-        let sv = StateVector::from_circuit(&c).unwrap();
-        let mut rng = rng_from_seed(11);
-        let counts = sv.sample_counts(&mut rng, 40_000);
-        assert_eq!(counts.shots(), 40_000);
-        assert!((counts.probability(0) - 0.5).abs() < 0.02);
-        assert!((counts.probability(3) - 0.5).abs() < 0.02);
-        assert_eq!(counts.count(1), 0);
-        assert_eq!(counts.count(2), 0);
-    }
-
-    #[test]
     fn unbound_circuit_is_error() {
         let mut c = Circuit::new(1);
         c.ry(Param::Free(0), 0);
         assert!(StateVector::from_circuit(&c).is_err());
-    }
-
-    #[test]
-    fn sampled_parity_approximates_analytic_expectation() {
-        let mut c = Circuit::new(3);
-        c.ry(0.7, 0).cx(0, 1).ry(0.2, 2).cx(1, 2);
-        let sv = StateVector::from_circuit(&c).unwrap();
-        let p = PauliString::from_label("ZZZ").unwrap();
-        let analytic = sv.pauli_expectation(&p);
-        let mut rng = rng_from_seed(5);
-        let counts = sv.sample_counts(&mut rng, 60_000);
-        let sampled = counts.parity_expectation(0b111);
-        assert!((analytic - sampled).abs() < 0.02);
     }
 }

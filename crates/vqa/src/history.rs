@@ -22,15 +22,6 @@ pub fn improvement_percent(scheme_energy: f64, baseline_energy: f64) -> f64 {
     (relative_expectation(scheme_energy, baseline_energy) - 1.0) * 100.0
 }
 
-/// Approximation ratio relative to the exact ground energy: how much of the
-/// ground energy the scheme captured (1 = exact, 0 = null state).
-pub fn approximation_ratio(energy: f64, ground_energy: f64) -> f64 {
-    if ground_energy == 0.0 {
-        return f64::NAN;
-    }
-    energy / ground_energy
-}
-
 /// Counts the transient spikes in a measured series: iterations whose value
 /// jumps more than `threshold` above the running median of the previous
 /// `lookback` values. Used to quantify Fig. 5-style spike behavior.
@@ -64,12 +55,6 @@ mod tests {
         // Fig. 11: "a 40% improvement" == ratio 1.40.
         assert!((improvement_percent(-1.40, -1.0) - 40.0).abs() < 1e-9);
         assert!(improvement_percent(-0.9, -1.0) < 0.0);
-    }
-
-    #[test]
-    fn approximation_ratio_bounds() {
-        assert!((approximation_ratio(-7.0, -7.3) - 0.9589).abs() < 1e-3);
-        assert!(approximation_ratio(-1.0, 0.0).is_nan());
     }
 
     #[test]

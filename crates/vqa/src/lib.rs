@@ -48,17 +48,13 @@ mod apps;
 mod history;
 mod job;
 mod objective;
-mod qaoa;
 mod runner;
 mod tfim;
 
 pub use ansatz::{Ansatz, AnsatzKind, CompiledAnsatz, Entanglement};
 pub use apps::{AppInstance, AppSpec};
-pub use history::{approximation_ratio, count_spikes, improvement_percent, relative_expectation};
+pub use history::{count_spikes, improvement_percent, relative_expectation};
 pub use job::{JobLayout, JobRequest, JobResult};
 pub use objective::{ExactObjective, NoisyObjective, NoisyObjectiveConfig, ObjectiveError};
-pub use qaoa::{
-    approximation_ratio as qaoa_approximation_ratio, maxcut_hamiltonian, qaoa_circuit, Graph,
-};
 pub use runner::{run_tuning, RunRecord, TuningScheme};
 pub use tfim::{Boundary, Tfim};

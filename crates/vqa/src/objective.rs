@@ -271,7 +271,7 @@ pub struct NoisyObjectiveConfig {
 /// let ansatz = Ansatz::new(AnsatzKind::RealAmplitudes, 6, 2, Entanglement::Linear);
 /// let trace = TransientModel::moderate(0.1).generate(&mut rng_from_seed(1), 100);
 /// let cfg = NoisyObjectiveConfig {
-///     static_model: StaticNoiseModel::uniform(6, 100.0, 90.0, 3e-4, 8e-3, 0.02),
+///     static_model: StaticNoiseModel::uniform(6, 100.0, 90.0, 3e-4, 8e-3),
 ///     trace,
 ///     magnitude_ref: tfim.exact_ground_energy().unwrap().abs(),
 ///     shot_sigma: 0.02,
@@ -495,7 +495,7 @@ mod tests {
         let gs = tfim.exact_ground_energy().unwrap();
         let ansatz = Ansatz::new(AnsatzKind::RealAmplitudes, 6, 2, Entanglement::Linear);
         let cfg = NoisyObjectiveConfig {
-            static_model: StaticNoiseModel::uniform(6, 100.0, 90.0, 3e-4, 8e-3, 0.02),
+            static_model: StaticNoiseModel::uniform(6, 100.0, 90.0, 3e-4, 8e-3),
             trace,
             magnitude_ref: gs.abs(),
             shot_sigma: 0.02,

@@ -174,7 +174,7 @@ mod tests {
         let gs = tfim.exact_ground_energy().unwrap();
         let ansatz = Ansatz::new(AnsatzKind::RealAmplitudes, 6, 2, Entanglement::Linear);
         let cfg = NoisyObjectiveConfig {
-            static_model: StaticNoiseModel::uniform(6, 120.0, 100.0, 2e-4, 5e-3, 0.02),
+            static_model: StaticNoiseModel::uniform(6, 120.0, 100.0, 2e-4, 5e-3),
             trace,
             magnitude_ref: gs.abs(),
             shot_sigma: 0.03,

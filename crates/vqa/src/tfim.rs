@@ -303,13 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn measurement_groups_are_two() {
-        // All ZZ terms share the Z basis; all X terms share the X basis.
-        let h = Tfim::paper_6q().hamiltonian();
-        assert_eq!(h.measurement_groups().len(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "at least two spins")]
     fn tiny_chain_rejected() {
         let t = Tfim {

@@ -39,7 +39,7 @@ fn objective_on(backend: Box<dyn Backend>, seed: u64) -> NoisyObjective {
     let ansatz = Ansatz::new(AnsatzKind::RealAmplitudes, 6, 2, Entanglement::Linear);
     let trace = TransientModel::moderate(0.25).generate(&mut rng_from_seed(31), 2000);
     let cfg = NoisyObjectiveConfig {
-        static_model: StaticNoiseModel::uniform(6, 120.0, 100.0, 2e-4, 5e-3, 0.02),
+        static_model: StaticNoiseModel::uniform(6, 120.0, 100.0, 2e-4, 5e-3),
         trace,
         magnitude_ref: gs.abs(),
         shot_sigma: 0.03,

@@ -49,7 +49,7 @@ fn ansatz() -> Ansatz {
 fn counted_objective(trace: TransientTrace, seed: u64) -> (NoisyObjective, Arc<AtomicUsize>) {
     let tfim = Tfim::paper_6q();
     let cfg = NoisyObjectiveConfig {
-        static_model: StaticNoiseModel::uniform(6, 100.0, 90.0, 3e-4, 8e-3, 0.02),
+        static_model: StaticNoiseModel::uniform(6, 100.0, 90.0, 3e-4, 8e-3),
         trace,
         magnitude_ref: tfim.exact_ground_energy().unwrap().abs(),
         shot_sigma: 0.02,

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use qismet::TransientEstimate;
 use qismet_mathkit::Complex64;
-use qismet_qsim::{Circuit, Counts, Gate, PauliString, PauliSum, StateVector};
+use qismet_qsim::{Circuit, Gate, PauliString, PauliSum, StateVector};
 
 fn arb_angle() -> impl Strategy<Value = f64> {
     -std::f64::consts::PI..std::f64::consts::PI
@@ -95,17 +95,6 @@ proptest! {
         // No transient estimate -> prediction equals machine value.
         let clean = TransientEstimate::new(em_prev, em_prev, em_curr);
         prop_assert_eq!(clean.gm(), clean.gp());
-    }
-
-    /// Counts parity expectations always lie in [-1, 1] and respect masks.
-    #[test]
-    fn parity_expectation_bounded(outcomes in proptest::collection::vec((0u64..16, 1u64..100), 1..10),
-                                  mask in 0u64..16) {
-        let counts = Counts::from_pairs(4, outcomes);
-        let e = counts.parity_expectation(mask);
-        prop_assert!((-1.0..=1.0).contains(&e));
-        // Mask 0 is the identity parity: always +1.
-        prop_assert!((counts.parity_expectation(0) - 1.0).abs() < 1e-12);
     }
 
     /// Gate matrices stay unitary for arbitrary angles.

@@ -83,37 +83,3 @@ fn qismet_harmless_without_transients() {
         "transient-free gap too large: baseline {b:.4} vs qismet {q:.4}"
     );
 }
-
-/// Section 2's claim that "QISMET is broadly applicable across all VQAs":
-/// the QAOA substrate plugs into the same Hamiltonian/circuit machinery the
-/// QISMET pipeline consumes.
-#[test]
-fn qaoa_substrate_is_vqa_compatible() {
-    use qismet_vqa::{maxcut_hamiltonian, qaoa_approximation_ratio, qaoa_circuit, Graph};
-
-    let graph = Graph::ring(6);
-    let h = maxcut_hamiltonian(&graph);
-    let circuit = qaoa_circuit(&graph, 2);
-    assert_eq!(circuit.n_params(), 4);
-    let (_, maxcut) = graph.max_cut_brute_force();
-    assert!((h.ground_energy().unwrap() + maxcut).abs() < 1e-9);
-    // A coarse angle grid already beats the random-assignment ratio of 1/2,
-    // evaluated through the same exact-energy path the VQE objective uses.
-    let mut best = f64::INFINITY;
-    for i in 0..6 {
-        for j in 0..6 {
-            let p = [
-                i as f64 * 0.5,
-                j as f64 * 0.5,
-                i as f64 * 0.25,
-                j as f64 * 0.25,
-            ];
-            let bound = circuit.bind(&p).unwrap();
-            best = best.min(qismet_qsim::exact_energy(&bound, &h).unwrap());
-        }
-    }
-    assert!(
-        qaoa_approximation_ratio(best, maxcut) > 0.5,
-        "grid best ratio too low"
-    );
-}

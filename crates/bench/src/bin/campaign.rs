@@ -89,8 +89,6 @@ EXECUTION OPTIONS:
     --resume              Skip runs already completed in the --checkpoint journal
     --max-respawns <n>    Respawn budget per worker (default: 2)
     --jsonl <path>        Stream per-run records to a JSONL file in campaign order
-    --summary-only        Drop per-run series from the merged report once streamed
-                          (requires --jsonl; series stay in the JSONL)
 
 SERVICE MODE (campaign-as-a-service; the way to run on remote machines):
     --daemon <addr>       Run a long-lived multi-tenant campaign service bound
@@ -107,13 +105,12 @@ SERVICE MODE (campaign-as-a-service; the way to run on remote machines):
     --worker-name <str>   Registered worker identity; quarantine strikes follow
                           the name across sessions (default: worker-<pid>)
     --deregister-after <n> Voluntarily leave the fleet after <n> batches
-    submit                Enqueue the grid flags as a job (--to, --token,
-                          --priority; prints the assigned job id)
+    submit                Enqueue the grid flags as a job (--to, --token;
+                          prints the assigned job id)
     status                Print jobs visible to the token + the worker fleet
     cancel --job <id>     Cancel a queued/running job
     drain                 Finish all jobs, refuse new ones, stop the daemon
     --to <addr>           Client verbs: daemon address to talk to
-    --priority <n>        submit: higher priorities run first (default: 0)
 
 RESILIENCE & CHAOS OPTIONS:
     --assign-timeout <secs>    Coordinator read deadline per assignment: a worker
@@ -122,9 +119,6 @@ RESILIENCE & CHAOS OPTIONS:
                                channel, re-dispatch its work (default: off)
     --heartbeat <secs>         Worker keepalive interval while a batch computes;
                                must be shorter than --assign-timeout (default: 2)
-    --speculative              Duplicate in-flight work onto idle workers near
-                               the campaign tail; first result wins, reports
-                               stay bitwise-identical
     --quarantine-after <n>     Retire a worker slot (or, with --daemon, a worker
                                *name*) for good after <n> failed sessions
                                (default: off)
@@ -204,12 +198,7 @@ fn worker_argv(argv: &[String], chaos_json: Option<&str>) -> Vec<String> {
         let flag = argv[i].as_str();
         if COORDINATOR_VALUE_FLAGS.contains(&flag) {
             i += 2;
-        } else if flag == "--resume"
-            || flag == "--summary-only"
-            || flag == "--worker"
-            || flag == "--speculative"
-            || flag == "--progress"
-        {
+        } else if flag == "--resume" || flag == "--worker" || flag == "--progress" {
             i += 1;
         } else {
             out.push(argv[i].clone());
@@ -248,10 +237,10 @@ fn run_client(verb: ClientVerb, args: &Args) -> i32 {
     let outcome: Result<(), ServiceError> = match verb {
         ClientVerb::Submit => {
             let grid = grid_spec_from(args);
-            submit_job(addr, &args.token, &grid, args.priority).map(|submitted| {
+            submit_job(addr, &args.token, &grid).map(|submitted| {
                 println!(
-                    "submitted job {} `{}` (fingerprint {:#018x}, priority {})",
-                    submitted.job_id, grid.name, submitted.fingerprint, args.priority
+                    "submitted job {} `{}` (fingerprint {:#018x})",
+                    submitted.job_id, grid.name, submitted.fingerprint
                 );
             })
         }
@@ -264,7 +253,6 @@ fn run_client(verb: ClientVerb, args: &Args) -> i32 {
                         j.job_id.to_string(),
                         j.name.clone(),
                         j.tenant.clone(),
-                        j.priority.to_string(),
                         j.phase.clone(),
                         format!("{}/{}", j.done, j.total),
                         j.detail.clone().unwrap_or_else(|| "-".into()),
@@ -277,9 +265,7 @@ fn run_client(verb: ClientVerb, args: &Args) -> i32 {
                 } else {
                     "jobs"
                 },
-                &[
-                    "job", "name", "tenant", "priority", "phase", "done", "detail",
-                ],
+                &["job", "name", "tenant", "phase", "done", "detail"],
                 &rows,
             );
             let rows: Vec<Vec<String>> = reply
@@ -490,9 +476,7 @@ fn main() {
             resume: args.resume,
             max_respawns: args.max_respawns,
             stream_jsonl: args.jsonl.clone(),
-            summary_only: args.summary_only,
             assign_timeout: args.assign_timeout,
-            speculative: args.speculative,
             quarantine_after: args.quarantine_after,
         };
         println!(
@@ -808,8 +792,6 @@ fn print_fleet_summary() {
                 h.respawns.to_string(),
                 h.strikes.to_string(),
                 if h.quarantined { "yes" } else { "no" }.to_string(),
-                h.speculative_won.to_string(),
-                h.duplicates_lost.to_string(),
                 h.pings.to_string(),
                 if h.rtt_count > 0 {
                     format!("{:.1}", h.rtt_ns_mean() as f64 / 1e6)
@@ -830,8 +812,6 @@ fn print_fleet_summary() {
             "respawns",
             "strikes",
             "quarantined",
-            "spec_won",
-            "dup_lost",
             "pings",
             "rtt_ms",
             "last_error",

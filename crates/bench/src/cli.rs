@@ -7,6 +7,7 @@
 //! adding a mode. The binary maps [`CliError`] onto the typed
 //! [exit codes](EXIT_USAGE) shared with the runtime error paths.
 
+use crate::distributed::DEFAULT_HEARTBEAT;
 use crate::scenario::{parse_scheme, parse_threshold, valid_magnitude};
 use crate::service::machine_by_name;
 use crate::{scaled, Scheme};
@@ -110,11 +111,9 @@ pub struct Args {
     pub resume: bool,
     pub max_respawns: usize,
     pub jsonl: Option<PathBuf>,
-    pub summary_only: bool,
     pub worker_mode: bool,
     pub assign_timeout: Option<Duration>,
     pub heartbeat: Option<Duration>,
-    pub speculative: bool,
     pub quarantine_after: Option<usize>,
     pub chaos_plan: Option<PathBuf>,
     pub chaos_seed: Option<u64>,
@@ -141,8 +140,6 @@ pub struct Args {
     pub command: Option<ClientVerb>,
     /// Client: daemon address to talk to.
     pub to: Option<String>,
-    /// Client: submission priority (higher runs first).
-    pub priority: i64,
     /// Client: job id for `cancel`.
     pub job: Option<u64>,
 }
@@ -166,11 +163,9 @@ impl Default for Args {
             resume: false,
             max_respawns: 2,
             jsonl: None,
-            summary_only: false,
             worker_mode: false,
             assign_timeout: None,
             heartbeat: None,
-            speculative: false,
             quarantine_after: None,
             chaos_plan: None,
             chaos_seed: None,
@@ -187,7 +182,6 @@ impl Default for Args {
             deregister_after: None,
             command: None,
             to: None,
-            priority: 0,
             job: None,
         }
     }
@@ -204,11 +198,8 @@ pub enum ConfigConflict {
     ResumeWithoutCheckpoint,
     /// `--checkpoint`/`--resume` on a plain in-process run.
     JournalNeedsSharding,
-    /// `--summary-only` on a plain in-process run.
-    SummaryOnlyNeedsSharding,
-    /// `--summary-only` without `--jsonl`.
-    SummaryOnlyNeedsJsonl,
-    /// `--heartbeat` is not shorter than `--assign-timeout`.
+    /// The workers' heartbeat (`--heartbeat`, or the default one of
+    /// workers this process spawns) is not shorter than `--assign-timeout`.
     HeartbeatSlowerThanDeadline,
     /// Both `--chaos-plan` and `--chaos-seed`.
     ChaosPlanAndSeed,
@@ -250,17 +241,10 @@ impl std::fmt::Display for ConfigConflict {
                 f,
                 "--checkpoint/--resume need sharded execution: add --workers <n>"
             ),
-            ConfigConflict::SummaryOnlyNeedsSharding => write!(
+            ConfigConflict::HeartbeatSlowerThanDeadline => write!(
                 f,
-                "--summary-only needs sharded execution: add --workers <n>"
+                "--heartbeat (default {DEFAULT_HEARTBEAT:?} for --workers) must be shorter than --assign-timeout"
             ),
-            ConfigConflict::SummaryOnlyNeedsJsonl => write!(
-                f,
-                "--summary-only requires --jsonl <path> (the series live in the stream)"
-            ),
-            ConfigConflict::HeartbeatSlowerThanDeadline => {
-                write!(f, "--heartbeat must be shorter than --assign-timeout")
-            }
             ConfigConflict::ChaosPlanAndSeed => {
                 write!(f, "--chaos-plan and --chaos-seed are mutually exclusive")
             }
@@ -274,7 +258,7 @@ impl std::fmt::Display for ConfigConflict {
             ),
             ConfigConflict::DaemonWithJournal => write!(
                 f,
-                "--checkpoint/--resume/--jsonl/--summary-only do not apply to --daemon; jobs journal under --state-dir"
+                "--checkpoint/--resume/--jsonl do not apply to --daemon; jobs journal under --state-dir"
             ),
             ConfigConflict::RegisterWithPool => write!(
                 f,
@@ -282,7 +266,7 @@ impl std::fmt::Display for ConfigConflict {
             ),
             ConfigConflict::RegisterWithJournal => write!(
                 f,
-                "--checkpoint/--resume/--jsonl/--summary-only belong on the daemon/client side, not --register"
+                "--checkpoint/--resume/--jsonl belong on the daemon/client side, not --register"
             ),
             ConfigConflict::DaemonFlagOutsideDaemon(flag) => {
                 write!(f, "{flag} requires --daemon <addr>")
@@ -339,15 +323,27 @@ fn parse_list<T>(
         .collect()
 }
 
-/// Parses a duration flag as seconds; zero, negative, and non-numeric
-/// values are configuration errors, not clamps.
+/// Parses a duration flag as seconds; non-numeric values, values that
+/// round to zero and values too large for a [`Duration`] are configuration
+/// errors, not clamps.
 fn parse_secs(flag: &str, value: &str) -> Result<Duration, CliError> {
-    match value.parse::<f64>() {
-        Ok(secs) if secs.is_finite() && secs > 0.0 => Ok(Duration::from_secs_f64(secs)),
-        _ => Err(usage(format!(
-            "invalid {flag} `{value}`: must be a positive number of seconds"
-        ))),
-    }
+    value
+        .parse::<f64>()
+        .ok()
+        .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+        .filter(|duration| !duration.is_zero())
+        .ok_or_else(|| {
+            usage(format!(
+                "invalid {flag} `{value}`: must be a number of seconds from 1e-9 to 1.8e19"
+            ))
+        })
+}
+
+/// Parses a numeric flag value, naming `what` it is on failure.
+fn parse_num<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, CliError> {
+    value
+        .parse()
+        .map_err(|_| usage(format!("invalid {what} `{value}`")))
 }
 
 /// Parses `name=token` tenant credential pairs.
@@ -373,120 +369,56 @@ fn parse_tenants(value: &str) -> Result<Vec<(String, String)>, CliError> {
 /// then runs the single [`validate`] pass.
 pub fn parse_args(argv: &[String]) -> Result<Args, CliError> {
     let mut args = Args::default();
-    let mut i = 0;
+    let mut words = argv.iter().map(String::as_str).peekable();
     // First positional word = client verb.
-    if let Some(word) = argv.first() {
-        if !word.starts_with('-') {
-            args.command = Some(
-                ClientVerb::parse(word)
-                    .ok_or_else(|| usage(format!("unknown command `{word}`")))?,
-            );
-            i = 1;
-        }
+    if let Some(word) = words.next_if(|word| !word.starts_with('-')) {
+        args.command = Some(
+            ClientVerb::parse(word).ok_or_else(|| usage(format!("unknown command `{word}`")))?,
+        );
     }
-    while i < argv.len() {
-        let flag = argv[i].as_str();
+    while let Some(flag) = words.next() {
+        // Only a known flag that takes a value reads the next word, so an
+        // unknown flag is reported as unknown even when it ends the line.
+        let mut value = || {
+            words
+                .next()
+                .ok_or_else(|| usage(format!("missing value for `{flag}`")))
+        };
         match flag {
             "-h" | "--help" => return Err(CliError::Help),
             // Boolean flags.
-            "--resume" => {
-                args.resume = true;
-                i += 1;
-                continue;
-            }
-            "--summary-only" => {
-                args.summary_only = true;
-                i += 1;
-                continue;
-            }
-            "--worker" => {
-                args.worker_mode = true;
-                i += 1;
-                continue;
-            }
-            "--progress" => {
-                args.progress = true;
-                i += 1;
-                continue;
-            }
-            "--speculative" => {
-                args.speculative = true;
-                i += 1;
-                continue;
-            }
-            _ => {}
-        }
-        let value = argv
-            .get(i + 1)
-            .ok_or_else(|| usage(format!("missing value for `{flag}`")))?;
-        match flag {
+            "--resume" => args.resume = true,
+            "--worker" => args.worker_mode = true,
+            "--progress" => args.progress = true,
+            // Flags with a value.
             "--apps" => {
-                args.apps = parse_list(value, "app id", |s| {
+                args.apps = parse_list(value()?, "app id", |s| {
                     s.parse::<u8>().ok().and_then(AppSpec::by_id)
                 })?;
             }
-            "--machines" => {
-                args.machines = parse_list(value, "machine", machine_by_name)?;
-            }
-            "--schemes" => {
-                args.schemes = parse_list(value, "scheme", parse_scheme)?;
-            }
+            "--machines" => args.machines = parse_list(value()?, "machine", machine_by_name)?,
+            "--schemes" => args.schemes = parse_list(value()?, "scheme", parse_scheme)?,
             "--thresholds" => {
-                args.thresholds = parse_list(value, "threshold percentile", parse_threshold)?;
+                args.thresholds = parse_list(value()?, "threshold percentile", parse_threshold)?;
             }
             "--magnitudes" => {
-                args.magnitudes = parse_list(value, "magnitude (finite and >= 0)", |s| {
+                args.magnitudes = parse_list(value()?, "magnitude (finite and >= 0)", |s| {
                     s.parse().ok().filter(|&m| valid_magnitude(m))
                 })?;
             }
-            "--iterations" => {
-                args.iterations = value
-                    .parse()
-                    .map_err(|_| usage(format!("invalid iteration count `{value}`")))?;
-            }
-            "--trials" => {
-                args.trials = value
-                    .parse()
-                    .map_err(|_| usage(format!("invalid trial count `{value}`")))?;
-            }
-            "--seed" => {
-                args.seed = value
-                    .parse()
-                    .map_err(|_| usage(format!("invalid seed `{value}`")))?;
-            }
-            "--threads" => {
-                args.threads = Some(
-                    value
-                        .parse()
-                        .map_err(|_| usage(format!("invalid thread count `{value}`")))?,
-                );
-            }
-            "--workers" => {
-                args.workers = value
-                    .parse()
-                    .map_err(|_| usage(format!("invalid worker count `{value}`")))?;
-            }
-            "--token" => {
-                args.token = value.clone();
-            }
-            "--checkpoint" => {
-                args.checkpoint = Some(PathBuf::from(value));
-            }
-            "--max-respawns" => {
-                args.max_respawns = value
-                    .parse()
-                    .map_err(|_| usage(format!("invalid respawn budget `{value}`")))?;
-            }
-            "--jsonl" => {
-                args.jsonl = Some(PathBuf::from(value));
-            }
-            "--assign-timeout" => {
-                args.assign_timeout = Some(parse_secs(flag, value)?);
-            }
-            "--heartbeat" => {
-                args.heartbeat = Some(parse_secs(flag, value)?);
-            }
+            "--iterations" => args.iterations = parse_num(value()?, "iteration count")?,
+            "--trials" => args.trials = parse_num(value()?, "trial count")?,
+            "--seed" => args.seed = parse_num(value()?, "seed")?,
+            "--threads" => args.threads = Some(parse_num(value()?, "thread count")?),
+            "--workers" => args.workers = parse_num(value()?, "worker count")?,
+            "--token" => args.token = value()?.to_string(),
+            "--checkpoint" => args.checkpoint = Some(PathBuf::from(value()?)),
+            "--max-respawns" => args.max_respawns = parse_num(value()?, "respawn budget")?,
+            "--jsonl" => args.jsonl = Some(PathBuf::from(value()?)),
+            "--assign-timeout" => args.assign_timeout = Some(parse_secs(flag, value()?)?),
+            "--heartbeat" => args.heartbeat = Some(parse_secs(flag, value()?)?),
             "--quarantine-after" => {
+                let value = value()?;
                 args.quarantine_after = match value.parse::<usize>() {
                     Ok(n) if n >= 1 => Some(n),
                     _ => {
@@ -496,71 +428,28 @@ pub fn parse_args(argv: &[String]) -> Result<Args, CliError> {
                     }
                 };
             }
-            "--chaos-plan" => {
-                args.chaos_plan = Some(PathBuf::from(value));
-            }
-            "--chaos-seed" => {
-                args.chaos_seed = Some(
-                    value
-                        .parse()
-                        .map_err(|_| usage(format!("invalid chaos seed `{value}`")))?,
-                );
-            }
+            "--chaos-plan" => args.chaos_plan = Some(PathBuf::from(value()?)),
+            "--chaos-seed" => args.chaos_seed = Some(parse_num(value()?, "chaos seed")?),
             // Hidden: a concrete fault plan the coordinator resolved and
             // forwarded to its spawned workers (never needed by hand).
-            "--chaos-json" => {
-                args.chaos_json = Some(value.clone());
-            }
-            "--metrics-out" => {
-                args.metrics_out = Some(PathBuf::from(value));
-            }
-            "--trace-out" => {
-                args.trace_out = Some(PathBuf::from(value));
-            }
-            "--name" => {
-                args.name = value.clone();
-            }
-            "--daemon" => {
-                args.daemon = Some(value.clone());
-            }
-            "--state-dir" => {
-                args.state_dir = Some(PathBuf::from(value));
-            }
-            "--tenants" => {
-                args.tenants = parse_tenants(value)?;
-            }
-            "--report-dir" => {
-                args.report_dir = Some(PathBuf::from(value));
-            }
-            "--register" => {
-                args.register = Some(value.clone());
-            }
-            "--worker-name" => {
-                args.worker_name = Some(value.clone());
-            }
+            "--chaos-json" => args.chaos_json = Some(value()?.to_string()),
+            "--metrics-out" => args.metrics_out = Some(PathBuf::from(value()?)),
+            "--trace-out" => args.trace_out = Some(PathBuf::from(value()?)),
+            "--name" => args.name = value()?.to_string(),
+            "--daemon" => args.daemon = Some(value()?.to_string()),
+            "--state-dir" => args.state_dir = Some(PathBuf::from(value()?)),
+            "--tenants" => args.tenants = parse_tenants(value()?)?,
+            "--report-dir" => args.report_dir = Some(PathBuf::from(value()?)),
+            "--register" => args.register = Some(value()?.to_string()),
+            "--worker-name" => args.worker_name = Some(value()?.to_string()),
             "--deregister-after" => {
-                args.deregister_after = Some(value.parse().map_err(|_| {
-                    usage(format!("invalid --deregister-after `{value}`: batch count"))
-                })?);
+                args.deregister_after =
+                    Some(parse_num(value()?, "--deregister-after batch count")?);
             }
-            "--to" => {
-                args.to = Some(value.clone());
-            }
-            "--priority" => {
-                args.priority = value
-                    .parse()
-                    .map_err(|_| usage(format!("invalid priority `{value}`")))?;
-            }
-            "--job" => {
-                args.job = Some(
-                    value
-                        .parse()
-                        .map_err(|_| usage(format!("invalid job id `{value}`")))?,
-                );
-            }
+            "--to" => args.to = Some(value()?.to_string()),
+            "--job" => args.job = Some(parse_num(value()?, "job id")?),
             other => return Err(usage(format!("unknown flag `{other}`"))),
         }
-        i += 2;
     }
     validate(&args).map_err(CliError::Conflict)?;
     Ok(args)
@@ -591,8 +480,7 @@ pub fn validate(args: &Args) -> Result<(), ConfigConflict> {
         return Err(C::RegisterWithPool);
     }
     // --- journaling/streaming placement ---
-    let journal_flags =
-        args.checkpoint.is_some() || args.resume || args.jsonl.is_some() || args.summary_only;
+    let journal_flags = args.checkpoint.is_some() || args.resume || args.jsonl.is_some();
     if args.daemon.is_some() && journal_flags {
         // Jobs journal under --state-dir; a daemon that silently ignored
         // these would fake durability.
@@ -606,21 +494,18 @@ pub fn validate(args: &Args) -> Result<(), ConfigConflict> {
     }
     let plain_run =
         !any_pool && args.daemon.is_none() && args.register.is_none() && args.command.is_none();
-    if plain_run {
-        if args.checkpoint.is_some() || args.resume {
-            // Only the sharded coordinator journals; refusing beats silently
-            // running an unresumable campaign.
-            return Err(C::JournalNeedsSharding);
-        }
-        if args.summary_only {
-            return Err(C::SummaryOnlyNeedsSharding);
-        }
-    }
-    if args.summary_only && args.jsonl.is_none() {
-        return Err(C::SummaryOnlyNeedsJsonl);
+    if plain_run && (args.checkpoint.is_some() || args.resume) {
+        // Only the sharded coordinator journals; refusing beats silently
+        // running an unresumable campaign.
+        return Err(C::JournalNeedsSharding);
     }
     // --- flags that only configure one side ---
-    if let (Some(heartbeat), Some(deadline)) = (args.heartbeat, args.assign_timeout) {
+    // Workers this process spawns beat at the default interval unless told
+    // otherwise; registered workers pick their own.
+    let heartbeat = args
+        .heartbeat
+        .or((args.workers > 0).then_some(DEFAULT_HEARTBEAT));
+    if let (Some(heartbeat), Some(deadline)) = (heartbeat, args.assign_timeout) {
         if heartbeat >= deadline {
             // A keepalive slower than the deadline can never land in time,
             // so every slow batch would be misread as a hang.
@@ -728,28 +613,32 @@ mod tests {
     }
 
     #[test]
-    fn summary_only_needs_sharding_conflicts() {
-        assert_eq!(
-            conflict("--summary-only"),
-            ConfigConflict::SummaryOnlyNeedsSharding
-        );
-    }
-
-    #[test]
-    fn summary_only_needs_jsonl_conflicts() {
-        assert_eq!(
-            conflict("--workers 2 --summary-only"),
-            ConfigConflict::SummaryOnlyNeedsJsonl
-        );
-    }
-
-    #[test]
     fn heartbeat_slower_than_deadline_conflicts() {
         assert_eq!(
             conflict("--workers 1 --heartbeat 5 --assign-timeout 5"),
             ConfigConflict::HeartbeatSlowerThanDeadline
         );
         assert!(parse("--workers 1 --heartbeat 1 --assign-timeout 5").is_ok());
+        // Spawned workers beat every DEFAULT_HEARTBEAT (2 s) when no
+        // --heartbeat is given.
+        assert_eq!(
+            conflict("--workers 1 --assign-timeout 1"),
+            ConfigConflict::HeartbeatSlowerThanDeadline
+        );
+        assert!(parse("--workers 1 --assign-timeout 5").is_ok());
+    }
+
+    #[test]
+    fn durations_out_of_range_are_usage_errors() {
+        for flag in ["--assign-timeout", "--heartbeat"] {
+            for value in ["1e300", "1e-300", "0", "-1", "nan", "inf"] {
+                let line = format!("--workers 1 {flag} {value}");
+                assert!(
+                    matches!(parse(&line), Err(CliError::Usage(_))),
+                    "`{line}` must be a usage error"
+                );
+            }
+        }
     }
 
     #[test]
@@ -868,9 +757,7 @@ mod tests {
     fn valid_modes_parse_clean() {
         assert!(parse("--daemon 0:0 --tenants alice=a,bob=b --state-dir d --report-dir r").is_ok());
         assert!(parse("--register h:1 --worker-name w1 --deregister-after 2").is_ok());
-        assert!(
-            parse("submit --to h:1 --token t --priority 5 --apps 2 --schemes baseline").is_ok()
-        );
+        assert!(parse("submit --to h:1 --token t --apps 2 --schemes baseline").is_ok());
         assert!(parse("drain --to h:1 --token t").is_ok());
         assert!(parse("--workers 2 --checkpoint c.jsonl --resume").is_ok());
     }

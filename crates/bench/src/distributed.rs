@@ -43,6 +43,11 @@ use std::path::PathBuf;
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
+/// How often a worker pings while a batch computes, unless its options say
+/// otherwise. An assign deadline must be longer than the heartbeat of the
+/// workers it watches.
+pub const DEFAULT_HEARTBEAT: Duration = Duration::from_secs(2);
+
 /// How a distributed campaign should execute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistributedOptions {
@@ -60,18 +65,10 @@ pub struct DistributedOptions {
     /// Stream every completed record to this JSONL path, in expansion
     /// order (a record that completes early waits for every lower index).
     pub stream_jsonl: Option<PathBuf>,
-    /// Drop per-run series from coordinator residency once streamed: the
-    /// merged report keeps every aggregate (final energy, jobs, skips...)
-    /// but its `series` are empty — the full series live in the JSONL.
-    /// Requires `stream_jsonl`.
-    pub summary_only: bool,
     /// Per-`Assign` read deadline: a worker silent for this long (no
     /// `Done`, no `Ping`) is treated as hung and its channel cut. `None`
     /// disables the deadline (legacy behavior).
     pub assign_timeout: Option<Duration>,
-    /// Straggler mitigation: when idle workers outnumber remaining work,
-    /// duplicate in-flight indices onto them (first result wins).
-    pub speculative: bool,
     /// Quarantine a worker slot for good after this many lifetime session
     /// failures; `None` never quarantines.
     pub quarantine_after: Option<usize>,
@@ -86,9 +83,7 @@ impl Default for DistributedOptions {
             resume: false,
             max_respawns: 2,
             stream_jsonl: None,
-            summary_only: false,
             assign_timeout: None,
-            speculative: false,
             quarantine_after: None,
         }
     }
@@ -136,11 +131,6 @@ pub fn run_campaign_distributed(
     if opts.resume && opts.checkpoint.is_none() {
         return Err(ClusterError::Io(
             "resume requires a checkpoint journal path".into(),
-        ));
-    }
-    if opts.summary_only && opts.stream_jsonl.is_none() {
-        return Err(ClusterError::Io(
-            "summary-only merge requires a JSONL stream path".into(),
         ));
     }
     if opts.workers == 0 {
@@ -191,13 +181,6 @@ pub fn run_campaign_distributed(
         }
         None => None,
     };
-    if opts.summary_only {
-        // The streamed JSONL holds the full series; residency keeps the
-        // aggregates only.
-        for record in resumed.values_mut() {
-            record.series.clear();
-        }
-    }
 
     let pending: Vec<usize> = (0..total).filter(|i| !resumed.contains_key(i)).collect();
     let executed = pending.len();
@@ -206,39 +189,27 @@ pub fn run_campaign_distributed(
     // stream failure is fatal — the run stops instead of completing runs
     // whose durability was silently lost (everything already journaled
     // remains resumable).
-    let summary_only = opts.summary_only;
     let sink_state = Mutex::new((journal, stream));
     let pool = WorkerPool::new(connectors)
         .with_max_respawns(opts.max_respawns)
         .with_token(opts.token.clone())
         .with_assign_timeout(opts.assign_timeout)
-        .with_speculative(opts.speculative)
         .with_quarantine_after(opts.quarantine_after);
-    let outcome = pool.run(
-        fingerprint,
-        total,
-        &pending,
-        |entry: &mut CheckpointEntry| {
-            let mut state = sink_state.lock().expect("sink mutex poisoned");
-            let (journal, stream) = &mut *state;
-            if let Some(j) = journal {
-                j.append(entry)
-                    .map_err(|e| format!("checkpoint append failed: {e}"))?;
-            }
-            if let Some(s) = stream {
-                let mut record = RunRecord::from_value(&entry.record)
-                    .map_err(|e| format!("spec {}: malformed record: {e}", entry.index))?;
-                if summary_only {
-                    let series = std::mem::take(&mut record.series);
-                    entry.record = record.to_value();
-                    record.series = series;
-                }
-                s.push(entry.index, record)
-                    .map_err(|e| format!("jsonl stream append failed: {e}"))?;
-            }
-            Ok(())
-        },
-    )?;
+    let outcome = pool.run(fingerprint, total, &pending, |entry: &CheckpointEntry| {
+        let mut state = sink_state.lock().expect("sink mutex poisoned");
+        let (journal, stream) = &mut *state;
+        if let Some(j) = journal {
+            j.append(entry)
+                .map_err(|e| format!("checkpoint append failed: {e}"))?;
+        }
+        if let Some(s) = stream {
+            let record = RunRecord::from_value(&entry.record)
+                .map_err(|e| format!("spec {}: malformed record: {e}", entry.index))?;
+            s.push(entry.index, record)
+                .map_err(|e| format!("jsonl stream append failed: {e}"))?;
+        }
+        Ok(())
+    })?;
 
     // Merge resumed + fresh records into expansion order — the same
     // exactly-once merge the shard layer guarantees.
@@ -323,7 +294,7 @@ impl Default for WorkerOptions {
         WorkerOptions {
             token: String::new(),
             threads: 1,
-            heartbeat: Some(Duration::from_secs(2)),
+            heartbeat: Some(DEFAULT_HEARTBEAT),
             plan: None,
         }
     }

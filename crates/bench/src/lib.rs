@@ -22,8 +22,8 @@ pub use distributed::{
 pub use executor::{run_campaign, run_one, try_run_one, ExecutorError, SweepExecutor};
 pub use report::{
     bootstrap_ci, downsample, f2, f4, final_window, paired_scheme_test, print_table,
-    read_runs_jsonl, reaggregate_runs_jsonl, results_dir, trailing_mean, write_csv, BootstrapCi,
-    CampaignReport, PairedTest, ReportMeta, RunRecord, RunsJsonlWriter,
+    read_runs_jsonl, results_dir, trailing_mean, write_csv, BootstrapCi, CampaignReport,
+    PairedTest, ReportMeta, RunRecord, RunsJsonlWriter,
 };
 pub use scenario::{
     parse_scheme, parse_threshold, run_seed, Campaign, CampaignGrid, RunKind, RunSpec,

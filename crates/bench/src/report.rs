@@ -396,12 +396,9 @@ pub fn paired_scheme_test(a: &[f64], b: &[f64], resamples: usize, seed: u64) -> 
 }
 
 /// Streams [`RunRecord`]s to a JSONL file, one compact line per record,
-/// flushed as each run completes. This is the durable output path for
-/// 10k+-run campaigns: every record (series included) is on disk the
-/// moment it finishes, so downstream aggregation can read the JSONL
-/// instead of the in-memory report. (The executors themselves still
-/// build a full `CampaignReport`; a summary-only merge that drops series
-/// from residency after streaming is the roadmap's next rung.)
+/// flushed as each run is written: every record (series included) is on
+/// disk as the campaign goes, so downstream aggregation can read the JSONL
+/// instead of the in-memory report.
 #[derive(Debug)]
 pub struct RunsJsonlWriter {
     file: std::fs::File,
@@ -485,29 +482,6 @@ pub fn read_runs_jsonl(path: &Path) -> io::Result<Vec<RunRecord>> {
             })
         })
         .collect()
-}
-
-/// Rebuilds a full-fidelity [`CampaignReport`] from a streamed JSONL file
-/// by sorting the records into campaign expansion order — `(scenario,
-/// trial)` lexicographic, which is exactly how
-/// [`crate::scenario::Campaign::expand`] orders runs. This is the
-/// summary-only merge's counterpart: the resident report keeps only
-/// aggregates, and downstream consumers that need series re-aggregate from
-/// the stream.
-///
-/// # Errors
-///
-/// Propagates read failures; an unparsable line surfaces as
-/// [`io::ErrorKind::InvalidData`].
-pub fn reaggregate_runs_jsonl(path: &Path, name: &str, seed: u64) -> io::Result<CampaignReport> {
-    let mut records = read_runs_jsonl(path)?;
-    records.sort_by_key(|r| (r.scenario, r.trial));
-    Ok(CampaignReport {
-        name: name.to_string(),
-        seed,
-        meta: ReportMeta::current(),
-        records,
-    })
 }
 
 /// Directory where harnesses drop their artifacts.
@@ -773,39 +747,6 @@ mod tests {
         let t = report.paired_scenario_test(0, 1, 300, 9);
         assert_eq!(t.pairs, 2);
         assert!((t.mean_diff - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reaggregated_jsonl_restores_expansion_order() {
-        let path = std::env::temp_dir().join(format!("qismet-reagg-{}.jsonl", std::process::id()));
-        // Completion order scrambles the expansion order.
-        let scrambled = [
-            record(1, 0, 9.0),
-            record(0, 1, -3.5),
-            record(0, 0, 0.1 + 0.2),
-        ];
-        {
-            let mut w = RunsJsonlWriter::create(&path).unwrap();
-            for r in &scrambled {
-                w.append(r).unwrap();
-            }
-        }
-        let report = reaggregate_runs_jsonl(&path, "t", 42).unwrap();
-        assert_eq!(report.name, "t");
-        assert_eq!(report.seed, 42);
-        assert_eq!(
-            report
-                .records
-                .iter()
-                .map(|r| (r.scenario, r.trial))
-                .collect::<Vec<_>>(),
-            vec![(0, 0), (0, 1), (1, 0)]
-        );
-        assert_eq!(
-            report.records[0].final_energy.to_bits(),
-            (0.1f64 + 0.2).to_bits()
-        );
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! prove it with the fingerprint handshake, exactly like the one-shot
 //! coordinator path.
 
-use crate::distributed::{PullWorker, SessionOutcome};
+use crate::distributed::{PullWorker, SessionOutcome, DEFAULT_HEARTBEAT};
 use crate::executor::resolve_threads;
 use crate::report::{CampaignReport, ReportMeta, RunRecord};
 use crate::scenario::{parse_scheme, valid_magnitude, Campaign, CampaignGrid};
@@ -280,17 +280,11 @@ const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
 ///
 /// Typed refusals for bad tokens, unparseable grids, duplicate
 /// non-terminal fingerprints, and a draining daemon; I/O otherwise.
-pub fn submit_job(
-    addr: &str,
-    token: &str,
-    grid: &GridSpec,
-    priority: i64,
-) -> Result<Submitted, ServiceError> {
+pub fn submit_job(addr: &str, token: &str, grid: &GridSpec) -> Result<Submitted, ServiceError> {
     let mut transport = client_session(addr, token, CLIENT_TIMEOUT)?;
     transport
         .send(&Message::Submit(Submit {
             name: grid.name.clone(),
-            priority,
             payload: grid.to_json(),
         }))
         .map_err(ServiceError::io)?;
@@ -403,7 +397,7 @@ impl Default for RegisterOptions {
             name: "worker".into(),
             token: String::new(),
             threads: 1,
-            heartbeat: Some(Duration::from_secs(2)),
+            heartbeat: Some(DEFAULT_HEARTBEAT),
             max_reconnects: 10,
             deregister_after: None,
         }

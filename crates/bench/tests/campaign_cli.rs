@@ -29,13 +29,21 @@ fn removed_engine_flags_are_unknown() {
         // Session deadlines are constants: 10 s handshakes, 5 s dials.
         ("--handshake-timeout", "10"),
         ("--connect-timeout", "5"),
+        // Coordinator options no workload set: tail speculation, job
+        // priorities and the series-dropping merge.
+        ("--speculative", "1"),
+        ("--priority", "5"),
+        ("--summary-only", "1"),
     ] {
-        let (code, stderr) = run_campaign_cli(&[flag, value]);
-        assert_eq!(code, 2, "{flag} must exit 2");
-        assert!(
-            stderr.contains(&format!("unknown flag `{flag}`")),
-            "{flag} stderr: {stderr}"
-        );
+        // Unknown bare (the last word) or followed by a value alike.
+        for args in [&[flag][..], &[flag, value][..]] {
+            let (code, stderr) = run_campaign_cli(args);
+            assert_eq!(code, 2, "{args:?} must exit 2");
+            assert!(
+                stderr.contains(&format!("unknown flag `{flag}`")),
+                "{args:?} stderr: {stderr}"
+            );
+        }
     }
 }
 
@@ -254,6 +262,19 @@ fn typed_conflicts_exit_with_usage_code() {
         (
             &["--magnitudes", "inf"][..],
             "invalid magnitude (finite and >= 0): `inf`",
+        ),
+        // A known flag that ends the line is missing its value.
+        (&["--workers"][..], "missing value for `--workers`"),
+        // Too large for a Duration: a usage error, not a panic.
+        (
+            &["--workers", "1", "--assign-timeout", "1e300"][..],
+            "invalid --assign-timeout `1e300`",
+        ),
+        // Spawned workers heartbeat every 2 s unless told otherwise, so a
+        // shorter deadline would poison every spec that outlasts it.
+        (
+            &["--workers", "2", "--assign-timeout", "0.03"][..],
+            "must be shorter than --assign-timeout",
         ),
     ] {
         let (code, stderr) = run_campaign_cli(args);

@@ -284,7 +284,6 @@ proptest! {
                 workers: 2,
                 max_respawns: 6,
                 assign_timeout: Some(Duration::from_secs(1)),
-                speculative: true,
                 quarantine_after: Some(8),
                 ..DistributedOptions::default()
             },

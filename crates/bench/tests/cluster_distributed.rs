@@ -362,64 +362,6 @@ fn distributed_and_resumed_jsonl_match_in_process_bytes() {
     std::fs::remove_file(&journal_path).unwrap();
 }
 
-#[test]
-fn summary_only_merge_drops_series_and_jsonl_reaggregates_identically() {
-    let case = grid_case("dist-summary", 0x50f7, &[1], 2, 22);
-    let jsonl_path = temp_journal("summary-stream");
-    let _ = std::fs::remove_file(&jsonl_path);
-
-    let (summary_report, stats) = run_campaign_distributed(
-        &case.campaign,
-        Some(launch(&case)),
-        &DistributedOptions {
-            workers: 2,
-            stream_jsonl: Some(jsonl_path.clone()),
-            summary_only: true,
-            ..DistributedOptions::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(stats.executed, case.campaign.len());
-
-    // Residency holds aggregates only: every series is gone, everything
-    // else matches the sequential run exactly.
-    let sequential = SweepExecutor::sequential().run(&case.campaign);
-    assert!(
-        summary_report.records.iter().all(|r| r.series.is_empty()),
-        "summary-only records must not retain series"
-    );
-    let mut stripped = sequential.clone();
-    for r in &mut stripped.records {
-        r.series.clear();
-    }
-    assert_reports_bitwise_equal(&stripped, &summary_report);
-
-    // The streamed JSONL carries the full series; re-aggregating it in
-    // expansion order reproduces the sequential report byte-for-byte.
-    let reaggregated =
-        qismet_bench::reaggregate_runs_jsonl(&jsonl_path, &case.campaign.name, case.campaign.seed)
-            .unwrap();
-    assert_reports_bitwise_equal(&sequential, &reaggregated);
-
-    // summary-only without a stream is refused outright.
-    let err = run_campaign_distributed(
-        &case.campaign,
-        Some(launch(&case)),
-        &DistributedOptions {
-            workers: 1,
-            summary_only: true,
-            ..DistributedOptions::default()
-        },
-    )
-    .unwrap_err();
-    assert!(
-        matches!(err, ClusterError::Io(_)),
-        "unexpected error: {err}"
-    );
-
-    std::fs::remove_file(&jsonl_path).unwrap();
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 

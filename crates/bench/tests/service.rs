@@ -116,8 +116,8 @@ fn daemon_serves_two_tenants_elastically_with_byte_identical_reports() {
     let (daemon, report_dir) = start_daemon("elastic");
     let alpha = alpha_grid();
     let beta = beta_grid();
-    let job_a = submit_job(&daemon.addr, "a-token", &alpha, 1).expect("alice submits");
-    let job_b = submit_job(&daemon.addr, "b-token", &beta, 0).expect("bob submits");
+    let job_a = submit_job(&daemon.addr, "a-token", &alpha).expect("alice submits");
+    let job_b = submit_job(&daemon.addr, "b-token", &beta).expect("bob submits");
     assert_ne!(job_a.job_id, job_b.job_id);
     assert_ne!(job_a.fingerprint, job_b.fingerprint);
 
@@ -182,7 +182,7 @@ fn client_verbs_return_typed_errors_end_to_end() {
     let (daemon, report_dir) = start_daemon("errors");
 
     // Bad tenant token on submit.
-    let refused = submit_job(&daemon.addr, "wrong", &alpha_grid(), 0)
+    let refused = submit_job(&daemon.addr, "wrong", &alpha_grid())
         .expect_err("unknown token must be refused");
     assert!(matches!(
         refused,
@@ -210,11 +210,11 @@ fn client_verbs_return_typed_errors_end_to_end() {
         }
     ));
 
-    let job = submit_job(&daemon.addr, "a-token", &alpha_grid(), 0).expect("submit accepted");
+    let job = submit_job(&daemon.addr, "a-token", &alpha_grid()).expect("submit accepted");
 
     // Duplicate fingerprint while the first submission is still live —
     // even from a different tenant.
-    let duplicate = submit_job(&daemon.addr, "b-token", &alpha_grid(), 2)
+    let duplicate = submit_job(&daemon.addr, "b-token", &alpha_grid())
         .expect_err("same campaign cannot queue twice");
     assert!(matches!(
         duplicate,

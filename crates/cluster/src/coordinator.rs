@@ -36,10 +36,6 @@
 //!   [`ClusterError::PoisonedSpecs`] while every other spec completes and
 //!   journals as usual. Attributed crashes do not consume the slot's
 //!   respawn budget: the spec is at fault, not the worker.
-//! * **Stragglers**: with [`WorkerPool::with_speculative`], an idle worker
-//!   duplicates in-flight assignments instead of idling at the tail of the
-//!   campaign; the first result per index wins and duplicates are
-//!   discarded, so byte-identity is unaffected.
 //! * **Deterministic run failure** (a [`Failed`](crate::protocol::Outcome)
 //!   outcome, e.g. a panicking spec): retrying would fail the same way, so
 //!   the run stops and returns [`ClusterError::RunFailed`].
@@ -231,7 +227,6 @@ pub struct WorkerPool {
     pub(crate) max_respawns: usize,
     pub(crate) token: String,
     pub(crate) assign_timeout: Option<Duration>,
-    pub(crate) speculative: bool,
     pub(crate) quarantine_after: Option<usize>,
 }
 
@@ -251,7 +246,6 @@ impl WorkerPool {
             max_respawns: 2,
             token: String::new(),
             assign_timeout: None,
-            speculative: false,
             quarantine_after: None,
         }
     }
@@ -284,16 +278,6 @@ impl WorkerPool {
         self
     }
 
-    /// Enables speculative tail execution: an idle worker duplicates
-    /// in-flight assignments instead of idling; the first result per index
-    /// wins and duplicates are discarded (byte-identity is unaffected —
-    /// records are pure functions of their spec).
-    #[must_use]
-    pub fn with_speculative(mut self, speculative: bool) -> Self {
-        self.speculative = speculative;
-        self
-    }
-
     /// Quarantines a slot after this many *lifetime* channel strikes
     /// (`None` = never). Unlike the respawn budget, strikes do not reset
     /// on productive sessions — this catches a flaky worker that limps
@@ -308,10 +292,8 @@ impl WorkerPool {
     /// records. `fingerprint`/`total` describe the campaign both sides
     /// expanded; `on_done` observes every completed run (in completion
     /// order, across workers) before the merge — the place to append
-    /// checkpoints or stream records, and (via the mutable entry) to strip
-    /// payload the coordinator should not keep resident. A sink error is
-    /// fatal: the pool aborts rather than silently continuing without
-    /// durability.
+    /// checkpoints or stream records. A sink error is fatal: the pool
+    /// aborts rather than silently continuing without durability.
     ///
     /// # Errors
     ///
@@ -331,7 +313,7 @@ impl WorkerPool {
         on_done: F,
     ) -> Result<ClusterOutcome, ClusterError>
     where
-        F: FnMut(&mut CheckpointEntry) -> Result<(), String> + Send,
+        F: FnMut(&CheckpointEntry) -> Result<(), String> + Send,
     {
         crate::daemon::run_one_shot(self, fingerprint, total, pending, on_done)
     }
@@ -350,7 +332,6 @@ impl fmt::Debug for WorkerPool {
             )
             .field("max_respawns", &self.max_respawns)
             .field("assign_timeout", &self.assign_timeout)
-            .field("speculative", &self.speculative)
             .field("quarantine_after", &self.quarantine_after)
             .finish_non_exhaustive()
     }

@@ -29,9 +29,9 @@
 //!
 //! After its handshake every worker session runs the same *pull* loop:
 //! the worker sends [`Ready`](Message::Ready); the engine picks the best
-//! claimable batch (priority desc, least-served first, then submission
-//! order), ships the campaign via [`JobOpen`](Message::JobOpen) if the
-//! session has not expanded it yet, then streams a plain
+//! claimable batch (least-served job first, then submission order),
+//! ships the campaign via [`JobOpen`](Message::JobOpen) if the session
+//! has not expanded it yet, then streams a plain
 //! [`Assign`](Message::Assign) — or answers `Shutdown` once nothing is
 //! left. A voluntary [`Deregister`](Message::Deregister) retires the slot
 //! without blame; a channel loss returns the batch remainder to the job's
@@ -186,10 +186,9 @@ fn validate_limits(
 }
 
 /// Where a job's accepted results go before they are kept: the job's
-/// journal on the service, the caller's `on_done` in a one-shot run. It
-/// may rewrite the entry's record (to strip what need not stay resident);
-/// an error means durability is lost, and the job fails.
-type Sink<'a> = Box<dyn FnMut(&mut CheckpointEntry) -> Result<(), String> + Send + 'a>;
+/// journal on the service, the caller's `on_done` in a one-shot run. An
+/// error means durability is lost, and the job fails.
+type Sink<'a> = Box<dyn FnMut(&CheckpointEntry) -> Result<(), String> + Send + 'a>;
 
 /// One opened (running) job's in-memory execution state.
 struct JobRun<'a> {
@@ -200,8 +199,8 @@ struct JobRun<'a> {
     results: Mutex<Vec<(usize, Value)>>,
     sink: Mutex<Sink<'a>>,
     /// Sessions currently holding one of this job's batches (the
-    /// least-served tie-break that spreads a fleet across equal-priority
-    /// jobs, making them genuinely concurrent).
+    /// least-served order that spreads a fleet across open jobs, making
+    /// them genuinely concurrent).
     servers: AtomicUsize,
     /// Settle-once guard (finalize, fail, or cancel — first wins).
     settled: AtomicBool,
@@ -210,16 +209,10 @@ struct JobRun<'a> {
 }
 
 impl<'a> JobRun<'a> {
-    fn new(
-        spec: JobSpec,
-        pending: &[usize],
-        speculative: bool,
-        resumed: Vec<(usize, Value)>,
-        sink: Sink<'a>,
-    ) -> Self {
+    fn new(spec: JobSpec, pending: &[usize], resumed: Vec<(usize, Value)>, sink: Sink<'a>) -> Self {
         JobRun {
             spec,
-            dispatch: Dispatch::new(pending, speculative),
+            dispatch: Dispatch::new(pending),
             resumed,
             results: Mutex::new(Vec::with_capacity(pending.len())),
             sink: Mutex::new(sink),
@@ -445,15 +438,14 @@ impl<'a> Engine<'a> {
         self.conclude(run.spec.id, JobPhase::Failed, detail);
     }
 
-    /// Opens the highest-priority queued job: expands it through the
-    /// planner, replays its journal, and publishes the run. Returns
-    /// whether any queued job was taken (even if opening it failed).
+    /// Opens the oldest queued job: expands it through the planner,
+    /// replays its journal, and publishes the run. Returns whether any
+    /// queued job was taken (even if opening it failed).
     fn open_next_job(&self) -> bool {
         let spec = {
             let mut queue = self.queue.lock().expect("queue mutex poisoned");
             let next = queue
                 .runnable()
-                .iter()
                 .find(|job| job.phase == JobPhase::Queued)
                 .map(|job| job.spec.clone());
             let Some(spec) = next else {
@@ -501,7 +493,7 @@ impl<'a> Engine<'a> {
             Some(path) => match resume_journal(path, spec.fingerprint, &plan.seeds) {
                 Ok((entries, mut writer)) => {
                     resumed.extend(entries.into_iter().map(|e| (e.index, e.record)));
-                    Box::new(move |entry: &mut CheckpointEntry| {
+                    Box::new(move |entry: &CheckpointEntry| {
                         writer
                             .append(entry)
                             .map_err(|e| format!("journal append failed: {e}"))
@@ -516,14 +508,14 @@ impl<'a> Engine<'a> {
                     return true;
                 }
             },
-            None => Box::new(|_: &mut CheckpointEntry| Ok(())),
+            None => Box::new(|_: &CheckpointEntry| Ok(())),
         };
         let mut replayed = vec![false; plan.spec_count];
         for &(index, _) in &resumed {
             replayed[index] = true;
         }
         let pending: Vec<usize> = (0..plan.spec_count).filter(|&i| !replayed[i]).collect();
-        let run = Arc::new(JobRun::new(spec.clone(), &pending, false, resumed, sink));
+        let run = Arc::new(JobRun::new(spec.clone(), &pending, resumed, sink));
         event(
             "job",
             format!(
@@ -557,17 +549,7 @@ impl<'a> Engine<'a> {
             {
                 let open = self.open_jobs.lock().expect("open-jobs mutex poisoned");
                 let mut candidates: Vec<&Arc<JobRun<'a>>> = open.values().collect();
-                candidates.sort_by(|a, b| {
-                    b.spec
-                        .priority
-                        .cmp(&a.spec.priority)
-                        .then(
-                            a.servers
-                                .load(Ordering::Relaxed)
-                                .cmp(&b.servers.load(Ordering::Relaxed)),
-                        )
-                        .then(a.spec.id.cmp(&b.spec.id))
-                });
+                candidates.sort_by_key(|run| (run.servers.load(Ordering::Relaxed), run.spec.id));
                 for run in candidates {
                     if let Some(batch) = run.dispatch.try_pop_batch(threads) {
                         return Claim::Work(run.clone(), batch);
@@ -587,34 +569,23 @@ impl<'a> Engine<'a> {
     /// Accepts one result: the job's sink first (durability before
     /// visibility), then the in-memory record set; settles the job when
     /// it was the last index.
-    fn on_record(
-        &self,
-        seat: Seat<'_>,
-        run: &JobRun<'a>,
-        batch: &Batch,
-        index: usize,
-        seed: u64,
-        record: Value,
-    ) {
+    fn on_record(&self, seat: Seat<'_>, run: &JobRun<'a>, index: usize, seed: u64, record: Value) {
         // The results lock is held from marking the index complete until
         // its record is stored: a session that completes the last index of
         // the job settles it, and settling must see every record.
         let mut results = run.results.lock().expect("results mutex poisoned");
         if !run.dispatch.complete(index) {
-            // A twin finished first (speculation, or a re-dispatched
-            // suspect that was still live elsewhere): byte-identical by
-            // construction, so drop it without re-journaling.
-            fleet_update(seat.fleet, |s| s.duplicates_lost += 1);
-            counter!("cluster.speculative.duplicates_lost").inc();
+            // Already settled: the first result was kept, so drop this one
+            // without re-journaling.
             return;
         }
-        let mut entry = CheckpointEntry {
+        let entry = CheckpointEntry {
             fingerprint: run.spec.fingerprint,
             index,
             seed,
             record,
         };
-        let sunk = (run.sink.lock().expect("sink mutex poisoned"))(&mut entry);
+        let sunk = (run.sink.lock().expect("sink mutex poisoned"))(&entry);
         if let Err(detail) = sunk {
             drop(results);
             // Durability lost: completing more work that can never be
@@ -622,16 +593,8 @@ impl<'a> Engine<'a> {
             self.fail_job(run, ClusterError::Io(detail));
             return;
         }
-        fleet_update(seat.fleet, |s| {
-            s.done += 1;
-            if batch.speculative {
-                s.speculative_won += 1;
-            }
-        });
+        fleet_update(seat.fleet, |s| s.done += 1);
         counter!("cluster.specs_done").inc();
-        if batch.speculative {
-            counter!("cluster.speculative.won").inc();
-        }
         self.registry.record_done(seat.slot);
         results.push((index, entry.record));
         drop(results);
@@ -739,7 +702,7 @@ impl<'a> Engine<'a> {
             |index, seed, outcome| match outcome {
                 Outcome::Record(record) => {
                     *accepted += 1;
-                    self.on_record(seat, run, batch, index, seed, record);
+                    self.on_record(seat, run, index, seed, record);
                 }
                 Outcome::Failed(detail) => {
                     // Deterministic: retrying fails the same way. The job
@@ -1005,7 +968,6 @@ impl<'a> Engine<'a> {
                     job_id: job.spec.id,
                     name: job.spec.name.clone(),
                     tenant: job.spec.tenant.clone(),
-                    priority: job.spec.priority,
                     phase: job.phase.name().to_string(),
                     done,
                     total: job.spec.spec_count,
@@ -1050,7 +1012,6 @@ impl<'a> Engine<'a> {
                     queue.submit(
                         &submit.name,
                         tenant,
-                        submit.priority,
                         &submit.payload,
                         plan.fingerprint,
                         plan.spec_count,
@@ -1061,9 +1022,8 @@ impl<'a> Engine<'a> {
                         event(
                             "job",
                             format!(
-                                "job {job_id} `{}` submitted by {tenant} \
-                                 (priority {}, {} specs)",
-                                submit.name, submit.priority, plan.spec_count
+                                "job {job_id} `{}` submitted by {tenant} ({} specs)",
+                                submit.name, plan.spec_count
                             ),
                         );
                         self.update_job_gauges();
@@ -1456,7 +1416,7 @@ pub(crate) fn run_one_shot<F>(
     on_done: F,
 ) -> Result<ClusterOutcome, ClusterError>
 where
-    F: FnMut(&mut CheckpointEntry) -> Result<(), String> + Send,
+    F: FnMut(&CheckpointEntry) -> Result<(), String> + Send,
 {
     validate_limits(pool.assign_timeout, pool.quarantine_after)?;
     if pending.is_empty() {
@@ -1470,20 +1430,14 @@ where
     };
     let mut queue = JobQueue::in_memory();
     let spec = queue
-        .submit("one-shot", "", 0, "", fingerprint, total)
+        .submit("one-shot", "", "", fingerprint, total)
         .and_then(|id| queue.set_phase(id, JobPhase::Running, None).map(|()| id))
         .map(|id| queue.get(id).expect("job just submitted").spec.clone())
         .expect("an in-memory queue takes its one job");
     let engine = Engine::new(&planner, &config, queue, None);
     // Nothing else is ever submitted: the run drains from the start.
     engine.draining.store(true, Ordering::Relaxed);
-    let run = Arc::new(JobRun::new(
-        spec,
-        pending,
-        pool.speculative,
-        Vec::new(),
-        Box::new(on_done),
-    ));
+    let run = Arc::new(JobRun::new(spec, pending, Vec::new(), Box::new(on_done)));
     engine
         .open_jobs
         .lock()

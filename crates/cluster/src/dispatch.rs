@@ -2,8 +2,8 @@
 //!
 //! The coordinator engine ([`crate::daemon`]) keeps one [`Dispatch`] per
 //! open job, whether the job is a one-shot `--workers` run or one of the
-//! service's queued campaigns, so crash blame, poisoning and speculation
-//! behave the same everywhere. [`Dispatch::try_pop_batch`] never blocks: the
+//! service's queued campaigns, so crash blame and poisoning behave the
+//! same everywhere. [`Dispatch::try_pop_batch`] never blocks: the
 //! engine scans its open jobs and parks the session on its own condvar
 //! when nothing is claimable. The popped [`Batch`] goes to
 //! [`exchange_batch`], the one `Assign` -> `Done`/`Ping` exchange with a
@@ -26,22 +26,17 @@ pub(crate) struct Batch {
     /// Suspect batches are crash-implicated singletons: a further loss
     /// while one is outstanding is a precise blame strike on that spec.
     pub(crate) suspect: bool,
-    /// Whether this batch duplicates in-flight work (tail speculation);
-    /// an accepted result from it is a speculation win for this slot.
-    pub(crate) speculative: bool,
 }
 
 /// One job's dispatch queue.
 ///
 /// Fresh work flows through `queue` in batches; crash-implicated work
 /// flows through `suspects` one index at a time (so repeated crashes are
-/// attributable to a single spec, feeding the poison counter). `holders`
-/// tracks how many live sessions are computing each index — normally one,
-/// two when speculation duplicates a straggler's assignment.
+/// attributable to a single spec, feeding the poison counter). Each index
+/// is held by at most one live session at a time.
 pub(crate) struct Dispatch {
     state: Mutex<DispatchState>,
     aborted: AtomicBool,
-    speculative: bool,
 }
 
 struct DispatchState {
@@ -49,8 +44,6 @@ struct DispatchState {
     queue: VecDeque<usize>,
     /// Crash-implicated work, re-dispatched as singletons.
     suspects: VecDeque<usize>,
-    /// index -> live sessions currently computing it.
-    holders: BTreeMap<usize, usize>,
     /// Indices whose first result has been accepted.
     completed: BTreeSet<usize>,
     /// index -> precise crash strikes (suspect-singleton losses only).
@@ -71,21 +64,15 @@ impl DispatchState {
     }
 
     /// Pops the next assignment without waiting: a suspect singleton
-    /// first, else up to `k` fresh indices, else (with speculation)
-    /// duplicates of in-flight work.
-    fn pop_ready(&mut self, k: usize, speculative: bool) -> Option<Batch> {
-        while let Some(&front) = self.suspects.front() {
-            if self.is_settled(front) {
-                self.suspects.pop_front();
-                continue;
+    /// first, else up to `k` fresh indices.
+    fn pop_ready(&mut self, k: usize) -> Option<Batch> {
+        while let Some(front) = self.suspects.pop_front() {
+            if !self.is_settled(front) {
+                return Some(Batch {
+                    indices: vec![front],
+                    suspect: true,
+                });
             }
-            self.suspects.pop_front();
-            *self.holders.entry(front).or_insert(0) += 1;
-            return Some(Batch {
-                indices: vec![front],
-                suspect: true,
-                speculative: false,
-            });
         }
         let mut batch = Vec::new();
         while batch.len() < k {
@@ -96,104 +83,62 @@ impl DispatchState {
                 batch.push(index);
             }
         }
-        if !batch.is_empty() {
-            for &index in &batch {
-                *self.holders.entry(index).or_insert(0) += 1;
-            }
-            gauge!("cluster.queue_depth").set(self.queue.len() as i64);
-            return Some(Batch {
-                indices: batch,
-                suspect: false,
-                speculative: false,
-            });
+        if batch.is_empty() {
+            return None;
         }
-        if speculative && !self.is_finished() {
-            // Tail speculation: mirror in-flight work not already
-            // duplicated, so one straggler cannot stall the campaign.
-            let dups: Vec<usize> = self
-                .holders
-                .iter()
-                .filter(|&(&index, &holders)| holders == 1 && !self.is_settled(index))
-                .map(|(&index, _)| index)
-                .take(k)
-                .collect();
-            if !dups.is_empty() {
-                for &index in &dups {
-                    *self.holders.entry(index).or_insert(0) += 1;
-                }
-                counter!("cluster.speculative.dispatched").add(dups.len() as u64);
-                return Some(Batch {
-                    indices: dups,
-                    suspect: false,
-                    speculative: true,
-                });
-            }
-        }
-        None
+        gauge!("cluster.queue_depth").set(self.queue.len() as i64);
+        Some(Batch {
+            indices: batch,
+            suspect: false,
+        })
     }
 }
 
 impl Dispatch {
-    pub(crate) fn new(pending: &[usize], speculative: bool) -> Self {
+    pub(crate) fn new(pending: &[usize]) -> Self {
         Dispatch {
             state: Mutex::new(DispatchState {
                 queue: pending.iter().copied().collect(),
                 suspects: VecDeque::new(),
-                holders: BTreeMap::new(),
                 completed: BTreeSet::new(),
                 blame: BTreeMap::new(),
                 poisoned: BTreeSet::new(),
                 target: pending.len(),
             }),
             aborted: AtomicBool::new(false),
-            speculative,
         }
     }
 
     /// Pops the next assignment: a suspect singleton first, else up to `k`
-    /// fresh indices, else (with speculation) duplicates of in-flight
-    /// work. Never blocks: `None` means nothing is claimable right now
-    /// (in-flight work may still come back), the job is settled, or it
+    /// fresh indices. Never blocks: `None` means nothing is claimable right
+    /// now (in-flight work may still come back), the job is settled, or it
     /// aborted.
     pub(crate) fn try_pop_batch(&self, k: usize) -> Option<Batch> {
         if self.aborted.load(Ordering::Relaxed) {
             return None;
         }
         let mut state = self.state.lock().expect("dispatch mutex poisoned");
-        state.pop_ready(k.max(1), self.speculative)
+        state.pop_ready(k.max(1))
     }
 
     /// Records an accepted result for `index`. Returns `true` if it is the
-    /// first (the caller sinks and keeps it), `false` for a speculative
-    /// duplicate (the caller drops it).
+    /// first (the caller sinks and keeps it), `false` if `index` was already
+    /// settled (the caller drops the result).
     pub(crate) fn complete(&self, index: usize) -> bool {
         let mut state = self.state.lock().expect("dispatch mutex poisoned");
-        if let Some(holders) = state.holders.get_mut(&index) {
-            *holders -= 1;
-            if *holders == 0 {
-                state.holders.remove(&index);
-            }
-        }
         state.completed.insert(index)
     }
 
-    /// Settles a lost session's outstanding indices: anything no other
-    /// live session holds goes back as a suspect, and — when the lost
-    /// batch was itself a suspect singleton — earns a precise blame strike
-    /// that can poison the spec. Returns whether blame was assigned (a
+    /// Settles a lost session's outstanding indices: anything not yet
+    /// settled goes back as a suspect, and — when the lost batch was itself
+    /// a suspect singleton — earns a precise blame strike that can poison
+    /// the spec. Returns whether blame was assigned (a
     /// blamed loss does not charge the worker's respawn budget).
     pub(crate) fn settle_loss(&self, outstanding: &VecDeque<usize>, was_suspect: bool) -> bool {
         let mut state = self.state.lock().expect("dispatch mutex poisoned");
         let mut blamed = false;
         for &index in outstanding {
-            if let Some(holders) = state.holders.get_mut(&index) {
-                *holders -= 1;
-                if *holders == 0 {
-                    state.holders.remove(&index);
-                }
-            }
-            if state.is_settled(index) || state.holders.contains_key(&index) {
-                // Completed, already poisoned, or a twin is still on it.
+            if state.is_settled(index) {
                 continue;
             }
             if was_suspect {
@@ -340,7 +285,7 @@ mod tests {
 
     #[test]
     fn try_pop_never_blocks_and_respects_settled_state() {
-        let d = Dispatch::new(&[0, 1, 2, 3], false);
+        let d = Dispatch::new(&[0, 1, 2, 3]);
         let b = d.try_pop_batch(3).expect("fresh work is claimable");
         assert_eq!(b.indices, vec![0, 1, 2]);
         assert!(!b.suspect);
@@ -357,7 +302,7 @@ mod tests {
 
     #[test]
     fn try_pop_returns_suspects_as_singletons_after_a_loss() {
-        let d = Dispatch::new(&[0, 1], false);
+        let d = Dispatch::new(&[0, 1]);
         let b = d.try_pop_batch(2).expect("fresh batch");
         assert_eq!(b.indices, vec![0, 1]);
         let outstanding: VecDeque<usize> = b.indices.iter().copied().collect();
@@ -375,7 +320,7 @@ mod tests {
 
     #[test]
     fn suspect_losses_blame_and_poison_the_spec() {
-        let d = Dispatch::new(&[7], false);
+        let d = Dispatch::new(&[7]);
         for round in 0..2 {
             let b = d.try_pop_batch(4).expect("claimable");
             let was_suspect = b.suspect;
@@ -395,7 +340,7 @@ mod tests {
 
     #[test]
     fn aborted_dispatch_hands_out_nothing() {
-        let d = Dispatch::new(&[0, 1], false);
+        let d = Dispatch::new(&[0, 1]);
         d.abort();
         assert!(d.try_pop_batch(2).is_none());
     }

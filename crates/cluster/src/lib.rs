@@ -34,10 +34,10 @@
 //! * [`registry`] — the worker slot table. Quarantine strikes follow a
 //!   worker's *name* across sessions: an operator-chosen name for a
 //!   registered worker, the slot name for a one-shot slot.
-//! * [`queue`] — the persistent, priority-ordered, multi-tenant job
-//!   queue: submissions and phase transitions append to a checksummed
-//!   event log, each job journals checkpoints into its own file, and an
-//!   interrupted daemon resumes every job on restart.
+//! * [`queue`] — the persistent, multi-tenant job queue, opened in
+//!   submission order: submissions and phase transitions append to a
+//!   checksummed event log, each job journals checkpoints into its own
+//!   file, and an interrupted daemon resumes every job on restart.
 //! * [`shard`] — the order-preserving, exactly-once merge of results that
 //!   arrive from workers in completion order.
 //! * [`journal`] — an append-only JSONL checkpoint keyed by (campaign

@@ -284,8 +284,6 @@ pub struct JobReady {
 pub struct Submit {
     /// Job display name (also names the report artifact).
     pub name: String,
-    /// Queue priority; higher runs first among runnable jobs.
-    pub priority: i64,
     /// Planner-specific campaign description, shipped verbatim to
     /// workers via [`JobOpen`].
     pub payload: String,
@@ -309,8 +307,6 @@ pub struct JobStatusInfo {
     pub name: String,
     /// Owning tenant.
     pub tenant: String,
-    /// Queue priority.
-    pub priority: i64,
     /// Lifecycle phase name (`queued`, `running`, `completed`, `failed`,
     /// `cancelled`).
     pub phase: String,
@@ -619,7 +615,6 @@ mod tests {
             }),
             Message::Submit(Submit {
                 name: "fig9".into(),
-                priority: -2,
                 payload: "{\"apps\":[1,2]}".into(),
             }),
             Message::Submitted(Submitted {
@@ -632,7 +627,6 @@ mod tests {
                     job_id: 3,
                     name: "fig9".into(),
                     tenant: "alice".into(),
-                    priority: -2,
                     phase: "running".into(),
                     done: 4,
                     total: 12,

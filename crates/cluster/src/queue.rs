@@ -1,8 +1,8 @@
-//! The multi-tenant, priority-ordered job queue behind the service daemon.
+//! The multi-tenant job queue behind the service daemon.
 //!
 //! Each submitted campaign becomes a [`JobSpec`] with a monotonically
-//! assigned id, an owning tenant, and a priority; the daemon walks
-//! non-terminal jobs in `(priority desc, id asc)` order. Queue state is
+//! assigned id and an owning tenant; the daemon opens queued jobs in
+//! submission (id) order. Queue state is
 //! persisted (when a state directory is configured) as an append-only
 //! event log `jobs.jsonl` using the same `<checksum> <json>` line
 //! discipline as the checkpoint [`journal`](crate::journal): submissions
@@ -72,8 +72,6 @@ pub struct JobSpec {
     pub name: String,
     /// Owning tenant (resolved from the submission token).
     pub tenant: String,
-    /// Queue priority; higher runs first.
-    pub priority: i64,
     /// Planner-specific campaign description, shipped to workers verbatim.
     pub payload: String,
     /// Fingerprint of the expanded campaign (journal resume key).
@@ -254,12 +252,10 @@ impl JobQueue {
     ///
     /// Refuses a fingerprint any *non-terminal* job (any tenant) already
     /// holds, and propagates event-log append failures.
-    #[allow(clippy::too_many_arguments)]
     pub fn submit(
         &mut self,
         name: &str,
         tenant: &str,
-        priority: i64,
         payload: &str,
         fingerprint: u64,
         spec_count: usize,
@@ -276,7 +272,6 @@ impl JobQueue {
             id,
             name: name.to_string(),
             tenant: tenant.to_string(),
-            priority,
             payload: payload.to_string(),
             fingerprint,
             spec_count,
@@ -353,21 +348,9 @@ impl JobQueue {
         self.jobs.values()
     }
 
-    /// Non-terminal jobs in scheduling order: priority desc, then id asc
-    /// (submission order breaks ties).
-    pub fn runnable(&self) -> Vec<&JobState> {
-        let mut jobs: Vec<&JobState> = self
-            .jobs
-            .values()
-            .filter(|job| !job.phase.is_terminal())
-            .collect();
-        jobs.sort_by(|a, b| {
-            b.spec
-                .priority
-                .cmp(&a.spec.priority)
-                .then(a.spec.id.cmp(&b.spec.id))
-        });
-        jobs
+    /// Non-terminal jobs in submission (id) order.
+    pub fn runnable(&self) -> impl Iterator<Item = &JobState> {
+        self.jobs.values().filter(|job| !job.phase.is_terminal())
     }
 
     /// Whether every job has settled (an empty queue counts).
@@ -396,33 +379,34 @@ mod tests {
     }
 
     #[test]
-    fn scheduling_order_is_priority_then_submission() {
+    fn scheduling_order_is_submission_order() {
         let mut q = JobQueue::in_memory();
-        let low = q.submit("low", "a", -1, "{}", 1, 4).unwrap();
-        let hi = q.submit("hi", "b", 9, "{}", 2, 4).unwrap();
-        let mid1 = q.submit("mid1", "a", 0, "{}", 3, 4).unwrap();
-        let mid2 = q.submit("mid2", "b", 0, "{}", 4, 4).unwrap();
-        let order: Vec<u64> = q.runnable().iter().map(|j| j.spec.id).collect();
-        assert_eq!(order, vec![hi, mid1, mid2, low]);
+        let first = q.submit("first", "a", "{}", 1, 4).unwrap();
+        let second = q.submit("second", "b", "{}", 2, 4).unwrap();
+        let third = q.submit("third", "a", "{}", 3, 4).unwrap();
+        let fourth = q.submit("fourth", "b", "{}", 4, 4).unwrap();
+        q.set_phase(second, JobPhase::Completed, None).unwrap();
+        let order: Vec<u64> = q.runnable().map(|j| j.spec.id).collect();
+        assert_eq!(order, vec![first, third, fourth]);
     }
 
     #[test]
     fn duplicate_fingerprints_are_refused_until_terminal() {
         let mut q = JobQueue::in_memory();
-        let id = q.submit("one", "a", 0, "{}", 0xf00d, 4).unwrap();
+        let id = q.submit("one", "a", "{}", 0xf00d, 4).unwrap();
         assert_eq!(
-            q.submit("two", "b", 0, "{}", 0xf00d, 4),
+            q.submit("two", "b", "{}", 0xf00d, 4),
             Err(QueueError::DuplicateFingerprint(id))
         );
         q.set_phase(id, JobPhase::Completed, None).unwrap();
         // After settling, resubmission is legal (and resumes the journal).
-        assert!(q.submit("two", "b", 0, "{}", 0xf00d, 4).is_ok());
+        assert!(q.submit("two", "b", "{}", 0xf00d, 4).is_ok());
     }
 
     #[test]
     fn tenant_scoped_cancel_hides_foreign_jobs() {
         let mut q = JobQueue::in_memory();
-        let id = q.submit("one", "alice", 0, "{}", 1, 4).unwrap();
+        let id = q.submit("one", "alice", "{}", 1, 4).unwrap();
         assert_eq!(q.cancel(id, Some("bob")), Err(QueueError::UnknownJob(id)));
         assert!(q.cancel(id, Some("alice")).is_ok());
         assert_eq!(q.cancel(id, None), Err(QueueError::Terminal(id)));
@@ -433,9 +417,9 @@ mod tests {
         let dir = temp_dir("replay");
         let (id_done, id_running, id_queued) = {
             let mut q = JobQueue::open(&dir).unwrap();
-            let a = q.submit("a", "alice", 1, "{\"n\":1}", 11, 4).unwrap();
-            let b = q.submit("b", "bob", 2, "{\"n\":2}", 22, 8).unwrap();
-            let c = q.submit("c", "bob", 0, "{\"n\":3}", 33, 2).unwrap();
+            let a = q.submit("a", "alice", "{\"n\":1}", 11, 4).unwrap();
+            let b = q.submit("b", "bob", "{\"n\":2}", 22, 8).unwrap();
+            let c = q.submit("c", "bob", "{\"n\":3}", 33, 2).unwrap();
             q.set_phase(a, JobPhase::Running, None).unwrap();
             q.set_phase(a, JobPhase::Completed, Some("report.json".into()))
                 .unwrap();
@@ -456,8 +440,29 @@ mod tests {
         assert_eq!(q.get(id_queued).unwrap().phase, JobPhase::Queued);
         // Fresh submissions never reuse replayed ids.
         let mut q = q;
-        let d = q.submit("d", "alice", 0, "{}", 44, 1).unwrap();
+        let d = q.submit("d", "alice", "{}", 44, 1).unwrap();
         assert!(d > id_queued);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_log_with_submission_priorities_still_replays() {
+        // Logs written while jobs carried a queue priority have a
+        // `"priority"` key in every `Submitted` line; replay ignores it.
+        let dir = temp_dir("priority");
+        std::fs::create_dir_all(&dir).unwrap();
+        let body = r#"{"Submitted":{"id":3,"name":"legacy","tenant":"alice","priority":7,"payload":"{\"n\":1}","fingerprint":65261,"spec_count":4}}"#;
+        let line = format!("{:016x} {body}\n", line_checksum(body));
+        std::fs::write(dir.join("jobs.jsonl"), line).unwrap();
+        let q = JobQueue::open(&dir).unwrap();
+        assert_eq!(q.dropped_lines, 0);
+        let job = q.get(3).expect("the submission replays");
+        assert_eq!(job.spec.name, "legacy");
+        assert_eq!(job.spec.tenant, "alice");
+        assert_eq!(job.spec.payload, "{\"n\":1}");
+        assert_eq!(job.spec.fingerprint, 0xfeed);
+        assert_eq!(job.spec.spec_count, 4);
+        assert_eq!(job.phase, JobPhase::Queued);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -466,8 +471,8 @@ mod tests {
         let dir = temp_dir("corrupt");
         {
             let mut q = JobQueue::open(&dir).unwrap();
-            q.submit("a", "alice", 0, "{}", 11, 4).unwrap();
-            q.submit("b", "bob", 0, "{}", 22, 4).unwrap();
+            q.submit("a", "alice", "{}", 11, 4).unwrap();
+            q.submit("b", "bob", "{}", 22, 4).unwrap();
         }
         let log = dir.join("jobs.jsonl");
         let text = std::fs::read_to_string(&log).unwrap();
@@ -490,8 +495,8 @@ mod tests {
     fn per_job_journal_paths_are_distinct() {
         let dir = temp_dir("paths");
         let mut q = JobQueue::open(&dir).unwrap();
-        let a = q.submit("a", "alice", 0, "{}", 1, 1).unwrap();
-        let b = q.submit("b", "bob", 0, "{}", 2, 1).unwrap();
+        let a = q.submit("a", "alice", "{}", 1, 1).unwrap();
+        let b = q.submit("b", "bob", "{}", 2, 1).unwrap();
         assert_ne!(q.journal_path(a), q.journal_path(b));
         assert!(JobQueue::in_memory().journal_path(1).is_none());
         std::fs::remove_dir_all(&dir).unwrap();

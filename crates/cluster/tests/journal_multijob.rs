@@ -37,10 +37,10 @@ fn entry(fingerprint: u64, index: usize) -> CheckpointEntry {
 
 fn submit_two(queue: &mut JobQueue) -> (u64, u64) {
     let a = queue
-        .submit("alpha", "alice", 1, "alpha:4", FP_A, 4)
+        .submit("alpha", "alice", "alpha:4", FP_A, 4)
         .expect("alpha submits");
     let b = queue
-        .submit("beta", "bob", 0, "beta:4", FP_B, 4)
+        .submit("beta", "bob", "beta:4", FP_B, 4)
         .expect("beta submits");
     (a, b)
 }

@@ -3,9 +3,9 @@
 //! Each test drives the *real* coordinator — handshake, dispatch queue,
 //! deadline handling, blame accounting — against in-memory mock transports
 //! whose behavior is a deterministic per-session script. No processes, no
-//! sockets: assign-deadline recovery, heartbeat keepalive, quarantine,
-//! poison-spec isolation, and speculative dedup are all exercised at the
-//! `Connector`/`Transport` seam the production paths use.
+//! sockets: assign-deadline recovery, heartbeat keepalive, quarantine and
+//! poison-spec isolation are all exercised at the `Connector`/`Transport`
+//! seam the production paths use.
 
 use qismet_cluster::{
     Assign, ClusterError, Connector, Done, Hello, Message, Outcome, Transport, WorkerPool,
@@ -102,11 +102,6 @@ enum Script {
     Solid,
     /// Serve normally, but sleep this long before each result (slow).
     SlowSolid(Duration),
-    /// Announce that this session holds an assignment, then withhold its
-    /// first result until the other sessions have produced this many.
-    Straggler(usize),
-    /// Serve normally once a [`Script::Straggler`] holds an assignment.
-    AfterStraggler,
     /// Send this many heartbeat pings before each result (slow, alive).
     PingThenSolid(usize),
     /// Serve `n` results, then fail the channel on the next read.
@@ -128,46 +123,6 @@ enum Script {
 struct PoolLog {
     /// `Pong` frames the coordinator sent back to scripted pings.
     pongs: AtomicUsize,
-    /// Results produced so far, and whether a straggler holds its work.
-    progress: Mutex<Progress>,
-    /// Signalled on every change to `progress`.
-    progressed: Condvar,
-}
-
-#[derive(Default)]
-struct Progress {
-    /// Results produced across all sessions (counts speculative twins).
-    dones: usize,
-    straggler_holds: bool,
-}
-
-impl PoolLog {
-    fn update(&self, f: impl FnOnce(&mut Progress)) {
-        f(&mut self.progress.lock().expect("pool log poisoned"));
-        self.progressed.notify_all();
-    }
-
-    /// Blocks until `ready` holds, or fails after [`HELPER_WAIT`].
-    fn wait_until(&self, what: &str, ready: impl Fn(&Progress) -> bool) -> io::Result<()> {
-        let progress = self.progress.lock().expect("pool log poisoned");
-        let (progress, waited) = self
-            .progressed
-            .wait_timeout_while(progress, HELPER_WAIT, |p| !ready(p))
-            .expect("pool log poisoned");
-        if waited.timed_out() {
-            let line = format!(
-                "{what}: still waiting after {HELPER_WAIT:?} ({} results, straggler holds: {})",
-                progress.dones, progress.straggler_holds
-            );
-            report(&line);
-            return Err(io::Error::new(io::ErrorKind::TimedOut, line));
-        }
-        Ok(())
-    }
-
-    fn dones(&self) -> usize {
-        self.progress.lock().expect("pool log poisoned").dones
-    }
 }
 
 struct ScriptedTransport {
@@ -240,13 +195,6 @@ impl Transport for ScriptedTransport {
                 ));
             }
             Script::SlowSolid(pause) => std::thread::sleep(pause),
-            Script::Straggler(others) if self.served == 0 => {
-                self.log.update(|p| p.straggler_holds = true);
-                self.log.wait_until("straggler", |p| p.dones >= others)?;
-            }
-            Script::AfterStraggler => self
-                .log
-                .wait_until("after-straggler", |p| p.straggler_holds)?,
             Script::PingThenSolid(n) => {
                 if self.pings_left > 0 {
                     self.pings_left -= 1;
@@ -266,7 +214,6 @@ impl Transport for ScriptedTransport {
         }
         self.pending.pop_front();
         self.served += 1;
-        self.log.update(|p| p.dones += 1);
         Ok(Message::Done(Done {
             index: next,
             seed: seed_of(next),
@@ -529,29 +476,6 @@ fn a_spec_that_keeps_killing_workers_is_poisoned_and_reported() {
         "every non-poisoned spec must reach the durable sink"
     );
     assert!(sunk.iter().all(|&(index, seed)| seed == seed_of(index)));
-}
-
-#[test]
-fn speculation_duplicates_a_straggler_and_dedups_first_result_wins() {
-    let _watchdog = watchdog!();
-    let log = Arc::new(PoolLog::default());
-    // The fast worker serves nothing until the straggler holds a spec, and
-    // the straggler answers only after the fast worker has produced four
-    // results: its three own specs and the straggler's twin.
-    let pool = WorkerPool::new(vec![
-        ScriptedConnector::slot(&[Script::Straggler(4)], 1, &log),
-        ScriptedConnector::slot(&[Script::AfterStraggler], 1, &log),
-    ])
-    .with_speculative(true);
-    let (result, sunk) = run_pool(&pool, 4);
-    let outcome = result.expect("speculative execution must not change the result");
-    assert_eq!(outcome.records, expected(4));
-    assert_eq!(outcome.respawns, 0);
-    // The fast worker finished the queue, then mirrored the straggler's
-    // in-flight spec: one more result was produced than specs exist, and
-    // the duplicate was dropped before the sink/merge.
-    assert_eq!(log.dones(), 5);
-    assert_eq!(sunk.len(), 4, "the speculative twin must not re-journal");
 }
 
 #[test]
@@ -957,14 +881,12 @@ fn submit(
     harness: &ServiceHarness,
     token: &str,
     name: &str,
-    priority: i64,
     payload: &str,
 ) -> Result<u64, (ServiceErrKind, String)> {
     let mut transport = client_session(harness, token)?;
     transport
         .send(&Message::Submit(Submit {
             name: name.to_string(),
-            priority,
             payload: payload.to_string(),
         }))
         .expect("submit sends");
@@ -1022,8 +944,8 @@ fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
 fn elastic_fleet_serves_two_tenants_and_settles_reference_identical_reports() {
     let _watchdog = watchdog!();
     let harness = ServiceHarness::start(service_config());
-    let job_a = submit(&harness, "a-token", "alpha", 1, "alpha:12").expect("alice submits");
-    let job_b = submit(&harness, "b-token", "beta", 0, "beta:9").expect("bob submits");
+    let job_a = submit(&harness, "a-token", "alpha", "alpha:12").expect("alice submits");
+    let job_b = submit(&harness, "b-token", "beta", "beta:9").expect("bob submits");
     // Tenant isolation in status: alice sees only her job, fleet sees both.
     let alice_view = status(&harness, "a-token");
     assert_eq!(alice_view.jobs.len(), 1);
@@ -1081,7 +1003,7 @@ fn voluntary_deregister_takes_no_strike_and_the_name_can_rejoin() {
     let mut config = service_config();
     config.quarantine_after = Some(1);
     let harness = ServiceHarness::start(config);
-    let job = submit(&harness, "a-token", "gamma", 0, "gamma:6").expect("submit accepted");
+    let job = submit(&harness, "a-token", "gamma", "gamma:6").expect("submit accepted");
     let polite = fleet_worker(
         &harness,
         "polite",
@@ -1121,7 +1043,7 @@ fn strikes_follow_the_name_and_a_quarantined_name_is_refused() {
     let mut config = service_config();
     config.quarantine_after = Some(2);
     let harness = ServiceHarness::start(config);
-    let job = submit(&harness, "b-token", "delta", 0, "delta:8").expect("submit accepted");
+    let job = submit(&harness, "b-token", "delta", "delta:8").expect("submit accepted");
     // Two crashy sessions under the same name: one strike each.
     for strikes in 1..=2usize {
         let flaky = fleet_worker(
@@ -1170,11 +1092,11 @@ fn service_errors_are_typed() {
     assert_eq!(bad_client.0, ServiceErrKind::BadToken);
     // Unparseable submission payload.
     let bad_payload =
-        submit(&harness, "a-token", "x", 0, "not-a-count").expect_err("bad payload refused");
+        submit(&harness, "a-token", "x", "not-a-count").expect_err("bad payload refused");
     assert_eq!(bad_payload.0, ServiceErrKind::BadPayload);
     // Duplicate fingerprint while the first job is still live.
-    let job = submit(&harness, "a-token", "x", 0, "epsilon:5").expect("first submit accepted");
-    let duplicate = submit(&harness, "b-token", "x2", 3, "epsilon:5")
+    let job = submit(&harness, "a-token", "x", "epsilon:5").expect("first submit accepted");
+    let duplicate = submit(&harness, "b-token", "x2", "epsilon:5")
         .expect_err("same campaign cannot be queued twice");
     assert_eq!(duplicate.0, ServiceErrKind::DuplicateFingerprint);
     // Cancel: unknown id, foreign tenant (indistinguishable from unknown),

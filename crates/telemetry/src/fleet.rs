@@ -17,14 +17,10 @@ use crate::json::JsonWriter;
 /// worker seat, across every respawned process that occupied it).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SlotHealth {
-    /// Specs handed to this slot (re-dispatches and duplicates included).
+    /// Specs handed to this slot (re-dispatches included).
     pub assigned: u64,
-    /// Specs whose result this slot delivered first.
+    /// Specs whose result this slot delivered.
     pub done: u64,
-    /// Specs this slot computed that a speculative twin had already won.
-    pub duplicates_lost: u64,
-    /// Speculative assignments this slot won.
-    pub speculative_won: u64,
     /// Times the coordinator relaunched a worker into this slot.
     pub respawns: u64,
     /// Lifetime strikes accrued toward quarantine.
@@ -93,8 +89,6 @@ pub fn write_fleet_json(w: &mut JsonWriter, fleet: &[(u64, SlotHealth)]) {
         w.field_u64("slot", *slot);
         w.field_u64("assigned", h.assigned);
         w.field_u64("done", h.done);
-        w.field_u64("duplicates_lost", h.duplicates_lost);
-        w.field_u64("speculative_won", h.speculative_won);
         w.field_u64("respawns", h.respawns);
         w.field_u64("strikes", h.strikes);
         w.field_bool("quarantined", h.quarantined);
